@@ -24,12 +24,12 @@ from typing import Optional
 from .circuit import Bench
 from .errors import BusError, ProtocolError, SimulationFailure, UnknownPad, VcitError
 from .prober import (
-    CaptureRecord,
     ProtectionLimits,
     StimulusWaveform,
     execute,
     format_capture,
-    parse_capture_lines,
+    parse_captures,
+    waveform_from_fields,
 )
 
 PROTOCOL_VERSION = "VCIT/1"
@@ -146,19 +146,13 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             return _err(ERR_MALFORMED, "WAVEFORM takes: count mode dt pads...")
         try:
             count = int(args[0])
-            dt = float(args[2])
         except ValueError:
-            return _err(ERR_MALFORMED, "bad WAVEFORM count or dt")
-        mode, pads = args[1], tuple(args[3:])
+            return _err(ERR_MALFORMED, f"bad WAVEFORM count {args[0]!r}")
         if count != len(payload):
             return _err(ERR_MALFORMED, f"declared {count} samples, got {len(payload)}")
         try:
-            samples = tuple(float(s) for s in payload)
-        except ValueError:
-            return _err(ERR_MALFORMED, "bad waveform sample")
-        try:
-            waveform = StimulusWaveform(mode=mode, samples=samples, dt=dt, target_pads=pads)
-        except ValueError as exc:
+            waveform = waveform_from_fields(args[1], args[2], args[3:], payload)
+        except ProtocolError as exc:
             return _err(ERR_MALFORMED, str(exc))
         slot.waveform = waveform
         slot.raw_samples = tuple(payload)
@@ -240,8 +234,8 @@ def serve_connection(farm: ProberFarm, rfile, wfile):
         raw = rfile.readline()
         if not raw:
             return
-        line = raw.decode("ascii", errors="replace").rstrip("\r\n")
-        parts = line.split()
+        ascii_only = raw.isascii()
+        parts = raw.decode("ascii", errors="replace").split()
         if not parts:
             _write_reply(wfile, "", _err(ERR_MALFORMED, "empty command line"))
             continue
@@ -255,10 +249,16 @@ def serve_connection(farm: ProberFarm, rfile, wfile):
                 sample_raw = rfile.readline()
                 if not sample_raw:
                     return
+                ascii_only = ascii_only and sample_raw.isascii()
                 sample = sample_raw.decode("ascii", errors="replace").rstrip("\r\n")
                 if sample == ".":
                     break
                 payload.append(sample)
+        if not ascii_only:
+            # Replies and the STATUS echo are ASCII, so nothing non-ASCII
+            # may be echoed or stored.
+            _write_reply(wfile, verb, _err(ERR_MALFORMED, "non-ASCII byte in command"))
+            continue
         if verb not in _VERBS:
             _write_reply(wfile, verb, _err(ERR_UNKNOWN_VERB, f"unknown verb {verb!r}"))
             continue
@@ -379,13 +379,4 @@ class RemoteProber:
         client_call(BusCommand("ARM"), self.connection)
         client_call(BusCommand("TRIG"), self.connection)
         reply = client_call(BusCommand("READ"), self.connection)
-        captures = []
-        lines = list(reply.block)
-        while lines:
-            head = lines[0].split()
-            if len(head) != 6 or head[0] != "capture":
-                raise ProtocolError(f"bad capture header: {lines[0]!r}")
-            n = int(head[3])
-            captures.append(parse_capture_lines(lines[: n + 1]))
-            lines = lines[n + 1:]
-        return captures
+        return parse_captures(reply.block)

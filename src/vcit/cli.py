@@ -203,12 +203,8 @@ def cmd_check(args) -> int:
         if len(window) != 2:
             raise VcitError("window must be lo,hi")
         check = PadCheck(pad_id=args.pad, mode=args.mode, level=args.level, window=window)
-        waveform = StimulusWaveform(
-            mode=check.mode, samples=(check.level,) * check.samples,
-            dt=check.dt, target_pads=(check.pad_id,),
-        )
-        capture = execute(waveform, fixture.limits, fixture.bench)[0]
-        return _print_verdict(single_level_test(capture, window))
+        capture = execute(check.waveform(), fixture.limits, fixture.bench)[0]
+        return _print_verdict(single_level_test(capture, check.window))
 
     if args.check == "diff":
         _require(args, ["pad", "levels", "windows"])
@@ -234,7 +230,7 @@ def cmd_check(args) -> int:
 
 def cmd_serve(args) -> int:
     fixture = _load(args)
-    address = args.bus or os.environ.get(BUS_ENV_VAR) or "127.0.0.1:7605"
+    address = args.bus or "127.0.0.1:7605"
     host, port = _parse_bus(address)
     farm = busmod.ProberFarm(fixture.bench, args.probers)
     try:
@@ -263,14 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, bus=True):
         p.add_argument("--fixture", help="fixture description file (default: shipped fixture)")
-        p.add_argument("--log", help="session log output path")
-        p.add_argument("--seed", type=int, default=None, help="session seed (logged)")
         if bus:
             p.add_argument("--bus", default=os.environ.get(BUS_ENV_VAR),
                            help=f"prober bus address host:port (env {BUS_ENV_VAR})")
 
     p = sub.add_parser("session", help="run a full test session")
     common(p)
+    p.add_argument("--log", help="session log output path")
+    p.add_argument("--seed", type=int, default=None,
+                   help="session label written to the log; feeds no computation")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--script", help="scenario script with operator responses")
     group.add_argument("--interactive", action="store_true", help="prompt the operator live")

@@ -141,6 +141,16 @@ class PadCheck:
     dt: float = 1e-3
     source_ohms: float = 0.0
 
+    def waveform(self) -> StimulusWaveform:
+        """The constant stimulus this check applies to its pad."""
+        return StimulusWaveform(
+            mode=self.mode,
+            samples=(self.level,) * self.samples,
+            dt=self.dt,
+            target_pads=(self.pad_id,),
+            source_ohms=self.source_ohms,
+        )
+
 
 @dataclass(frozen=True)
 class RailSenseCheck:
@@ -182,14 +192,7 @@ def _run_check(check: Check, bench: Bench, port) -> VcitVerdict:
             passed=lo <= reading <= hi,
             detail={"check": "rail-sense", "pads": check.pads, "reading": reading, "band": (lo, hi)},
         )
-    waveform = StimulusWaveform(
-        mode=check.mode,
-        samples=(check.level,) * check.samples,
-        dt=check.dt,
-        target_pads=(check.pad_id,),
-        source_ohms=check.source_ohms,
-    )
-    capture = port.execute(waveform)[0]
+    capture = port.execute(check.waveform())[0]
     verdict = single_level_test(capture, check.window)
     detail = dict(verdict.detail)
     detail["check"] = "single-level"

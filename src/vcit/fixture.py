@@ -2,8 +2,8 @@
 
 A fixture is a JSON document describing the bench (pads, circuit kinds and
 parameters, contact states, rail termination), the protection limits, the
-VCIT setup battery, the rail-sense configuration and its valid band, the
-defect-signature catalog, the dummy UUT, and the needle maintenance log.
+VCIT setup battery (rail-sense and single-level checks, each with its band),
+the defect-signature catalog, the dummy UUT, and the needle maintenance log.
 The full schema is documented in the README; validation errors raise
 FixtureError with the offending path.
 """
@@ -42,19 +42,10 @@ DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 
 
 @dataclass(frozen=True)
-class RailSenseConfig:
-    pads: tuple
-    amperes: float
-    valid_band: tuple
-    rail: str = "VCC"
-
-
-@dataclass(frozen=True)
 class Fixture:
     bench: Bench
     limits: ProtectionLimits
     vcit_plan: VcitPlan
-    rail_sense: Optional[RailSenseConfig] = None
     catalog: tuple = ()  # of (tag, HalfSpaceRegion)
     regions: Mapping[str, HalfSpaceRegion] = field(default_factory=dict)
     dummy: Optional[DummyUutSpec] = None
@@ -200,21 +191,6 @@ def load_fixture(source) -> Fixture:
     except (TypeError, ValueError) as exc:
         raise FixtureError(f"protection: {exc}") from exc
 
-    rail_sense = None
-    rs = doc.get("rail_sense")
-    if rs is not None:
-        try:
-            rail_sense = RailSenseConfig(
-                pads=tuple(rs["pads"]),
-                amperes=float(rs["amperes"]),
-                valid_band=(float(rs["valid_band"][0]), float(rs["valid_band"][1])),
-                rail=str(rs.get("rail", "VCC")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FixtureError(f"rail_sense: {exc}") from exc
-        for pid in rail_sense.pads:
-            uut.pad(pid)
-
     checks = tuple(
         _check(c, f"setup_plan[{i}]") for i, c in enumerate(doc.get("setup_plan", []))
     )
@@ -263,7 +239,6 @@ def load_fixture(source) -> Fixture:
         bench=Bench(uut=uut, contacts=contacts),
         limits=limits,
         vcit_plan=plan,
-        rail_sense=rail_sense,
         catalog=tuple(catalog),
         regions=regions,
         dummy=dummy,

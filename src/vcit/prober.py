@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .circuit import Bench, Stimulus, solve_dc, step_transient
-from .errors import LengthMismatch, NonConvergence, ProtocolError, SimulationFailure
+from .errors import NonConvergence, ProtocolError, SimulationFailure
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class StimulusWaveform:
             raise ValueError("waveform must have at least one sample")
         if not all(math.isfinite(s) for s in self.samples):
             raise ValueError("waveform levels must be finite")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         if len(self.target_pads) == 0:
             raise ValueError("waveform must target at least one pad")
         if len(set(self.target_pads)) != len(self.target_pads):
@@ -48,8 +48,9 @@ class ProtectionLimits:
     max_abs_current: float
 
     def __post_init__(self):
-        if not self.max_abs_voltage > 0.0 or not self.max_abs_current > 0.0:
-            raise ValueError("protection limits must be > 0")
+        for limit in (self.max_abs_voltage, self.max_abs_current):
+            if not 0.0 < limit < math.inf:
+                raise ValueError("protection limits must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -208,18 +209,22 @@ def parse_waveform(text: str) -> StimulusWaveform:
     head = lines[0].split()
     if len(head) < 3:
         raise ProtocolError("waveform header must be: mode dt pads...")
-    mode = head[0]
+    return waveform_from_fields(head[0], head[1], head[2:], lines[1:])
+
+
+def waveform_from_fields(mode: str, dt_text: str, pads, sample_texts) -> StimulusWaveform:
+    """Build a waveform from its text fields, as the file format and the bus
+    WAVEFORM command carry them; any bad field raises ProtocolError."""
     try:
-        dt = float(head[1])
+        dt = float(dt_text)
     except ValueError:
-        raise ProtocolError(f"bad dt in waveform header: {head[1]!r}") from None
-    pads = tuple(head[2:])
+        raise ProtocolError(f"bad waveform dt: {dt_text!r}") from None
     try:
-        samples = tuple(float(ln) for ln in lines[1:])
+        samples = tuple(float(s) for s in sample_texts)
     except ValueError as exc:
         raise ProtocolError(f"bad waveform sample: {exc}") from None
     try:
-        return StimulusWaveform(mode=mode, samples=samples, dt=dt, target_pads=pads)
+        return StimulusWaveform(mode=mode, samples=samples, dt=dt, target_pads=tuple(pads))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -250,33 +255,65 @@ def format_capture(capture: CaptureRecord) -> str:
     return "\n".join([head] + rows) + "\n"
 
 
-def parse_capture_lines(lines: list) -> CaptureRecord:
-    head = lines[0].split()
+def _parse_capture_header(line: str):
+    """(pad_id, dt, n, trip_index) of a capture header line."""
+    head = line.split()
     if len(head) != 6 or head[0] != "capture":
-        raise ProtocolError(f"bad capture header: {lines[0]!r}")
-    pad_id, dt_s, n_s, trip_flag, trip_s = head[1], head[2], head[3], head[4], head[5]
+        raise ProtocolError(f"bad capture header: {line!r}")
+    _, pad_id, dt_s, n_s, trip_flag, trip_s = head
     try:
         dt = float(dt_s)
         n = int(n_s)
+        trip_index = None if trip_s == "-" else int(trip_s)
     except ValueError:
-        raise ProtocolError(f"bad capture header: {lines[0]!r}") from None
+        raise ProtocolError(f"bad capture header: {line!r}") from None
+    if (
+        not math.isfinite(dt)
+        or n < 1
+        or trip_flag not in ("0", "1")
+        or (trip_flag == "1") != (trip_index is not None)
+        or (trip_index is not None and not 0 <= trip_index < n)
+    ):
+        raise ProtocolError(f"bad capture header: {line!r}")
+    return pad_id, dt, n, trip_index
+
+
+def parse_capture_lines(lines: list) -> CaptureRecord:
+    """Parse one format_capture block: the header line and its n rows."""
+    if not lines:
+        raise ProtocolError("empty capture block")
+    pad_id, dt, n, trip_index = _parse_capture_header(lines[0])
     if len(lines) != n + 1:
-        raise LengthMismatch(f"capture declares {n} samples, got {len(lines) - 1}")
-    applied, volts, amps = [], [], []
+        raise ProtocolError(f"capture declares {n} samples, got {len(lines) - 1}")
+    rows = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
+        try:
+            row = tuple(float(p) for p in ln.split())
+        except ValueError:
+            raise ProtocolError(f"bad capture row: {ln!r}") from None
+        if len(row) != 3 or not all(math.isfinite(x) for x in row):
             raise ProtocolError(f"bad capture row: {ln!r}")
-        a, v, i = (float(p) for p in parts)
-        applied.append(a)
-        volts.append(v)
-        amps.append(i)
+        rows.append(row)
+    applied, volts, amps = zip(*rows)
     return CaptureRecord(
         pad_id=pad_id,
         dt=dt,
-        applied=tuple(applied),
-        measured_voltage=tuple(volts),
-        measured_current=tuple(amps),
-        protection_tripped=trip_flag == "1",
-        trip_index=None if trip_s == "-" else int(trip_s),
+        applied=applied,
+        measured_voltage=volts,
+        measured_current=amps,
+        protection_tripped=trip_index is not None,
+        trip_index=trip_index,
     )
+
+
+def parse_captures(lines) -> list:
+    """Split a concatenation of format_capture blocks, such as a READ reply
+    block, into its captures."""
+    lines = list(lines)
+    captures = []
+    start = 0
+    while start < len(lines):
+        end = start + 1 + _parse_capture_header(lines[start])[2]
+        captures.append(parse_capture_lines(lines[start:end]))
+        start = end
+    return captures

@@ -42,6 +42,7 @@ from vcit.executive import (
     UUT_FAIL_FUNCTIONAL,
     UUT_FAIL_INTERFACE,
     NeedleLog,
+    RailSenseCheck,
     ScriptedOperator,
     SessionPlan,
     dummy_self_test,
@@ -77,11 +78,12 @@ def test_acceptance_1_rail_sense_open_detection():
     start = time.perf_counter()
     fixture = load_default_fixture()
     uut = fixture.bench.uut
-    rs = fixture.rail_sense
+    (rs,) = [c for c in fixture.vcit_plan.checks if isinstance(c, RailSenseCheck)]
+    assert rs == RailSenseCheck(pads=("p1", "p2", "p3"), amperes=0.005, band=(0.1, 0.5), rail="VCC")
     inject = {pid: rs.amperes for pid in rs.pads}
 
     good = solve_rail_sense(uut, fixture.bench.contacts, inject, rs.rail)
-    lo, hi = rs.valid_band
+    lo, hi = rs.band
     assert lo <= good <= hi
 
     for pid in rs.pads:

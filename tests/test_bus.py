@@ -5,6 +5,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcit.bus import (
     ERR_MALFORMED,
@@ -22,12 +24,23 @@ from vcit.bus import (
 )
 from vcit.errors import BusError, ProtocolError
 from vcit.fixture import load_default_fixture
-from vcit.prober import ProtectionLimits, StimulusWaveform, execute
+from vcit.prober import (
+    ProtectionLimits,
+    StimulusWaveform,
+    execute,
+    format_waveform,
+    parse_waveform,
+)
 
 
 @pytest.fixture
 def farm():
     return ProberFarm(load_default_fixture().bench, 3)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return load_default_fixture().bench
 
 
 FULL_SCRIPT = (
@@ -125,6 +138,58 @@ class TestLoopback:
         assert before == after
         assert "armed=1" in after
 
+    STAGE = b"SELECT 0\nLIMITS 2.0 0.05\nWAVEFORM 1 current 0.001 p1\n0.001\n.\nARM\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b"\xff\n",
+            b"WAVEFORM 1 current 0.001 p\xe9\n0.001\n.\n",
+            b"WAVEFORM 1 current 0.001 p1\n0.0\xb91\n.\n",
+            b"LIMITS inf inf\n",
+            b"WAVEFORM 1 current inf p1\n0.001\n.\n",
+        ],
+        ids=["non-ascii-line", "non-ascii-pad", "non-ascii-sample", "inf-limits", "inf-dt"],
+    )
+    def test_rejected_command_one_ascii_err_state_kept(self, farm, bad):
+        good = run_script(ProberFarm(load_default_fixture().bench, 3), self.STAGE + b"STATUS\nQUIT\n")
+        out = run_script(farm, self.STAGE + bad + b"STATUS\nQUIT\n")
+        staged = b"OK\n" * 4
+        assert good.startswith(staged) and out.startswith(staged)
+        err, rest = out[len(staged):].split(b"\n", 1)
+        assert err.decode("ascii").startswith(f"ERR {ERR_MALFORMED} ")
+        assert rest == good[len(staged):]  # one reply, and STATUS unchanged
+
+    @given(
+        st.sampled_from(["current", "voltage"]),
+        st.floats(min_value=1e-9, max_value=10.0),
+        st.lists(st.text("abcxyz019_-", min_size=1, max_size=6), min_size=1, max_size=3, unique=True),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_waveform_upload_matches_file_codec(self, bench, mode, dt, pads, samples):
+        waveform = StimulusWaveform(mode, tuple(samples), dt, tuple(pads))
+        texts = tuple(repr(s) for s in samples)
+        upload = BusCommand("WAVEFORM", (str(len(texts)), mode, repr(dt), *pads), payload=texts)
+        farm = ProberFarm(bench, 1)
+        assert run_script(farm, b"SELECT 0\n" + upload.encode()) == b"OK\nOK\n"
+        assert farm.slots[0].waveform == parse_waveform(format_waveform(waveform)) == waveform
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                [b"SELECT 0", b"WAVEFORM 1 current 0.001 p1", b"0.001", b".", b"LIMITS 2 0.05",
+                 b"ARM", b"STATUS", b"READ"]
+            )
+            | st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_get_ascii_replies(self, bench, lines):
+        out = run_script(ProberFarm(bench, 1), b"".join(ln + b"\n" for ln in lines))
+        assert out.isascii()
+
     def test_waveform_count_mismatch_rejected_stream_stays_aligned(self, farm):
         script = (
             b"SELECT 0\n"
@@ -174,6 +239,7 @@ class TestTcpTransport:
             FULL_SCRIPT,
             b"SELECT 99\nFROB\nSTATUS\nQUIT\n",
             b"SELECT 0\nWAVEFORM 2 current 0.001 p1\n0.001\n.\nHELLO\nQUIT\n",
+            b"SELECT 0\n\xff\nWAVEFORM 1 current 0.001 p\xe9\n0.001\n.\nSTATUS\nQUIT\n",
         ],
     )
     def test_transcripts_match_loopback_byte_for_byte(self, script):

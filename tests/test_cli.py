@@ -8,7 +8,14 @@ import pytest
 
 from vcit.bus import ProberFarm, serve
 from vcit.cli import main
-from vcit.executive import NTF_ACTIONS, SessionEvent, replay_verdict
+from vcit.executive import (
+    NTF_ACTIONS,
+    PadCheck,
+    SessionEvent,
+    VcitPlan,
+    replay_verdict,
+    run_vcit_battery,
+)
 from vcit.fixture import load_default_fixture
 
 
@@ -120,6 +127,14 @@ class TestCheck:
             ["check", "single", "--pad", "p1", "--level", "0.001", "--window", "0.9,1.0"]
         )
         assert code == 6
+
+    def test_single_reads_as_the_battery_does(self, capsys):
+        fixture = load_default_fixture()
+        check = PadCheck(pad_id="p2", mode="current", level=0.002, window=(0.0, 1.0))
+        battery = run_vcit_battery(fixture.bench, VcitPlan(checks=(check,), limits=fixture.limits))
+        expected = battery.detail["checks"][0]["reading"]
+        main(["check", "single", "--pad", "p2", "--level", "0.002", "--window", "0.0,1.0"])
+        assert f"  reading: {expected}\n" in capsys.readouterr().out
 
     def test_single_missing_args_exit_1(self, capsys):
         assert main(["check", "single", "--pad", "p1"]) == 1

@@ -1,6 +1,7 @@
 """Fixture file loading and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -19,8 +20,7 @@ class TestDefaultFixture:
         fixture = load_default_fixture()
         assert [pid for pid, _ in fixture.bench.uut.pads] == ["p1", "p2", "p3"]
         assert fixture.limits.max_abs_voltage == 2.0
-        assert fixture.rail_sense is not None
-        assert fixture.rail_sense.valid_band == (0.1, 0.5)
+        assert fixture.vcit_plan.checks[0].band == (0.1, 0.5)
         assert fixture.dummy is not None
         assert fixture.needle_log.window_cycles == 500
 
@@ -88,6 +88,12 @@ class TestValidation:
         doc = default_doc()
         doc["contacts"]["ghost"] = {"resistance": 0.1}
         with pytest.raises(Exception):
+            load_fixture(json.dumps(doc))
+
+    def test_non_finite_protection_limit(self):
+        doc = default_doc()
+        doc["protection"]["max_abs_voltage"] = math.inf  # dumped as Infinity
+        with pytest.raises(FixtureError):
             load_fixture(json.dumps(doc))
 
     def test_bad_contact(self):

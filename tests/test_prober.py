@@ -4,6 +4,8 @@ measurement, and the on-disk waveform/capture formats."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcit.circuit import Bench, ContactState, DiodeModel, OpenPad, PadCircuit, SeriesDiode, UutModel
 from vcit.errors import ProtocolError, UnknownPad
@@ -16,6 +18,7 @@ from vcit.prober import (
     format_waveform,
     measure_charge,
     parse_capture_lines,
+    parse_captures,
     parse_waveform,
 )
 
@@ -161,7 +164,13 @@ class TestWaveformFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "current 0.001\n0.001\n", "current notanumber p1\n0.001\n", "sideways 0.001 p1\n1\n"],
+        [
+            "",
+            "current 0.001\n0.001\n",
+            "current notanumber p1\n0.001\n",
+            "sideways 0.001 p1\n1\n",
+            "current inf p1\n0.001\n",
+        ],
     )
     def test_bad_files_raise(self, text):
         with pytest.raises(ProtocolError):
@@ -185,10 +194,71 @@ class TestCaptureFormat:
         c = CaptureRecord("x", 2e-3, (0.0,), (0.0,), (0.0,))
         assert parse_capture_lines(format_capture(c).splitlines()) == c
 
-    def test_declared_count_enforced(self):
-        lines = ["capture p1 0.001 3 0 -", "0 0 0"]
-        with pytest.raises(Exception):
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["capture p1 0.001 3 0 -", "0 0 0"],
+            ["capture p1 0.001 1 2 -", "0 0 0"],
+            ["capture p1 0.001 1 2 0", "0 0 0"],
+            ["capture p1 0.001 1 1 -", "0 0 0"],
+            ["capture p1 0.001 1 0 0", "0 0 0"],
+            ["capture p1 0.001 1 1 x", "0 0 0"],
+            ["capture p1 0.001 1 1 1", "0 0 0"],
+            ["capture p1 0.001 0 0 -"],
+            ["capture p1 nan 1 0 -", "0 0 0"],
+            ["capture p1 0.001 1 0 -", "0 x 0"],
+            ["capture p1 0.001 1 0 -", "0 nan 0"],
+            ["capture p1 0.001 1 0 -", "0 0 inf"],
+            ["capture p1 0.001 1 0 -", "0 0"],
+            [],
+        ],
+        ids=[
+            "count-short", "flag-2-untripped", "flag-2-index", "tripped-no-index",
+            "untripped-index", "index-not-int", "index-past-end", "no-samples", "dt-nan",
+            "row-not-float", "row-nan", "row-inf", "row-short", "empty",
+        ],
+    )
+    def test_bad_blocks_raise(self, lines):
+        with pytest.raises(ProtocolError):
             parse_capture_lines(lines)
+
+    def test_read_block_count_checked(self):
+        block = (format_capture(CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)))
+                 + format_capture(CaptureRecord("p2", 1e-3, (1.0,), (0.5,), (2e-3,))))
+        lines = block.splitlines()
+        assert [c.pad_id for c in parse_captures(lines)] == ["p1", "p2"]
+        for wrong in ("capture p1 0.001 2 0 -", "capture p1 0.001 3 0 -"):
+            with pytest.raises(ProtocolError):
+                parse_captures([wrong] + lines[1:])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text("abcxyz019_-", min_size=1, max_size=6),
+                st.floats(min_value=1e-9, max_value=1.0),
+                st.lists(
+                    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=1,
+                    max_size=5,
+                ),
+                st.integers(min_value=-1, max_value=4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_concatenated_blocks_round_trip_bit_exact(self, specs):
+        captures = []
+        for pad_id, dt, rows, trip in specs:
+            trip_index = trip if 0 <= trip < len(rows) else None
+            applied, volts, amps = zip(*rows)
+            captures.append(CaptureRecord(pad_id, dt, applied, volts, amps,
+                                          trip_index is not None, trip_index))
+        text = "".join(format_capture(c) for c in captures)
+        parsed = parse_captures(text.splitlines())
+        assert parsed == captures
+        assert "".join(format_capture(c) for c in parsed) == text  # repr keeps every bit
 
     def test_invariant_tripped_iff_index(self):
         with pytest.raises(ValueError):
