@@ -44,7 +44,7 @@ _BLOCK_VERBS = ("READ", "STATUS")
 _VERBS = ("HELLO", "LIST", "SELECT", "WAVEFORM", "LIMITS", "ARM", "TRIG", "READ", "STATUS", "QUIT")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BusCommand:
     verb: str
     args: tuple = ()
@@ -58,7 +58,7 @@ class BusCommand:
         return out.encode("ascii")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BusReply:
     ok: bool
     payload: str = ""

@@ -21,7 +21,7 @@ from .prober import CaptureRecord, StimulusWaveform
 _UNITY_SNAP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementVector:
     values: tuple
     labels: tuple
@@ -80,7 +80,7 @@ class HalfSpaceRegion:
         return cls(normals=[[1.0, -1.0]], distances=[hi, -lo])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationRef:
     reference_samples: tuple
     dt: float
@@ -97,7 +97,7 @@ class CorrelationRef:
             raise ValueError("reference must be non-constant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VcitVerdict:
     passed: bool
     detail: Mapping[str, object]

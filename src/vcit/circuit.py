@@ -36,7 +36,7 @@ _GMIN = 1e-12
 _EXP_CAP = 80.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiodeModel:
     """Shockley diode with ideality factor and optional series resistance."""
 
@@ -101,7 +101,7 @@ class DiodeModel:
         return gd / (1.0 + gd * self.series_resistance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EsdPair:
     """ESD clamp structure: pad->VCC diode and GND->pad diode."""
 
@@ -109,7 +109,7 @@ class EsdPair:
     to_gnd: DiodeModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesDiode:
     """Single diode between pad and GND.  polarity +1 conducts pad->GND."""
 
@@ -121,7 +121,7 @@ class SeriesDiode:
             raise ValueError("polarity must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Led:
     """Indicator LED between pad and GND, forward pad->GND, with a color tag."""
 
@@ -129,7 +129,7 @@ class Led:
     color_tag: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resistive:
     ohms: float
 
@@ -138,7 +138,7 @@ class Resistive:
             raise ValueError("ohms must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpenPad:
     pass
 
@@ -146,7 +146,7 @@ class OpenPad:
 PadKind = Union[EsdPair, SeriesDiode, Led, Resistive, OpenPad]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadCircuit:
     kind: PadKind
     shunt_capacitance: float = 0.0
@@ -165,7 +165,7 @@ class PadCircuit:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UutModel:
     """Star-topology UUT: pads to rails, rails to tester ground.
 
@@ -209,7 +209,7 @@ class UutModel:
             raise UnknownPad(f"no such pad: {pad_id!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactState:
     """One needle's contact condition.  Open means resistance >= open_threshold."""
 
@@ -249,7 +249,7 @@ def wear_step(contact: ContactState, cycles: int) -> ContactState:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stimulus:
     """One pad's applied stimulus.  source_ohms is the driver's internal
     output resistance and only applies in voltage mode."""
@@ -263,11 +263,11 @@ class Stimulus:
             raise ValueError("mode must be 'current' or 'voltage'")
         if not math.isfinite(self.level):
             raise ValueError("stimulus level must be finite")
-        if self.source_ohms < 0.0:
-            raise ValueError("source_ohms must be >= 0")
+        if not 0.0 <= self.source_ohms < math.inf:
+            raise ValueError("source_ohms must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadReading:
     """Per-pad operating point.
 
@@ -280,7 +280,7 @@ class PadReading:
     pad_volts: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     pads: Mapping[str, PadReading]
     vcc_volts: float
@@ -292,7 +292,7 @@ class SolveResult:
         return self.pads[pad_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bench:
     """A UUT mounted in the fixture: the model plus per-needle contacts."""
 

@@ -13,6 +13,7 @@ auditable after the fact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ NTF_ACTIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionEvent:
     index: int
     phase: str
@@ -78,6 +79,13 @@ class SessionEvent:
         return cls(index=d["index"], phase=d["phase"], action=d["action"], outcome=d["outcome"])
 
 
+@functools.lru_cache(maxsize=256)
+def _event(index: int, phase: str, action: str, outcome: str) -> SessionEvent:
+    """Events are immutable values drawn from a small vocabulary, so logs that
+    are kept share one instance of each."""
+    return SessionEvent(index=index, phase=phase, action=action, outcome=outcome)
+
+
 class EventLog:
     """Append-only, strictly ordered session trace."""
 
@@ -85,12 +93,12 @@ class EventLog:
         self.events: list = []
 
     def append(self, phase: str, action: str, outcome: str) -> SessionEvent:
-        ev = SessionEvent(index=len(self.events), phase=phase, action=action, outcome=outcome)
+        ev = _event(len(self.events), phase, action, outcome)
         self.events.append(ev)
         return ev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     kind: str
     evidence: tuple = ()
@@ -100,11 +108,17 @@ class Verdict:
             raise ValueError(f"unknown verdict kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeedleLog:
     last_replacement_cycle: int = 0
     current_cycle: int = 0
     window_cycles: int = 500
+
+    def __post_init__(self):
+        if self.window_cycles < 0:
+            raise ValueError("window_cycles must be >= 0")
+        if self.current_cycle < self.last_replacement_cycle:
+            raise ValueError("current_cycle must be >= last_replacement_cycle")
 
     @property
     def replaced_within_window(self) -> bool:
@@ -129,7 +143,7 @@ class ScriptedOperator:
 
 # --- VCIT check battery -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadCheck:
     """Single-level check: stimulate one pad, window the steady reading."""
 
@@ -152,7 +166,7 @@ class PadCheck:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RailSenseCheck:
     """Inject current at a pad group, window the supply-sense voltage."""
 
@@ -165,7 +179,7 @@ class RailSenseCheck:
 Check = Union[PadCheck, RailSenseCheck]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VcitPlan:
     checks: tuple = ()
     limits: ProtectionLimits = ProtectionLimits(2.0, 0.05)
@@ -245,7 +259,7 @@ def run_setup_integrity(bench: Bench, plan: VcitPlan, log: Optional[EventLog] = 
 
 # --- dummy UUT --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DummyUutSpec:
     """Reference board with known pad circuitry and expected signature bands.
 
@@ -378,7 +392,7 @@ def diagnose_functional_failure(
     return Verdict(NTF_DETECTED, evidence=("vcit-fail", "dummy-self-test-fail") + NTF_ACTIONS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionPlan:
     vcit_plan: VcitPlan
     needle_log: NeedleLog = NeedleLog()
@@ -476,7 +490,7 @@ def replay_verdict(events: Sequence[SessionEvent]) -> str:
 #   operator.<tag>: confirmed|aborted
 #   seed: <int>
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     functional: str = "pass"
     failed_pads: tuple = ()

@@ -41,7 +41,7 @@ from .prober import ProtectionLimits
 DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fixture:
     bench: Bench
     limits: ProtectionLimits
@@ -147,7 +147,7 @@ def _check(obj, where: str):
                 rail=str(obj.get("rail", "VCC")),
             )
         if kind == "single-level":
-            return PadCheck(
+            check = PadCheck(
                 pad_id=str(obj["pad"]),
                 mode=str(obj.get("mode", "current")),
                 level=float(obj["level"]),
@@ -156,6 +156,8 @@ def _check(obj, where: str):
                 dt=float(obj.get("dt", 1e-3)),
                 source_ohms=float(obj.get("source_ohms", 0.0)),
             )
+            check.waveform()  # a check that makes no valid waveform fails here
+            return check
     except (KeyError, TypeError, ValueError) as exc:
         raise FixtureError(f"{where}: bad check: {exc}") from exc
     raise FixtureError(f"{where}: unknown check type {kind!r}")

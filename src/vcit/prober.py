@@ -17,7 +17,7 @@ from .circuit import Bench, Stimulus, solve_dc, step_transient
 from .errors import NonConvergence, ProtocolError, SimulationFailure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StimulusWaveform:
     mode: str  # "current" | "voltage"
     samples: tuple
@@ -38,11 +38,11 @@ class StimulusWaveform:
             raise ValueError("waveform must target at least one pad")
         if len(set(self.target_pads)) != len(self.target_pads):
             raise ValueError("target pads must be unique")
-        if self.source_ohms < 0.0:
-            raise ValueError("source_ohms must be >= 0")
+        if not 0.0 <= self.source_ohms < math.inf:
+            raise ValueError("source_ohms must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtectionLimits:
     max_abs_voltage: float
     max_abs_current: float
@@ -53,7 +53,7 @@ class ProtectionLimits:
                 raise ValueError("protection limits must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureRecord:
     pad_id: str
     dt: float
@@ -85,6 +85,12 @@ def _solve_sample(bench, stimuli, state, dt, transient):
         raise SimulationFailure(str(exc)) from exc
 
 
+def _same_level(a: float, b: float) -> bool:
+    """Equal levels, telling -0.0 from 0.0: a zero current is recorded as
+    applied, sign included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) -> list:
     """Run the waveform against the bench; one CaptureRecord per target pad.
 
@@ -94,14 +100,24 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     samples that would exceed the current limit are clamped to
     +/-max_abs_current.  The clamp is exact: no recorded magnitude exceeds
     its limit.
+
+    On a bench without shunt capacitance, a sample whose level equals the
+    previous sample's is not solved again: a DC solve is a pure function of
+    its stimuli, and a trip is recorded at the first sample that clamped, so
+    the sample reads exactly as the previous one did.  A capacitive bench
+    steps every sample.
     """
     for pid in waveform.target_pads:
         bench.uut.pad(pid)  # raises UnknownPad
     transient = any(pc.shunt_capacitance > 0.0 for _, pc in bench.uut.pads)
 
-    series = {pid: {"v": [], "i": [], "trip": None} for pid in waveform.target_pads}
+    trips = {pid: None for pid in waveform.target_pads}
+    results = []  # the final, clamped solve of each sample
     state = None
     for k, level in enumerate(waveform.samples):
+        if not transient and k > 0 and _same_level(level, waveform.samples[k - 1]):
+            results.append(results[-1])
+            continue
         stimuli = {
             pid: Stimulus(waveform.mode, level, waveform.source_ohms)
             for pid in waveform.target_pads
@@ -111,8 +127,8 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
             lim = math.copysign(limits.max_abs_current, level)
             stimuli = {pid: Stimulus("current", lim) for pid in waveform.target_pads}
             for pid in waveform.target_pads:
-                if series[pid]["trip"] is None:
-                    series[pid]["trip"] = k
+                if trips[pid] is None:
+                    trips[pid] = k
         if waveform.mode == "voltage" and abs(level) > limits.max_abs_voltage:
             lim = math.copysign(limits.max_abs_voltage, level)
             stimuli = {
@@ -120,8 +136,8 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
                 for pid in waveform.target_pads
             }
             for pid in waveform.target_pads:
-                if series[pid]["trip"] is None:
-                    series[pid]["trip"] = k
+                if trips[pid] is None:
+                    trips[pid] = k
 
         # Clamp-and-resolve until no reading violates its limits.  Each pass
         # converts at least one pad's source to its clamped form, so the
@@ -150,27 +166,24 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
                 break
             for pid, clamped in offenders:
                 stimuli[pid] = clamped
-                if series[pid]["trip"] is None:
-                    series[pid]["trip"] = k
+                if trips[pid] is None:
+                    trips[pid] = k
 
         state = next_state
-        for pid in waveform.target_pads:
-            reading = result[pid]
-            # A clamped source has zero source resistance, so the needle
-            # reading equals the clamp level exactly.
-            series[pid]["v"].append(reading.volts)
-            series[pid]["i"].append(reading.amperes)
+        results.append(result)
 
+    # A clamped source has zero source resistance, so the needle reading
+    # equals the clamp level exactly.
     captures = []
     for pid in waveform.target_pads:
-        trip = series[pid]["trip"]
+        trip = trips[pid]
         captures.append(
             CaptureRecord(
                 pad_id=pid,
                 dt=waveform.dt,
                 applied=tuple(waveform.samples),
-                measured_voltage=tuple(series[pid]["v"]),
-                measured_current=tuple(series[pid]["i"]),
+                measured_voltage=tuple(r[pid].volts for r in results),
+                measured_current=tuple(r[pid].amperes for r in results),
                 protection_tripped=trip is not None,
                 trip_index=trip,
             )

@@ -2,6 +2,7 @@
 functional-failure diagnosis branches, and log replay."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,11 @@ class TestNeedleLog:
     def test_past_window_is_stale(self):
         log = NeedleLog(last_replacement_cycle=0, current_cycle=501, window_cycles=500)
         assert not log.replaced_within_window
+
+    @pytest.mark.parametrize("last, current, window", [(0, 10, -1), (10, 9, 500)])
+    def test_invalid_rejected(self, last, current, window):
+        with pytest.raises(ValueError):
+            NeedleLog(last_replacement_cycle=last, current_cycle=current, window_cycles=window)
 
 
 class TestSetupIntegrity:
@@ -237,6 +243,13 @@ class TestSession:
         b = run_session(plan, fixture.bench, ScriptedOperator())
         assert a[0] == b[0]
         assert a[1] == b[1]
+
+    def test_kept_logs_share_equal_events(self, fixture):
+        plan = forced_plan(fixture, vcit="fail", needles="stale", dummy="fail")
+        _, a = run_session(plan, fixture.bench, ScriptedOperator())
+        _, b = run_session(replace(plan, seed=plan.seed + 1), fixture.bench, ScriptedOperator())
+        assert a[0] != b[0]  # the seed label differs
+        assert all(x is y for x, y in zip(a[1:], b[1:]))
 
     def test_event_json_round_trip(self, fixture):
         plan = forced_plan(fixture, vcit="fail", needles="stale", dummy="fail")

@@ -114,6 +114,29 @@ class TestValidation:
         with pytest.raises(FixtureError):
             load_fixture(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mode", "sideways"), ("samples", 0), ("source_ohms", math.nan), ("source_ohms", -1.0)],
+    )
+    def test_single_level_check_without_waveform(self, field, value):
+        doc = default_doc()
+        doc["setup_plan"][1][field] = value  # NaN is dumped as NaN
+        with pytest.raises(FixtureError):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            {"window_cycles": -1},
+            {"last_replacement_cycle": 10, "current_cycle": 9},
+        ],
+    )
+    def test_bad_needle_log(self, log):
+        doc = default_doc()
+        doc["needle_log"].update(log)
+        with pytest.raises(FixtureError):
+            load_fixture(json.dumps(doc))
+
     def test_bad_catalog_entry(self):
         doc = default_doc()
         doc["catalog"].append(["orphan-tag"])

@@ -2,13 +2,30 @@
 measurement, and the on-disk waveform/capture formats."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcit.circuit import Bench, ContactState, DiodeModel, OpenPad, PadCircuit, SeriesDiode, UutModel
-from vcit.errors import ProtocolError, UnknownPad
+from vcit import prober
+from vcit.bus import BusReply
+from vcit.checks import VcitVerdict
+from vcit.circuit import (
+    Bench,
+    ContactState,
+    DiodeModel,
+    EsdPair,
+    Led,
+    OpenPad,
+    PadCircuit,
+    Resistive,
+    SeriesDiode,
+    Stimulus,
+    UutModel,
+)
+from vcit.errors import ProtocolError, SimulationFailure, UnknownPad
+from vcit.executive import PadCheck, SessionEvent, Verdict
 from vcit.prober import (
     CaptureRecord,
     ProtectionLimits,
@@ -113,6 +130,164 @@ class TestExecute:
     def test_unknown_pad(self):
         with pytest.raises(UnknownPad):
             execute(StimulusWaveform("current", (1e-3,), 1e-3, ("nope",)), LIMITS, diode_bench())
+
+    @pytest.mark.parametrize("ohms", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [Stimulus, StimulusWaveform])
+    def test_bad_source_ohms_rejected(self, kind, ohms):
+        with pytest.raises(ValueError):
+            if kind is Stimulus:
+                Stimulus("voltage", 1.0, ohms)
+            else:
+                StimulusWaveform("voltage", (1.0,), 1e-3, ("p1",), ohms)
+
+
+def per_sample_reference(waveform, limits, bench):
+    """Captures of each sample executed as its own one-sample waveform,
+    concatenated; the trip index is the first sample that tripped."""
+    parts = [
+        execute(replace(waveform, samples=(level,)), limits, bench)
+        for level in waveform.samples
+    ]
+    captures = []
+    for j, pid in enumerate(waveform.target_pads):
+        pieces = [part[j] for part in parts]
+        trip = next((k for k, c in enumerate(pieces) if c.protection_tripped), None)
+        captures.append(
+            CaptureRecord(
+                pad_id=pid,
+                dt=waveform.dt,
+                applied=waveform.samples,
+                measured_voltage=tuple(c.measured_voltage[0] for c in pieces),
+                measured_current=tuple(c.measured_current[0] for c in pieces),
+                protection_tripped=trip is not None,
+                trip_index=trip,
+            )
+        )
+    return captures
+
+
+_DIODE = DiodeModel(1e-14)
+# A current into a pad that conducts one way only, or into an open pad, has
+# no operating point the solver reaches; current mode keeps to pads that
+# conduct both ways.
+_PAD_KINDS = {
+    "current": [EsdPair(_DIODE, _DIODE), Resistive(100.0), Resistive(1e4)],
+    "voltage": [
+        EsdPair(_DIODE, _DIODE),
+        SeriesDiode(_DIODE, 1),
+        SeriesDiode(_DIODE, -1),
+        Led(DiodeModel(1e-18, 2.0)),
+        Resistive(100.0),
+        OpenPad(),
+    ],
+}
+# Levels on both sides of LIMITS in each mode, so that pre-clamps, clamps
+# after a solve and trips all occur; -0.0 must read apart from 0.0.
+_LEVELS = {
+    "current": [0.0, -0.0, 1e-4, -1e-4, 1e-3, -2e-3, 0.08, -0.08],
+    "voltage": [0.0, -0.0, 0.3, -0.5, 0.7, 1.5, 3.0, -3.0],
+}
+
+
+@st.composite
+def dc_runs(draw):
+    """A DC bench and a waveform made of runs of repeated levels."""
+    mode = draw(st.sampled_from(["current", "voltage"]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    pads = tuple(
+        (f"p{i}", PadCircuit(draw(st.sampled_from(_PAD_KINDS[mode])))) for i in range(n)
+    )
+    contacts = {pid: ContactState(draw(st.sampled_from([0.1, 10.0, 2e6]))) for pid, _ in pads}
+    bench = Bench(UutModel(pads=pads), contacts)
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_LEVELS[mode]), st.integers(min_value=1, max_value=4)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    samples = tuple(level for level, count in runs for _ in range(count))
+    targets = draw(st.permutations([pid for pid, _ in pads]))
+    k = draw(st.integers(min_value=1, max_value=n))
+    return bench, StimulusWaveform(mode, samples, 1e-3, tuple(targets[:k]))
+
+
+class TestRepeatedSamples:
+    """A DC sample whose level equals the previous sample's reuses its solve."""
+
+    @given(dc_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_sample_reference(self, case):
+        bench, waveform = case
+        try:
+            expected = per_sample_reference(waveform, LIMITS, bench)
+        except SimulationFailure:
+            with pytest.raises(SimulationFailure):
+                execute(waveform, LIMITS, bench)
+            return
+        captures = execute(waveform, LIMITS, bench)
+        assert captures == expected
+        # repr keeps every bit, including the sign of a zero
+        assert [format_capture(c) for c in captures] == [format_capture(c) for c in expected]
+
+    def test_negative_zero_is_not_a_repeat(self):
+        waveform = StimulusWaveform("current", (0.0, -0.0), 1e-3, ("p1",))
+        (capture,) = execute(waveform, LIMITS, diode_bench())
+        assert [repr(i) for i in capture.measured_current] == ["0.0", "-0.0"]
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(prober, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(prober, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("contact_ohms", [0.1, 2e6], ids=["unclamped", "clamped"])
+    def test_constant_dc_waveform_solves_once_per_clamp_pass(self, monkeypatch, contact_ohms):
+        bench = diode_bench(contact_ohms)
+        calls = self.count_calls(monkeypatch, "solve_dc")
+        execute(StimulusWaveform("current", (1e-3,), 1e-3, ("p1",)), LIMITS, bench)
+        passes = len(calls)
+        assert passes == (1 if contact_ohms < 1e6 else 2)
+        calls.clear()
+        (capture,) = execute(StimulusWaveform("current", (1e-3,) * 64, 1e-3, ("p1",)), LIMITS, bench)
+        assert len(capture) == 64
+        assert len(calls) == passes
+
+    def test_capacitive_bench_steps_every_sample(self, monkeypatch):
+        uut = UutModel(pads=(("rc", PadCircuit(OpenPad(), shunt_capacitance=1e-6)),))
+        bench = Bench(uut, {"rc": ContactState(1000.0)})
+        steps = self.count_calls(monkeypatch, "step_transient")
+        solves = self.count_calls(monkeypatch, "solve_dc")
+        (capture,) = execute(StimulusWaveform("voltage", (1.0,) * 64, 1e-5, ("rc",)), LIMITS, bench)
+        assert len(steps) == 64 and not solves
+        assert len(set(capture.measured_current)) > 1  # the capacitor charges
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        SessionEvent(0, "Idle", "session-start", "seed=0"),
+        Verdict("pass"),
+        ContactState(0.1),
+        diode_bench(),
+        Stimulus("current", 1e-3),
+        StimulusWaveform("current", (1e-3,), 1e-3, ("p1",)),
+        CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)),
+        PadCheck("p1", "current", 1e-3, (0.3, 1.0)),
+        VcitVerdict(True, {}),
+        BusReply(True),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_retained_values_have_no_instance_dict(value):
+    # A session or bus cycle keeps many of these; slots keep each one small.
+    assert not hasattr(value, "__dict__")
 
 
 class TestMeasureCharge:
