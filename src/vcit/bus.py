@@ -40,6 +40,13 @@ ERR_SEQUENCE = 409
 ERR_OUT_OF_RANGE = 416
 ERR_EXECUTION = 500
 
+# Longest command or sample line read, in bytes with its newline, and the
+# most samples one WAVEFORM block may carry.  A longer line or block is
+# still consumed to its end, then answered with one ERR 400; nothing of it
+# is stored.
+MAX_LINE_BYTES = 4096
+MAX_WAVEFORM_SAMPLES = 4096
+
 _BLOCK_VERBS = ("READ", "STATUS")
 _VERBS = ("HELLO", "LIST", "SELECT", "WAVEFORM", "LIMITS", "ARM", "TRIG", "READ", "STATUS", "QUIT")
 
@@ -223,6 +230,24 @@ def _write_reply(wfile, verb: str, reply: BusReply):
     wfile.flush()
 
 
+def _read_bounded_line(rfile):
+    """(line, problem) for the next line of at most MAX_LINE_BYTES; a longer
+    line is read to its end and comes back cut, with a problem set."""
+    raw = rfile.readline(MAX_LINE_BYTES)
+    problem = None
+    if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+        problem = f"line longer than {MAX_LINE_BYTES} bytes"
+        while True:
+            rest = rfile.readline(MAX_LINE_BYTES)
+            if not rest or rest.endswith(b"\n"):
+                break
+    if problem is None and not raw.isascii():
+        # Replies and the STATUS echo are ASCII, so nothing non-ASCII may be
+        # echoed or stored.
+        problem = "non-ASCII byte in command"
+    return raw, problem
+
+
 def serve_connection(farm: ProberFarm, rfile, wfile):
     """Process one connection's command stream until QUIT or EOF.
 
@@ -231,13 +256,12 @@ def serve_connection(farm: ProberFarm, rfile, wfile):
     """
     session = _Session()
     while True:
-        raw = rfile.readline()
+        raw, problem = _read_bounded_line(rfile)
         if not raw:
             return
-        ascii_only = raw.isascii()
         parts = raw.decode("ascii", errors="replace").split()
         if not parts:
-            _write_reply(wfile, "", _err(ERR_MALFORMED, "empty command line"))
+            _write_reply(wfile, "", _err(ERR_MALFORMED, problem or "empty command line"))
             continue
         verb, args = parts[0], parts[1:]
         payload = None
@@ -246,18 +270,19 @@ def serve_connection(farm: ProberFarm, rfile, wfile):
             # the stream aligned on the next command.
             payload = []
             while True:
-                sample_raw = rfile.readline()
+                sample_raw, sample_problem = _read_bounded_line(rfile)
                 if not sample_raw:
                     return
-                ascii_only = ascii_only and sample_raw.isascii()
                 sample = sample_raw.decode("ascii", errors="replace").rstrip("\r\n")
                 if sample == ".":
                     break
-                payload.append(sample)
-        if not ascii_only:
-            # Replies and the STATUS echo are ASCII, so nothing non-ASCII
-            # may be echoed or stored.
-            _write_reply(wfile, verb, _err(ERR_MALFORMED, "non-ASCII byte in command"))
+                if len(payload) == MAX_WAVEFORM_SAMPLES:
+                    sample_problem = f"more than {MAX_WAVEFORM_SAMPLES} samples"
+                problem = problem or sample_problem
+                if problem is None:
+                    payload.append(sample)
+        if problem is not None:
+            _write_reply(wfile, verb, _err(ERR_MALFORMED, problem))
             continue
         if verb not in _VERBS:
             _write_reply(wfile, verb, _err(ERR_UNKNOWN_VERB, f"unknown verb {verb!r}"))

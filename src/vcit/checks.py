@@ -113,11 +113,18 @@ def steady_state(samples: Sequence[float]) -> float:
     return math.fsum(samples[n - k:]) / k
 
 
+def closed_window(window, what: str = "window") -> tuple:
+    """(lo, hi) of a closed window: two finite numbers with lo <= hi."""
+    if len(window) == 2:
+        lo, hi = window
+        if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
+            return lo, hi
+    raise ValueError(f"{what} must be two finite numbers lo <= hi, got {tuple(window)!r}")
+
+
 def single_level_test(capture: CaptureRecord, window) -> VcitVerdict:
     """Pass iff the steady-state measured voltage lies in [lo, hi] (closed)."""
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("window must have lo <= hi")
+    lo, hi = closed_window(window)
     reading = steady_state(capture.measured_voltage)
     ok = lo <= reading <= hi
     return VcitVerdict(
@@ -139,6 +146,7 @@ def differential_test(captures: Sequence[CaptureRecord], expected_deltas) -> Vci
         raise ValueError("all captures must come from the same pad")
     if len(expected_deltas) != len(captures) - 1:
         raise ValueError("need one delta window per consecutive capture pair")
+    expected_deltas = [closed_window(w, "delta window") for w in expected_deltas]
     levels = [steady_state(c.applied) for c in captures]
     for a, b in zip(levels, levels[1:]):
         if a == b:

@@ -45,15 +45,17 @@ class DiodeModel:
     thermal_voltage: float = 0.02585
     series_resistance: float = 0.0
 
+    leak = _GMIN  # conductance in parallel with the junction
+
     def __post_init__(self):
-        if not self.saturation_current > 0.0:
-            raise ValueError("saturation_current must be > 0")
-        if not self.ideality >= 1.0:
-            raise ValueError("ideality must be >= 1")
-        if not self.thermal_voltage > 0.0:
-            raise ValueError("thermal_voltage must be > 0")
-        if self.series_resistance < 0.0:
-            raise ValueError("series_resistance must be >= 0")
+        if not 0.0 < self.saturation_current < math.inf:
+            raise ValueError("saturation_current must be finite and > 0")
+        if not 1.0 <= self.ideality < math.inf:
+            raise ValueError("ideality must be finite and >= 1")
+        if not 0.0 < self.thermal_voltage < math.inf:
+            raise ValueError("thermal_voltage must be finite and > 0")
+        if not 0.0 <= self.series_resistance < math.inf:
+            raise ValueError("series_resistance must be finite and >= 0")
 
     @property
     def nvt(self) -> float:
@@ -101,12 +103,22 @@ class DiodeModel:
         return gd / (1.0 + gd * self.series_resistance)
 
 
+# Each pad kind describes its wiring as a branch table: one
+# (law, rail, polarity) entry per element between the pad and a rail.  The
+# law gives current(v), conductance(v), its parallel leak and the nvt that
+# bounds a Newton step; polarity +1 conducts pad -> rail, -1 rail -> pad.
+
+
 @dataclass(frozen=True, slots=True)
 class EsdPair:
     """ESD clamp structure: pad->VCC diode and GND->pad diode."""
 
     to_vcc: DiodeModel
     to_gnd: DiodeModel
+
+    @property
+    def branches(self) -> tuple:
+        return ((self.to_vcc, "VCC", 1), (self.to_gnd, "GND", -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +132,10 @@ class SeriesDiode:
         if self.polarity not in (1, -1):
             raise ValueError("polarity must be +1 or -1")
 
+    @property
+    def branches(self) -> tuple:
+        return ((self.diode, "GND", self.polarity),)
+
 
 @dataclass(frozen=True, slots=True)
 class Led:
@@ -128,19 +144,38 @@ class Led:
     diode: DiodeModel
     color_tag: str = ""
 
+    @property
+    def branches(self) -> tuple:
+        return ((self.diode, "GND", 1),)
+
 
 @dataclass(frozen=True, slots=True)
 class Resistive:
+    """Resistor between pad and GND; its own linear law, with no leak."""
+
     ohms: float
 
+    leak = 0.0
+    nvt = math.inf  # a linear law needs no Newton step clamp
+
     def __post_init__(self):
-        if not self.ohms > 0.0:
-            raise ValueError("ohms must be > 0")
+        if not 0.0 < self.ohms < math.inf:
+            raise ValueError("ohms must be finite and > 0")
+
+    @property
+    def branches(self) -> tuple:
+        return ((self, "GND", 1),)
+
+    def current(self, v: float) -> float:
+        return v * (1.0 / self.ohms)
+
+    def conductance(self, v: float) -> float:
+        return 1.0 / self.ohms
 
 
 @dataclass(frozen=True, slots=True)
 class OpenPad:
-    pass
+    branches = ()
 
 
 PadKind = Union[EsdPair, SeriesDiode, Led, Resistive, OpenPad]
@@ -152,17 +187,12 @@ class PadCircuit:
     shunt_capacitance: float = 0.0
 
     def __post_init__(self):
-        if self.shunt_capacitance < 0.0:
-            raise ValueError("shunt_capacitance must be >= 0")
+        if not 0.0 <= self.shunt_capacitance < math.inf:
+            raise ValueError("shunt_capacitance must be finite and >= 0")
 
     def rails(self) -> frozenset:
         """Which rails this pad has a conductive element to."""
-        k = self.kind
-        if isinstance(k, EsdPair):
-            return frozenset({"VCC", "GND"})
-        if isinstance(k, (SeriesDiode, Led, Resistive)):
-            return frozenset({"GND"})
-        return frozenset()
+        return frozenset(rail for _, rail, _ in self.kind.branches)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,8 +215,8 @@ class UutModel:
         ids = [pid for pid, _ in self.pads]
         if len(set(ids)) != len(ids):
             raise ValueError("pad ids must be unique")
-        if self.vcc_path_ohms < 0.0 or self.gnd_path_ohms < 0.0:
-            raise ValueError("rail path resistances must be >= 0")
+        if not (0.0 <= self.vcc_path_ohms < math.inf and 0.0 <= self.gnd_path_ohms < math.inf):
+            raise ValueError("rail path resistances must be finite and >= 0")
         if self.powered and self.consumption_map is None:
             raise ValueError("powered model requires a consumption_map")
         if self.consumption_map is not None:
@@ -194,6 +224,8 @@ class UutModel:
                 raise ValueError("consumption_map must have at least one knot")
             vs = [v for v, _ in self.consumption_map]
             cs = [c for _, c in self.consumption_map]
+            if not all(map(math.isfinite, vs + cs)):
+                raise ValueError("consumption_map knots must be finite")
             if any(b <= a for a, b in zip(vs, vs[1:])):
                 raise ValueError("consumption_map knots must be strictly increasing in volts")
             if any(b < a for a, b in zip(cs, cs[1:])):
@@ -219,12 +251,12 @@ class ContactState:
     open_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.resistance < 0.0:
-            raise ValueError("resistance must be >= 0")
-        if self.wear_rate < 0.0:
-            raise ValueError("wear_rate must be >= 0")
-        if not self.open_threshold > 0.0:
-            raise ValueError("open_threshold must be > 0")
+        if not 0.0 <= self.resistance < math.inf:
+            raise ValueError("resistance must be finite and >= 0")
+        if not 0.0 <= self.wear_rate < math.inf:
+            raise ValueError("wear_rate must be finite and >= 0")
+        if not 0.0 < self.open_threshold < math.inf:
+            raise ValueError("open_threshold must be finite and > 0")
 
     @property
     def is_open(self) -> bool:
@@ -303,135 +335,133 @@ class Bench:
         return self.contacts.get(pad_id, GOOD_CONTACT)
 
 
-def _branch_stamp(kind: PadKind, vp: float, vv: float, vg: float):
-    """Currents flowing from the pad node into each rail, with partials.
+def _drive_ohms(stim: Stimulus, contact: ContactState) -> float:
+    """Series resistance of a voltage drive: source plus contact, with an
+    ideal source through an ideal contact carried as 1 nOhm."""
+    r = stim.source_ohms + contact.effective_ohms
+    return r if r != 0.0 else 1e-9
 
-    Returns (i_vcc, di_vcc/dvp, di_vcc/dvv, i_gnd, di_gnd/dvp, di_gnd/dvg).
-    """
-    if isinstance(kind, EsdPair):
-        dv = kind.to_vcc
-        dg = kind.to_gnd
-        iv = dv.current(vp - vv) + _GMIN * (vp - vv)
-        gv = dv.conductance(vp - vv) + _GMIN
-        # to_gnd conducts GND -> pad; from the pad's view that is -current.
-        ig = -(dg.current(vg - vp) + _GMIN * (vg - vp))
-        gg = dg.conductance(vg - vp) + _GMIN
-        return iv, gv, -gv, ig, gg, -gg
-    if isinstance(kind, SeriesDiode):
-        d = kind.diode
-        if kind.polarity == 1:
-            ig = d.current(vp - vg) + _GMIN * (vp - vg)
-            gg = d.conductance(vp - vg) + _GMIN
-        else:
-            ig = -(d.current(vg - vp) + _GMIN * (vg - vp))
-            gg = d.conductance(vg - vp) + _GMIN
-        return 0.0, 0.0, 0.0, ig, gg, -gg
-    if isinstance(kind, Led):
-        d = kind.diode
-        ig = d.current(vp - vg) + _GMIN * (vp - vg)
-        gg = d.conductance(vp - vg) + _GMIN
-        return 0.0, 0.0, 0.0, ig, gg, -gg
-    if isinstance(kind, Resistive):
-        g = 1.0 / kind.ohms
-        return 0.0, 0.0, 0.0, (vp - vg) * g, g, -g
-    return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+
+def _meter(vp: float, stim: Optional[Stimulus], contact: ContactState) -> PadReading:
+    """What the needle-side meter reads for a pad node at vp."""
+    if stim is None:
+        # Floating needle: the meter reads the pad through the contact
+        # (no current, no drop); an open contact reads nothing.
+        volts = 0.0 if contact.is_open else vp
+        return PadReading(volts=volts, amperes=0.0, pad_volts=vp)
+    if stim.mode == "current":
+        if contact.is_open:
+            return PadReading(volts=vp, amperes=0.0, pad_volts=vp)
+        return PadReading(
+            volts=vp + stim.level * contact.resistance,
+            amperes=stim.level,
+            pad_volts=vp,
+        )
+    i = (stim.level - vp) / _drive_ohms(stim, contact)
+    return PadReading(
+        volts=stim.level - i * stim.source_ohms,
+        amperes=i,
+        pad_volts=vp,
+    )
 
 
 def _solve_network(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
-    cap_g: Optional[Mapping[str, float]] = None,
-    cap_i: Optional[Mapping[str, float]] = None,
-) -> tuple:
-    """Newton solve of the star network.  cap_g / cap_i carry the implicit
-    Euler companion model (conductance, history current) for transients.
+    companions: Mapping[str, tuple],
+) -> SolveResult:
+    """Newton solve of the star network.  companions maps a pad id to the
+    implicit Euler model (conductance, history current) of its capacitance.
 
-    Returns (pad_volts dict, vcc, gnd, iterations, residual).
+    Nodes 0..n-1 are the pads, then each rail with a path resistance.  A
+    rail without one is tied to the datum node, which comes last and whose
+    equation is dropped, so it stays at 0 V.
     """
-    pad_items = list(uut.pads)
-    ids = [pid for pid, _ in pad_items]
+    ids = [pid for pid, _ in uut.pads]
+    known = set(ids)
     for pid in stimuli:
-        if pid not in set(ids):
+        if pid not in known:
             raise UnknownPad(f"no such pad: {pid!r}")
 
-    n = len(pad_items)
-    idx = {pid: i for i, (pid, _) in enumerate(pad_items)}
-    vcc_idx = n if uut.vcc_path_ohms > 0.0 else None
-    gnd_idx = (n + (1 if vcc_idx is not None else 0)) if uut.gnd_path_ohms > 0.0 else None
-    size = n + (vcc_idx is not None) + (gnd_idx is not None)
-
+    n = len(ids)
+    rail_node = {}
+    terminations = []  # (rail node, path conductance)
+    for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)):
+        if ohms > 0.0:
+            rail_node[rail] = n + len(terminations)
+            terminations.append((rail_node[rail], 1.0 / ohms))
+    size = n + len(terminations)
+    datum = size
+    branches = [
+        (i, law, rail_node.get(rail, datum), s)
+        for i, (_, pc) in enumerate(uut.pads)
+        for law, rail, s in pc.kind.branches
+    ]
+    caps = [(i, *companions[pid]) for i, pid in enumerate(ids) if pid in companions]
+    drives = [
+        (i, stimuli[pid], contacts.get(pid, GOOD_CONTACT))
+        for i, pid in enumerate(ids)
+        if pid in stimuli
+    ]
     # Per-iteration voltage step clamp tames the diode exponential.
-    nvts = []
-    for _, pc in pad_items:
-        k = pc.kind
-        if isinstance(k, EsdPair):
-            nvts += [k.to_vcc.nvt, k.to_gnd.nvt]
-        elif isinstance(k, (SeriesDiode, Led)):
-            nvts.append(k.diode.nvt)
-    dv_clamp = 0.5 * min(nvts) if nvts else math.inf
-
-    # Effective series resistance per stimulated pad (voltage mode).
-    def contact_of(pid):
-        return contacts.get(pid, GOOD_CONTACT)
+    dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
 
     x = np.zeros(size)
     residual = math.inf
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        F = np.zeros(size)
+        xs = x.tolist() + [0.0]  # node voltages, the datum last
+        F = [0.0] * (size + 1)
+        diag = [0.0] * (size + 1)  # of the Jacobian J
         J = np.zeros((size, size))
-        vv = x[vcc_idx] if vcc_idx is not None else 0.0
-        vg = x[gnd_idx] if gnd_idx is not None else 0.0
-
-        if vcc_idx is not None:
-            g = 1.0 / uut.vcc_path_ohms
-            F[vcc_idx] += vv * g
-            J[vcc_idx, vcc_idx] += g
-        if gnd_idx is not None:
-            g = 1.0 / uut.gnd_path_ohms
-            F[gnd_idx] += vg * g
-            J[gnd_idx, gnd_idx] += g
-
-        for i, (pid, pc) in enumerate(pad_items):
-            vp = x[i]
-            iv, dv_p, dv_v, ig, dg_p, dg_g = _branch_stamp(pc.kind, vp, vv, vg)
-            F[i] += iv + ig + _GMIN * vp
-            J[i, i] += dv_p + dg_p + _GMIN
-            if vcc_idx is not None:
-                F[vcc_idx] -= iv
-                J[i, vcc_idx] += dv_v
-                J[vcc_idx, i] -= dv_p
-                J[vcc_idx, vcc_idx] -= dv_v
-            if gnd_idx is not None:
-                F[gnd_idx] -= ig
-                J[i, gnd_idx] += dg_g
-                J[gnd_idx, i] -= dg_p
-                J[gnd_idx, gnd_idx] -= dg_g
-
-            if cap_g is not None and pid in cap_g:
-                F[i] += cap_g[pid] * vp - cap_i[pid]
-                J[i, i] += cap_g[pid]
-
-            stim = stimuli.get(pid)
-            if stim is not None:
-                c = contact_of(pid)
-                if stim.mode == "current":
-                    # Ideal current source in series with the contact delivers
-                    # the full level; an open contact delivers nothing.
-                    if not c.is_open:
-                        F[i] -= stim.level
-                else:
-                    r = stim.source_ohms + c.effective_ohms
-                    if r == 0.0:
-                        r = 1e-9  # ideal source through ideal contact
-                    g = 1.0 / r
-                    F[i] -= (stim.level - vp) * g
-                    J[i, i] += g
+        for r, g in terminations:
+            F[r] += xs[r] * g
+            diag[r] += g
+        # Each branch carries i = s*(law(v) + leak*v) at v = s*(vp - vr) from
+        # the pad into its rail.
+        for i, law, r, s in branches:
+            v = s * (xs[i] - xs[r])
+            current = s * (law.current(v) + law.leak * v)
+            g = law.conductance(v) + law.leak
+            F[i] += current
+            F[r] -= current
+            diag[i] += g
+            diag[r] += g
+            if r != datum:
+                J[i, r] -= g
+                J[r, i] -= g
+        for i in range(n):
+            F[i] += _GMIN * xs[i]
+            diag[i] += _GMIN
+        for i, g, history in caps:
+            F[i] += g * xs[i] - history
+            diag[i] += g
+        for i, stim, contact in drives:
+            if stim.mode == "current":
+                # Ideal current source in series with the contact delivers
+                # the full level; an open contact delivers nothing.
+                if not contact.is_open:
+                    F[i] -= stim.level
+            else:
+                g = 1.0 / _drive_ohms(stim, contact)
+                F[i] -= (stim.level - xs[i]) * g
+                diag[i] += g
+        # The datum equation is dropped.
+        J.flat[:: size + 1] = diag[:size]
+        F = np.array(F[:size])
 
         residual = float(np.max(np.abs(F))) if size else 0.0
         if residual < KCL_TOLERANCE_AMPS:
-            pad_volts = {pid: float(x[idx[pid]]) for pid in ids}
-            return pad_volts, float(vv), float(vg), iteration, residual
+            return SolveResult(
+                pads={
+                    pid: _meter(xs[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
+                    for i, pid in enumerate(ids)
+                },
+                vcc_volts=xs[rail_node.get("VCC", datum)],
+                gnd_volts=xs[rail_node.get("GND", datum)],
+                iterations=iteration,
+                residual=residual,
+            )
         if iteration == MAX_NEWTON_ITERATIONS:
             break
         dx = np.linalg.solve(J, -F)
@@ -440,44 +470,6 @@ def _solve_network(
         x = x + dx
 
     raise NonConvergence("DC solve did not converge", residual, MAX_NEWTON_ITERATIONS)
-
-
-def _readings(
-    uut: UutModel,
-    contacts: Mapping[str, ContactState],
-    stimuli: Mapping[str, Stimulus],
-    pad_volts: Mapping[str, float],
-) -> dict:
-    out = {}
-    for pid, _ in uut.pads:
-        vp = pad_volts[pid]
-        c = contacts.get(pid, GOOD_CONTACT)
-        stim = stimuli.get(pid)
-        if stim is None:
-            # Floating needle: the meter reads the pad through the contact
-            # (no current, no drop); an open contact reads nothing.
-            volts = 0.0 if c.is_open else vp
-            out[pid] = PadReading(volts=volts, amperes=0.0, pad_volts=vp)
-        elif stim.mode == "current":
-            if c.is_open:
-                out[pid] = PadReading(volts=vp, amperes=0.0, pad_volts=vp)
-            else:
-                out[pid] = PadReading(
-                    volts=vp + stim.level * c.resistance,
-                    amperes=stim.level,
-                    pad_volts=vp,
-                )
-        else:
-            r = stim.source_ohms + c.effective_ohms
-            if r == 0.0:
-                r = 1e-9
-            i = (stim.level - vp) / r
-            out[pid] = PadReading(
-                volts=stim.level - i * stim.source_ohms,
-                amperes=i,
-                pad_volts=vp,
-            )
-    return out
 
 
 def solve_dc(
@@ -490,14 +482,7 @@ def solve_dc(
     KCL holds at every node with residual < 1e-9 A.  Raises NonConvergence
     (with the final residual) or UnknownPad.
     """
-    pad_volts, vv, vg, iters, res = _solve_network(uut, contacts, stimuli)
-    return SolveResult(
-        pads=_readings(uut, contacts, stimuli, pad_volts),
-        vcc_volts=vv,
-        gnd_volts=vg,
-        iterations=iters,
-        residual=res,
-    )
+    return _solve_network(uut, contacts, stimuli, {})
 
 
 def solve_rail_sense(
@@ -535,46 +520,29 @@ def solve_rail_sense(
     return result.vcc_volts if sense_rail == "VCC" else result.gnd_volts
 
 
-TransientState = Mapping[str, float]
-
-
-def initial_state(uut: UutModel) -> dict:
-    """All-zero capacitor state (UUT at rest)."""
-    return {pid: 0.0 for pid, _ in uut.pads}
-
-
 def step_transient(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
-    state: Optional[TransientState],
+    state: Optional[Mapping[str, float]],
     dt: float,
 ) -> tuple:
-    """One implicit-Euler step of the pad shunt capacitances.
+    """One implicit-Euler step of the pad shunt capacitances from state, the
+    pad voltages of the previous step (None: the UUT at rest).
 
     Returns (next_state, SolveResult).  Under constant stimulus the state
     converges to the solve_dc operating point.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    if state is None:
-        state = initial_state(uut)
-    cap_g = {}
-    cap_i = {}
+    state = state or {}
+    companions = {}
     for pid, pc in uut.pads:
         if pc.shunt_capacitance > 0.0:
             g = pc.shunt_capacitance / dt
-            cap_g[pid] = g
-            cap_i[pid] = g * state.get(pid, 0.0)
-    pad_volts, vv, vg, iters, res = _solve_network(uut, contacts, stimuli, cap_g, cap_i)
-    result = SolveResult(
-        pads=_readings(uut, contacts, stimuli, pad_volts),
-        vcc_volts=vv,
-        gnd_volts=vg,
-        iterations=iters,
-        residual=res,
-    )
-    return dict(pad_volts), result
+            companions[pid] = (g, g * state.get(pid, 0.0))
+    result = _solve_network(uut, contacts, stimuli, companions)
+    return {pid: r.pad_volts for pid, r in result.pads.items()}, result
 
 
 def powered_consumption(uut: UutModel, v_input: float) -> float:

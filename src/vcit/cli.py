@@ -15,6 +15,7 @@ Exit codes (total function of the outcome):
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -158,9 +159,12 @@ def cmd_selftest(args) -> int:
 
 def _csv_floats(text: str):
     try:
-        return tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(float(v) for v in text.split(",") if v != "")
     except ValueError:
         raise VcitError(f"bad number list: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise VcitError(f"non-finite number in list: {text!r}")
+    return values
 
 
 def _print_verdict(verdict: VcitVerdict) -> int:
@@ -177,6 +181,13 @@ def _require(args, names):
 
 
 def cmd_check(args) -> int:
+    try:
+        return _check(args)
+    except ValueError as exc:  # a check rejected the numbers it was given
+        raise VcitError(f"check {args.check!r}: {exc}") from None
+
+
+def _check(args) -> int:
     if args.check == "corr":
         _require(args, ["file"])
         samples = _csv_floats(Path(args.file).read_text(encoding="utf-8").replace("\n", ","))
@@ -200,8 +211,6 @@ def cmd_check(args) -> int:
     if args.check == "single":
         _require(args, ["pad", "level", "window"])
         window = _csv_floats(args.window)
-        if len(window) != 2:
-            raise VcitError("window must be lo,hi")
         check = PadCheck(pad_id=args.pad, mode=args.mode, level=args.level, window=window)
         capture = execute(check.waveform(), fixture.limits, fixture.bench)[0]
         return _print_verdict(single_level_test(capture, check.window))
@@ -211,12 +220,7 @@ def cmd_check(args) -> int:
         levels = _csv_floats(args.levels)
         if len(levels) < 2:
             raise VcitError("diff needs at least two levels")
-        windows = []
-        for w in args.windows.split(";"):
-            pair = _csv_floats(w)
-            if len(pair) != 2:
-                raise VcitError("each window must be lo,hi")
-            windows.append(pair)
+        windows = [_csv_floats(w) for w in args.windows.split(";")]
         captures = []
         for level in levels:
             waveform = StimulusWaveform(

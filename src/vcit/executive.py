@@ -27,7 +27,7 @@ from .circuit import (
     solve_dc,
     solve_rail_sense,
 )
-from .checks import VcitVerdict, single_level_test
+from .checks import VcitVerdict, closed_window, single_level_test
 from .errors import FixtureError, OperatorAborted
 from .prober import CaptureRecord, ProtectionLimits, StimulusWaveform, execute
 
@@ -155,6 +155,9 @@ class PadCheck:
     dt: float = 1e-3
     source_ohms: float = 0.0
 
+    def __post_init__(self):
+        closed_window(self.window)
+
     def waveform(self) -> StimulusWaveform:
         """The constant stimulus this check applies to its pad."""
         return StimulusWaveform(
@@ -174,6 +177,11 @@ class RailSenseCheck:
     amperes: float
     band: tuple
     rail: str = "VCC"
+
+    def __post_init__(self):
+        if not math.isfinite(self.amperes):
+            raise ValueError(f"amperes must be finite, got {self.amperes!r}")
+        closed_window(self.band, "band")
 
 
 Check = Union[PadCheck, RailSenseCheck]
@@ -282,9 +290,10 @@ class DummyUutSpec:
         for pid, _ in self.uut.pads:
             if pid not in self.bands:
                 raise FixtureError(f"dummy pad {pid!r} has no signature band")
-            lo, hi = self.bands[pid]
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise FixtureError(f"dummy pad {pid!r} band is empty or non-finite")
+            try:
+                closed_window(self.bands[pid], f"dummy pad {pid!r} band")
+            except ValueError as exc:
+                raise FixtureError(str(exc)) from None
         fresh = {pid: ContactState(self.fresh_contact_ohms) for pid, _ in self.uut.pads}
         for pid, _ in self.uut.pads:
             reading = self._pad_reading(pid, fresh)

@@ -52,6 +52,13 @@ class Fixture:
     needle_log: NeedleLog = NeedleLog()
 
 
+def _expect(value, kind: type, where: str):
+    """value itself, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise FixtureError(f"{where}: expected a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _diode(obj, where: str) -> DiodeModel:
     try:
         return DiodeModel(
@@ -66,7 +73,6 @@ def _diode(obj, where: str) -> DiodeModel:
 
 def _pad_circuit(obj, where: str) -> PadCircuit:
     kind = obj.get("kind")
-    cap = float(obj.get("capacitance", 0.0))
     try:
         if kind == "esd-pair":
             k = EsdPair(
@@ -83,10 +89,10 @@ def _pad_circuit(obj, where: str) -> PadCircuit:
             k = OpenPad()
         else:
             raise FixtureError(f"{where}: unknown pad kind {kind!r}")
-        return PadCircuit(kind=k, shunt_capacitance=cap)
+        return PadCircuit(kind=k, shunt_capacitance=float(obj.get("capacitance", 0.0)))
     except FixtureError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: bad pad circuit: {exc}") from exc
 
 
@@ -96,11 +102,12 @@ def _uut(obj, where: str) -> UutModel:
         raise FixtureError(f"{where}: 'pads' must be a non-empty list")
     pad_tuples = []
     for i, p in enumerate(pads):
+        p = _expect(p, dict, f"{where}.pads[{i}]")
         pid = p.get("id")
         if not isinstance(pid, str) or not pid:
             raise FixtureError(f"{where}.pads[{i}]: missing pad id")
         pad_tuples.append((pid, _pad_circuit(p, f"{where}.pads[{i}]")))
-    rails = obj.get("rails", {})
+    rails = _expect(obj.get("rails", {}), dict, f"{where}.rails")
     cmap = obj.get("consumption_map")
     try:
         return UutModel(
@@ -116,7 +123,7 @@ def _uut(obj, where: str) -> UutModel:
 
 def _contacts(obj, where: str) -> dict:
     out = {}
-    for pid, c in (obj or {}).items():
+    for pid, c in _expect(obj, dict, where).items():
         try:
             out[pid] = ContactState(
                 resistance=float(c["resistance"]),
@@ -124,7 +131,7 @@ def _contacts(obj, where: str) -> dict:
                 wear_rate=float(c.get("wear_rate", 0.0)),
                 open_threshold=float(c.get("open_threshold", 1e6)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FixtureError(f"{where}.{pid}: bad contact: {exc}") from exc
     return out
 
@@ -137,7 +144,7 @@ def _region(obj, where: str) -> HalfSpaceRegion:
 
 
 def _check(obj, where: str):
-    kind = obj.get("type")
+    kind = _expect(obj, dict, where).get("type")
     try:
         if kind == "rail-sense":
             return RailSenseCheck(
@@ -158,7 +165,7 @@ def _check(obj, where: str):
             )
             check.waveform()  # a check that makes no valid waveform fails here
             return check
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: bad check: {exc}") from exc
     raise FixtureError(f"{where}: unknown check type {kind!r}")
 
@@ -180,11 +187,11 @@ def load_fixture(source) -> Fixture:
         raise FixtureError("fixture root must be a JSON object")
 
     uut = _uut(doc, "fixture")
-    contacts = _contacts(doc.get("contacts"), "contacts")
+    contacts = _contacts(doc.get("contacts", {}), "contacts")
     for pid in contacts:
         uut.pad(pid)
 
-    prot = doc.get("protection", {})
+    prot = _expect(doc.get("protection", {}), dict, "protection")
     try:
         limits = ProtectionLimits(
             max_abs_voltage=float(prot.get("max_abs_voltage", 2.0)),
@@ -194,26 +201,28 @@ def load_fixture(source) -> Fixture:
         raise FixtureError(f"protection: {exc}") from exc
 
     checks = tuple(
-        _check(c, f"setup_plan[{i}]") for i, c in enumerate(doc.get("setup_plan", []))
+        _check(c, f"setup_plan[{i}]")
+        for i, c in enumerate(_expect(doc.get("setup_plan", []), list, "setup_plan"))
     )
     plan = VcitPlan(checks=checks, limits=limits)
 
     catalog = []
-    for i, entry in enumerate(doc.get("catalog", [])):
+    for i, entry in enumerate(_expect(doc.get("catalog", []), list, "catalog")):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise FixtureError(f"catalog[{i}]: expected [tag, region]")
         tag, region = entry
         catalog.append((str(tag), _region(region, f"catalog[{i}]")))
 
     regions = {
-        name: _region(obj, f"regions.{name}") for name, obj in doc.get("regions", {}).items()
+        name: _region(obj, f"regions.{name}")
+        for name, obj in _expect(doc.get("regions", {}), dict, "regions").items()
     }
 
     dummy = None
     d = doc.get("dummy")
     if d is not None:
-        dummy_uut = _uut(d, "dummy")
-        bands = d.get("bands", {})
+        dummy_uut = _uut(_expect(d, dict, "dummy"), "dummy")
+        bands = _expect(d.get("bands", {}), dict, "dummy.bands")
         try:
             dummy = DummyUutSpec(
                 uut=dummy_uut,
@@ -227,14 +236,14 @@ def load_fixture(source) -> Fixture:
         except (TypeError, ValueError) as exc:
             raise FixtureError(f"dummy: {exc}") from exc
 
-    nl = doc.get("needle_log", {})
+    nl = _expect(doc.get("needle_log", {}), dict, "needle_log")
     try:
         needle_log = NeedleLog(
             last_replacement_cycle=int(nl.get("last_replacement_cycle", 0)),
             current_cycle=int(nl.get("current_cycle", 0)),
             window_cycles=int(nl.get("window_cycles", 500)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"needle_log: {exc}") from exc
 
     return Fixture(

@@ -111,33 +111,23 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
         bench.uut.pad(pid)  # raises UnknownPad
     transient = any(pc.shunt_capacitance > 0.0 for _, pc in bench.uut.pads)
 
-    trips = {pid: None for pid in waveform.target_pads}
+    # A level beyond its own mode's limit is pre-clamped to it.
+    limit = limits.max_abs_current if waveform.mode == "current" else limits.max_abs_voltage
+    trips = {}  # pad id -> first sample that clamped
     results = []  # the final, clamped solve of each sample
     state = None
     for k, level in enumerate(waveform.samples):
         if not transient and k > 0 and _same_level(level, waveform.samples[k - 1]):
             results.append(results[-1])
             continue
+        if abs(level) > limit:
+            level = math.copysign(limit, level)
+            for pid in waveform.target_pads:
+                trips.setdefault(pid, k)
         stimuli = {
             pid: Stimulus(waveform.mode, level, waveform.source_ohms)
             for pid in waveform.target_pads
         }
-        # Pre-clamp levels that already exceed their own limit.
-        if waveform.mode == "current" and abs(level) > limits.max_abs_current:
-            lim = math.copysign(limits.max_abs_current, level)
-            stimuli = {pid: Stimulus("current", lim) for pid in waveform.target_pads}
-            for pid in waveform.target_pads:
-                if trips[pid] is None:
-                    trips[pid] = k
-        if waveform.mode == "voltage" and abs(level) > limits.max_abs_voltage:
-            lim = math.copysign(limits.max_abs_voltage, level)
-            stimuli = {
-                pid: Stimulus("voltage", lim, waveform.source_ohms)
-                for pid in waveform.target_pads
-            }
-            for pid in waveform.target_pads:
-                if trips[pid] is None:
-                    trips[pid] = k
 
         # Clamp-and-resolve until no reading violates its limits.  Each pass
         # converts at least one pad's source to its clamped form, so the
@@ -166,8 +156,7 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
                 break
             for pid, clamped in offenders:
                 stimuli[pid] = clamped
-                if trips[pid] is None:
-                    trips[pid] = k
+                trips.setdefault(pid, k)
 
         state = next_state
         results.append(result)
@@ -176,7 +165,7 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     # equals the clamp level exactly.
     captures = []
     for pid in waveform.target_pads:
-        trip = trips[pid]
+        trip = trips.get(pid)
         captures.append(
             CaptureRecord(
                 pad_id=pid,

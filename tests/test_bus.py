@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from vcit.bus import (
     ERR_MALFORMED,
+    MAX_LINE_BYTES,
+    MAX_WAVEFORM_SAMPLES,
     ERR_OUT_OF_RANGE,
     ERR_SEQUENCE,
     ERR_UNKNOWN_VERB,
@@ -42,6 +44,16 @@ def farm():
 def bench():
     return load_default_fixture().bench
 
+
+# Over-limit input: each gets one ERR 400, its block consumed to ".".
+LONG_LINE = b"LIMITS 2.0 " + b"0" * MAX_LINE_BYTES + b"5\n"
+LONG_HEADER = b"WAVEFORM 1 current 0.001 p1" + b" " * MAX_LINE_BYTES + b"\n0.002\n.\n"
+LONG_SAMPLE = b"WAVEFORM 1 current 0.001 p1\n0.00" + b"0" * MAX_LINE_BYTES + b"2\n.\n"
+LONG_BLOCK = (
+    f"WAVEFORM {MAX_WAVEFORM_SAMPLES + 1} current 0.001 p1\n".encode()
+    + b"0.002\n" * (MAX_WAVEFORM_SAMPLES + 1)
+    + b".\n"
+)
 
 FULL_SCRIPT = (
     b"HELLO\n"
@@ -148,8 +160,13 @@ class TestLoopback:
             b"WAVEFORM 1 current 0.001 p1\n0.0\xb91\n.\n",
             b"LIMITS inf inf\n",
             b"WAVEFORM 1 current inf p1\n0.001\n.\n",
+            LONG_LINE,
+            LONG_HEADER,
+            LONG_SAMPLE,
+            LONG_BLOCK,
         ],
-        ids=["non-ascii-line", "non-ascii-pad", "non-ascii-sample", "inf-limits", "inf-dt"],
+        ids=["non-ascii-line", "non-ascii-pad", "non-ascii-sample", "inf-limits", "inf-dt",
+             "long-line", "long-waveform-header", "long-sample", "too-many-samples"],
     )
     def test_rejected_command_one_ascii_err_state_kept(self, farm, bad):
         good = run_script(ProberFarm(load_default_fixture().bench, 3), self.STAGE + b"STATUS\nQUIT\n")
@@ -201,6 +218,16 @@ class TestLoopback:
         assert out[1].startswith(f"ERR {ERR_MALFORMED} ")
         assert out[2] == f"OK {PROTOCOL_VERSION}"  # stream still aligned
 
+    def test_longest_line_and_block_accepted(self, farm):
+        sample = b"0.001" + b" " * (MAX_LINE_BYTES - 6) + b"\n"  # MAX_LINE_BYTES with its newline
+        script = (
+            f"SELECT 0\nWAVEFORM {MAX_WAVEFORM_SAMPLES} current 0.001 p1\n".encode()
+            + sample * MAX_WAVEFORM_SAMPLES
+            + b".\nQUIT\n"
+        )
+        assert run_script(farm, script) == b"OK\nOK\nOK\n"
+        assert farm.slots[0].waveform.samples == (0.001,) * MAX_WAVEFORM_SAMPLES
+
     def test_selection_is_per_connection(self, farm):
         # connection A selects 1; a fresh connection still needs SELECT
         run_script(farm, b"SELECT 1\nQUIT\n")
@@ -240,6 +267,7 @@ class TestTcpTransport:
             b"SELECT 99\nFROB\nSTATUS\nQUIT\n",
             b"SELECT 0\nWAVEFORM 2 current 0.001 p1\n0.001\n.\nHELLO\nQUIT\n",
             b"SELECT 0\n\xff\nWAVEFORM 1 current 0.001 p\xe9\n0.001\n.\nSTATUS\nQUIT\n",
+            b"SELECT 0\n" + LONG_LINE + LONG_HEADER + LONG_SAMPLE + LONG_BLOCK + b"STATUS\nQUIT\n",
         ],
     )
     def test_transcripts_match_loopback_byte_for_byte(self, script):

@@ -12,6 +12,7 @@ from vcit.circuit import (
     ContactState,
     DiodeModel,
     EsdPair,
+    Led,
     OpenPad,
     PadCircuit,
     Resistive,
@@ -80,6 +81,8 @@ def kcl_residual(uut, contacts, stimuli, result):
                 ig = branch_current(k.diode, vp - vg) + gmin * (vp - vg)
             else:
                 ig = -(branch_current(k.diode, vg - vp) + gmin * (vg - vp))
+        elif isinstance(k, Led):
+            ig = branch_current(k.diode, vp - vg) + gmin * (vp - vg)
         elif isinstance(k, Resistive):
             ig = (vp - vg) / k.ohms
         into_vcc += iv
@@ -164,26 +167,48 @@ class TestSolveDc:
 
     def test_kcl_residual_randomized_fixtures(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
+        # Signs of current each kind conducts; an open pad conducts none, so
+        # it is only driven in voltage mode.
+        conducts = {"esd": (1, -1), "diode": (1,), "diode-": (-1,), "led": (1,), "res": (1, -1),
+                    "open": ()}
+        seen = set()
+        for _ in range(80):
             n_pads = int(rng.integers(1, 5))
             pads = []
+            stimuli = {}
             d = DiodeModel(float(rng.uniform(1e-15, 1e-12)), float(rng.uniform(1.0, 2.0)))
+            led = DiodeModel(1e-18, 2.0)
             for i in range(n_pads):
-                kind = rng.choice(["esd", "diode", "res"])
-                if kind == "esd":
-                    pads.append((f"p{i}", PadCircuit(EsdPair(d, d))))
-                elif kind == "diode":
-                    pads.append((f"p{i}", PadCircuit(SeriesDiode(d))))
+                pid = f"p{i}"
+                kind = str(rng.choice(list(conducts)))
+                circuit = {
+                    "esd": lambda: EsdPair(d, d),
+                    "diode": lambda: SeriesDiode(d),
+                    "diode-": lambda: SeriesDiode(d, polarity=-1),
+                    "led": lambda: Led(led, "red"),
+                    "res": lambda: Resistive(float(rng.uniform(10, 300))),
+                    "open": OpenPad,
+                }[kind]()
+                pads.append((pid, PadCircuit(circuit)))
+                if conducts[kind] and rng.random() < 0.5:
+                    sign = float(rng.choice(conducts[kind]))
+                    stimuli[pid] = Stimulus("current", sign * float(rng.uniform(1e-4, 5e-3)))
                 else:
-                    pads.append((f"p{i}", PadCircuit(Resistive(float(rng.uniform(10, 300))))))
-            uut = UutModel(pads=tuple(pads), vcc_path_ohms=float(rng.uniform(1, 50)))
+                    level = float(rng.uniform(-1.0, 1.0))
+                    stimuli[pid] = Stimulus("voltage", level, float(rng.uniform(10, 1000)))
+                seen.add((kind, stimuli[pid].mode))
+            gnd_path = float(rng.choice([0.0, rng.uniform(1, 20)]))
+            uut = UutModel(
+                pads=tuple(pads), vcc_path_ohms=float(rng.uniform(1, 50)), gnd_path_ohms=gnd_path
+            )
+            seen.add(("gnd-path", gnd_path > 0.0))
             contacts = {f"p{i}": ContactState(float(rng.uniform(0.01, 1.0))) for i in range(n_pads)}
-            stimuli = {
-                f"p{i}": Stimulus("current", float(rng.uniform(1e-4, 5e-3)))
-                for i in range(n_pads)
-            }
             result = solve_dc(uut, contacts, stimuli)
             assert kcl_residual(uut, contacts, stimuli, result) < 1e-9
+        # every kind in each mode it can be driven in, and both GND terminations
+        assert seen == {(k, "current") for k, signs in conducts.items() if signs} | {
+            (k, "voltage") for k in conducts
+        } | {("gnd-path", True), ("gnd-path", False)}
 
 
 class TestRailSense:

@@ -181,6 +181,30 @@ class TestCheck:
     def test_bad_vector_exit_1(self):
         assert main(["check", "shape", "--region", "unit-box", "--vector", "a,b"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--pad", "p1", "--level", "nan", "--window", "0.3,1.0"],
+            ["single", "--pad", "p1", "--level", "0.001", "--window", "nan,1"],
+            ["single", "--pad", "p1", "--level", "0.001", "--window", "1.0,0.3"],
+            ["diff", "--pad", "p1", "--levels", "0.001,nan", "--windows", "0,1"],
+            ["diff", "--pad", "p1", "--levels", "0.001,0.002", "--windows", "0,inf"],
+            ["diff", "--pad", "p1", "--levels", "0.001,0.002,0.004", "--windows", "0,1"],
+            ["shape", "--region", "unit-box", "--vector", "nan,0"],
+            ["corr", "--file", "{flat}"],
+            ["corr", "--file", "{ramp}", "--threshold", "nan"],
+        ],
+        ids=["level", "window", "window-reversed", "levels", "windows", "window-count",
+             "vector", "constant-reference", "threshold"],
+    )
+    def test_bad_input_exit_1_without_verdict(self, tmp_path, capsys, argv):
+        files = {"{flat}": write(tmp_path, "flat.txt", "1\n1\n1\n"),
+                 "{ramp}": write(tmp_path, "ramp.txt", "0.1\n0.2\n0.3\n")}
+        assert main(["check", *(files.get(a, a) for a in argv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "check:" not in captured.out and "score:" not in captured.out
+
 
 class TestBusIntegration:
     def serve_farm(self):

@@ -63,8 +63,15 @@ class TestPadKinds:
             self.load_single_pad({"kind": "transmogrifier"})
 
     def test_bad_diode_params(self):
-        with pytest.raises(FixtureError):
-            self.load_single_pad({"kind": "series-diode", "diode": {"saturation_current": -1.0}})
+        for diode in (
+            {"saturation_current": -1.0},
+            {"saturation_current": math.inf},
+            {"saturation_current": 1e-14, "series_resistance": math.nan},
+            {"saturation_current": 1e-14, "thermal_voltage": math.inf},
+            {"saturation_current": 1e-14, "ideality": math.inf},
+        ):
+            with pytest.raises(FixtureError):
+                self.load_single_pad({"kind": "series-diode", "diode": diode})
 
 
 class TestValidation:
@@ -97,10 +104,15 @@ class TestValidation:
             load_fixture(json.dumps(doc))
 
     def test_bad_contact(self):
-        doc = default_doc()
-        doc["contacts"]["p1"] = {"resistance": "sticky"}
-        with pytest.raises(FixtureError):
-            load_fixture(json.dumps(doc))
+        for contact in (
+            {"resistance": "sticky"},
+            {"resistance": math.nan},  # dumped as NaN
+            {"resistance": 0.1, "open_threshold": math.inf},
+        ):
+            doc = default_doc()
+            doc["contacts"]["p1"] = contact
+            with pytest.raises(FixtureError):
+                load_fixture(json.dumps(doc))
 
     def test_bad_region(self):
         doc = default_doc()
@@ -116,7 +128,15 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("mode", "sideways"), ("samples", 0), ("source_ohms", math.nan), ("source_ohms", -1.0)],
+        [
+            ("mode", "sideways"),
+            ("samples", 0),
+            ("source_ohms", math.nan),
+            ("source_ohms", -1.0),
+            ("samples", math.inf),
+            pytest.param("window", [math.nan, 1.0], id="window-nan"),
+            pytest.param("window", [1.0, 0.3], id="window-reversed"),
+        ],
     )
     def test_single_level_check_without_waveform(self, field, value):
         doc = default_doc()
@@ -134,6 +154,34 @@ class TestValidation:
     def test_bad_needle_log(self, log):
         doc = default_doc()
         doc["needle_log"].update(log)
+        with pytest.raises(FixtureError):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("pads", 0, "capacitance"), "abc", id="capacitance-text"),
+            pytest.param(("pads", 0), 3, id="pad-not-object"),
+            pytest.param(("rails",), [25.0], id="rails-not-object"),
+            pytest.param(("contacts",), ["p1"], id="contacts-not-object"),
+            pytest.param(("setup_plan",), 3, id="plan-not-array"),
+            pytest.param(("setup_plan", 1), "single-level", id="check-not-object"),
+            pytest.param(("pads", 0, "capacitance"), math.nan, id="capacitance-nan"),
+            pytest.param(("pads", 0, "capacitance"), math.inf, id="capacitance-inf"),
+            pytest.param(("rails", "vcc_path_ohms"), math.nan, id="vcc-path-nan"),
+            pytest.param(("setup_plan", 0, "band"), [0.1, math.inf], id="band-inf"),
+            pytest.param(("setup_plan", 0, "amperes"), math.nan, id="amperes-nan"),
+            pytest.param(
+                ("pads", 0), {"id": "p1", "kind": "resistive", "ohms": math.inf}, id="ohms-inf"
+            ),
+        ],
+    )
+    def test_wrong_typed_or_non_finite_field(self, path, value):
+        doc = default_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value  # NaN and Infinity are dumped as such
         with pytest.raises(FixtureError):
             load_fixture(json.dumps(doc))
 
