@@ -93,7 +93,11 @@ class CorrelationRef:
             raise ValueError("dt must be > 0")
         if not -1.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [-1, 1]")
-        if float(np.var(np.asarray(self.reference_samples))) == 0.0:
+        if not all(map(math.isfinite, self.reference_samples)):
+            raise ValueError("reference samples must be finite")
+        # Equal samples, not a zero variance: the variance of 0.2, 0.2, 0.2
+        # rounds to 7.7e-34, not 0.
+        if max(self.reference_samples) == min(self.reference_samples):
             raise ValueError("reference must be non-constant")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add, mul, truediv
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -386,12 +387,12 @@ def _solve_network(
 
     n = len(ids)
     rail_node = {}
-    terminations = []  # (rail node, path conductance)
+    rail_g = []  # path conductance of rail node n + a
     for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)):
         if ohms > 0.0:
-            rail_node[rail] = n + len(terminations)
-            terminations.append((rail_node[rail], 1.0 / ohms))
-    size = n + len(terminations)
+            rail_node[rail] = n + len(rail_g)
+            rail_g.append(1.0 / ohms)
+    size = n + len(rail_g)
     datum = size
     branches = [
         (i, law, rail_node.get(rail, datum), s)
@@ -407,35 +408,30 @@ def _solve_network(
     # Per-iteration voltage step clamp tames the diode exponential.
     dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
 
-    x = np.zeros(size)
+    x = [0.0] * (size + 1)  # node voltages, the datum last
     residual = math.inf
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        xs = x.tolist() + [0.0]  # node voltages, the datum last
         F = [0.0] * (size + 1)
-        diag = [0.0] * (size + 1)  # of the Jacobian J
-        J = np.zeros((size, size))
-        for r, g in terminations:
-            F[r] += xs[r] * g
-            diag[r] += g
+        # G[a][i] is the conductance from pad i to rail node n + a; the last
+        # row, to the datum, also takes every other conductance to ground.
+        G = [[0.0] * n for _ in range(len(rail_g) + 1)]
+        ground = G[-1]
+        for a, g in enumerate(rail_g):
+            F[n + a] += x[n + a] * g
         # Each branch carries i = s*(law(v) + leak*v) at v = s*(vp - vr) from
         # the pad into its rail.
         for i, law, r, s in branches:
-            v = s * (xs[i] - xs[r])
+            v = s * (x[i] - x[r])
             current = s * (law.current(v) + law.leak * v)
-            g = law.conductance(v) + law.leak
             F[i] += current
             F[r] -= current
-            diag[i] += g
-            diag[r] += g
-            if r != datum:
-                J[i, r] -= g
-                J[r, i] -= g
+            G[r - n][i] += law.conductance(v) + law.leak
         for i in range(n):
-            F[i] += _GMIN * xs[i]
-            diag[i] += _GMIN
+            F[i] += _GMIN * x[i]
+            ground[i] += _GMIN
         for i, g, history in caps:
-            F[i] += g * xs[i] - history
-            diag[i] += g
+            F[i] += g * x[i] - history
+            ground[i] += g
         for i, stim, contact in drives:
             if stim.mode == "current":
                 # Ideal current source in series with the contact delivers
@@ -444,32 +440,75 @@ def _solve_network(
                     F[i] -= stim.level
             else:
                 g = 1.0 / _drive_ohms(stim, contact)
-                F[i] -= (stim.level - xs[i]) * g
-                diag[i] += g
-        # The datum equation is dropped.
-        J.flat[:: size + 1] = diag[:size]
-        F = np.array(F[:size])
+                F[i] -= (stim.level - x[i]) * g
+                ground[i] += g
+        del F[datum]  # the datum equation is dropped
 
-        residual = float(np.max(np.abs(F))) if size else 0.0
+        # max() can pass over a NaN, the sum cannot: a NaN or inf anywhere
+        # in F makes the residual non-finite.
+        total = sum(F)
+        residual = max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
         if residual < KCL_TOLERANCE_AMPS:
             return SolveResult(
                 pads={
-                    pid: _meter(xs[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
+                    pid: _meter(x[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
                     for i, pid in enumerate(ids)
                 },
-                vcc_volts=xs[rail_node.get("VCC", datum)],
-                gnd_volts=xs[rail_node.get("GND", datum)],
+                vcc_volts=x[rail_node.get("VCC", datum)],
+                gnd_volts=x[rail_node.get("GND", datum)],
                 iterations=iteration,
                 residual=residual,
             )
+        if not math.isfinite(residual):
+            raise NonConvergence("DC solve met a non-finite residual", residual, iteration)
         if iteration == MAX_NEWTON_ITERATIONS:
             break
-        dx = np.linalg.solve(J, -F)
+        dx = _newton_step(F, G, rail_g)
         if math.isfinite(dv_clamp):
-            dx = np.clip(dx, -dv_clamp, dv_clamp)
-        x = x + dx
+            dx = [-dv_clamp if d < -dv_clamp else dv_clamp if d > dv_clamp else d for d in dx]
+        x = list(map(add, x, dx)) + [0.0]
 
     raise NonConvergence("DC solve did not converge", residual, MAX_NEWTON_ITERATIONS)
+
+
+def _newton_step(F: list, G: list, rail_g: list) -> list:
+    """The dx solving J dx = -F, in O(n) and without forming J.
+
+    Pads couple only through the <= 2 rails, so J is an arrowhead: a
+    diagonal pad block D, a diagonal rail block R (no branch joins two
+    rails) and the pad-rail couplings J[i, n+a] = -c_ai = -G[a][i].  Pad i's
+    diagonal is d_i = e_i + sum_a c_ai, with e_i = G[-1][i] its conductance
+    to ground; rail a's is g_a + sum_i c_ai, with g_a = rail_g[a] its
+    termination.  Eliminating the pads leaves the rail system S y = b with
+    the Schur complement S = R - C^T D^-1 C and b = -F_r - C^T D^-1 F_p,
+    which is solved in closed form; then dp_i = (-F_i + sum_a c_ai y_a) / d_i.
+
+    Written out, S_aa = A_a + q and S_ab = -q, with A_a = g_a + sum_i c_ai
+    e_i / d_i and q = sum_i c_0i c_1i / d_i (0 with one rail).  So S is
+    formed from sums of positive terms, without the cancellation of
+    R - C^T D^-1 C, and is strictly diagonally dominant, S_aa - |S_ab| =
+    A_a >= g_a > 0.  No pivoting is needed: every divisor below, d_i >= GMIN,
+    S_00 and the pivot A_1 + q A_0 / S_00 of the second rail, is positive.
+    """
+    *coupling, ground = G
+    n = len(ground)
+    d = ground
+    for c in coupling:
+        d = list(map(add, d, c))
+    scaled = [list(map(truediv, c, d)) for c in coupling]  # rows of C^T D^-1
+    b = [-F[n + a] - sum(map(mul, w, F)) for a, w in enumerate(scaled)]
+    A = [g + sum(map(mul, w, ground)) for g, w in zip(rail_g, scaled)]
+    if len(A) == 2:
+        q = sum(map(mul, scaled[0], coupling[1]))
+        s00 = A[0] + q
+        y1 = (b[1] + q * b[0] / s00) / (A[1] + q * A[0] / s00)
+        y = [(b[0] + q * y1) / s00, y1]
+    else:
+        y = [b[0] / A[0]] if A else []
+    rhs = [-f for f in F[:n]]
+    for c, ya in zip(coupling, y):
+        rhs = [r + ci * ya for r, ci in zip(rhs, c)]
+    return list(map(truediv, rhs, d)) + y
 
 
 def solve_dc(
@@ -480,7 +519,8 @@ def solve_dc(
     """DC operating point of the probed UUT under the given stimuli.
 
     KCL holds at every node with residual < 1e-9 A.  Raises NonConvergence
-    (with the final residual) or UnknownPad.
+    (with the final residual, or at once with the first non-finite one) or
+    UnknownPad.
     """
     return _solve_network(uut, contacts, stimuli, {})
 

@@ -28,7 +28,7 @@ from .circuit import (
     SeriesDiode,
     UutModel,
 )
-from .errors import FixtureError
+from .errors import FixtureError, UnknownPad
 from .executive import (
     DummyUutSpec,
     NeedleLog,
@@ -57,6 +57,14 @@ def _expect(value, kind: type, where: str):
     if not isinstance(value, kind):
         raise FixtureError(f"{where}: expected a JSON {'object' if kind is dict else 'array'}")
     return value
+
+
+def _known_pad(uut: UutModel, pid, where: str) -> None:
+    """Raise FixtureError at where unless the UUT has pad pid."""
+    try:
+        uut.pad(pid)
+    except UnknownPad as exc:
+        raise FixtureError(f"{where}: {exc}") from None
 
 
 def _diode(obj, where: str) -> DiodeModel:
@@ -143,12 +151,15 @@ def _region(obj, where: str) -> HalfSpaceRegion:
         raise FixtureError(f"{where}: bad region: {exc}") from exc
 
 
-def _check(obj, where: str):
+def _check(obj, where: str, uut: UutModel):
     kind = _expect(obj, dict, where).get("type")
     try:
         if kind == "rail-sense":
+            pads = tuple(obj["pads"])
+            for pid in pads:
+                _known_pad(uut, pid, where)
             return RailSenseCheck(
-                pads=tuple(obj["pads"]),
+                pads=pads,
                 amperes=float(obj["amperes"]),
                 band=(float(obj["band"][0]), float(obj["band"][1])),
                 rail=str(obj.get("rail", "VCC")),
@@ -164,6 +175,7 @@ def _check(obj, where: str):
                 source_ohms=float(obj.get("source_ohms", 0.0)),
             )
             check.waveform()  # a check that makes no valid waveform fails here
+            _known_pad(uut, check.pad_id, where)
             return check
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: bad check: {exc}") from exc
@@ -189,7 +201,7 @@ def load_fixture(source) -> Fixture:
     uut = _uut(doc, "fixture")
     contacts = _contacts(doc.get("contacts", {}), "contacts")
     for pid in contacts:
-        uut.pad(pid)
+        _known_pad(uut, pid, f"contacts.{pid}")
 
     prot = _expect(doc.get("protection", {}), dict, "protection")
     try:
@@ -201,7 +213,7 @@ def load_fixture(source) -> Fixture:
         raise FixtureError(f"protection: {exc}") from exc
 
     checks = tuple(
-        _check(c, f"setup_plan[{i}]")
+        _check(c, f"setup_plan[{i}]", uut)
         for i, c in enumerate(_expect(doc.get("setup_plan", []), list, "setup_plan"))
     )
     plan = VcitPlan(checks=checks, limits=limits)

@@ -181,8 +181,16 @@ class TestCorrelation:
             correlation_score((1.0, 2.0, 3.0), self.ref((1.0, 2.0)))
 
     def test_constant_reference_rejected(self):
-        with pytest.raises(ValueError):
-            self.ref((1.0, 1.0, 1.0))
+        # The variance of 0.2, 0.2, 0.2 is not 0: its mean does not round back.
+        for samples in ((1.0, 1.0, 1.0), (0.2, 0.2, 0.2)):
+            with pytest.raises(ValueError):
+                self.ref(samples)
+
+    def test_non_finite_reference_rejected(self):
+        # A NaN reference used to score 1.0 against any signal.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                self.ref((bad, 1.0, 2.0))
 
     @given(st.lists(st.floats(-10, 10), min_size=3, max_size=24))
     @settings(max_examples=200, deadline=None)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcit.circuit import (
+    GOOD_CONTACT,
     Bench,
     ContactState,
     DiodeModel,
@@ -25,7 +26,14 @@ from vcit.circuit import (
     step_transient,
     wear_step,
 )
-from vcit.errors import NoPathToRail, NotPoweredModel, UnknownPad
+from vcit.errors import (
+    NonConvergence,
+    NoPathToRail,
+    NotPoweredModel,
+    SimulationFailure,
+    UnknownPad,
+)
+from vcit.prober import ProtectionLimits, StimulusWaveform, execute
 
 VT = 0.02585
 
@@ -45,9 +53,10 @@ def esd_uut(n_pads=3, vcc_path=25.0):
     return UutModel(pads=pads, vcc_path_ohms=vcc_path)
 
 
-def kcl_residual(uut, contacts, stimuli, result):
+def kcl_residual(uut, contacts, stimuli, result, companions=None):
     """Recompute KCL at every node from the returned voltages, using a
-    test-local evaluation of each branch, independent of the solver path."""
+    test-local evaluation of each branch, independent of the solver path.
+    companions maps a pad id to its capacitor's (conductance, history)."""
 
     def branch_current(diode, v):
         # test-local Shockley with inner bisection for series resistance
@@ -96,12 +105,130 @@ def kcl_residual(uut, contacts, stimuli, result):
             else:
                 r = stim.source_ohms + c.effective_ohms
                 i_in = (stim.level - vp) / max(r, 1e-9)
-        worst = max(worst, abs(iv + ig + gmin * vp - i_in))
+        g, history = (companions or {}).get(pid, (0.0, 0.0))
+        worst = max(worst, abs(iv + ig + gmin * vp + g * vp - history - i_in))
     if uut.vcc_path_ohms > 0.0:
         worst = max(worst, abs(vv / uut.vcc_path_ohms - into_vcc))
     if uut.gnd_path_ohms > 0.0:
         worst = max(worst, abs(vg / uut.gnd_path_ohms - into_gnd))
     return worst
+
+
+def dense_newton(uut, contacts, stimuli, companions):
+    """Test-local reference: the solver's stamps, step clamp and stopping rule
+    on the full Jacobian, solved densely by np.linalg.solve.
+
+    Returns (iterations, {pad id: pad volts}, vcc volts, gnd volts), or
+    None when 200 iterations do not converge.
+    """
+    ids = [pid for pid, _ in uut.pads]
+    n = len(ids)
+    rail_node = {}
+    terminations = []
+    for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)):
+        if ohms > 0.0:
+            rail_node[rail] = n + len(terminations)
+            terminations.append(1.0 / ohms)
+    size = n + len(terminations)
+    branches = [(i, law, rail_node.get(rail), s)
+                for i, (_, pc) in enumerate(uut.pads) for law, rail, s in pc.kind.branches]
+    clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
+    x = np.zeros(size)
+    for iteration in range(201):
+        xs = x.tolist()
+        F = np.zeros(size)
+        J = np.zeros((size, size))
+        for k, g in enumerate(terminations):
+            F[n + k] += g * xs[n + k]
+            J[n + k, n + k] += g
+        for i, law, r, s in branches:
+            v = s * (xs[i] - (0.0 if r is None else xs[r]))
+            current = s * (law.current(v) + law.leak * v)
+            g = law.conductance(v) + law.leak
+            F[i] += current
+            J[i, i] += g
+            if r is not None:
+                F[r] -= current
+                J[r, r] += g
+                J[i, r] -= g
+                J[r, i] -= g
+        for i, pid in enumerate(ids):
+            g, history = companions.get(pid, (0.0, 0.0))
+            F[i] += 1e-12 * xs[i] + g * xs[i] - history
+            J[i, i] += 1e-12 + g
+            stim = stimuli.get(pid)
+            contact = contacts.get(pid, GOOD_CONTACT)
+            if stim is None or (stim.mode == "current" and contact.is_open):
+                continue
+            if stim.mode == "current":
+                F[i] -= stim.level
+            else:
+                g = 1.0 / (stim.source_ohms + contact.effective_ohms)
+                F[i] -= (stim.level - xs[i]) * g
+                J[i, i] += g
+        if float(np.max(np.abs(F))) < 1e-9:
+            xs.append(0.0)  # the datum
+            return (iteration, dict(zip(ids, xs)), xs[rail_node.get("VCC", size)],
+                    xs[rail_node.get("GND", size)])
+        x = x + np.clip(np.linalg.solve(J, -F), -clamp, clamp)
+    return None
+
+
+# Signs of current each kind conducts; an open pad conducts none, so it is
+# only driven in voltage mode.
+CONDUCTS = {"esd": (1, -1), "diode": (1,), "diode-": (-1,), "led": (1,), "res": (1, -1),
+            "open": ()}
+
+
+@st.composite
+def networks(draw):
+    """A random bench (every pad kind, pinned or resistive rails, good, worn
+    or open needles, capacitance or none) with current and voltage drives
+    and a previous transient state: (uut, contacts, stimuli, state, dt)."""
+    d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)), VT,
+                   draw(st.sampled_from([0.0, 2.0])))
+    pads, contacts, stimuli, state = [], {}, {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        pid = f"p{i}"
+        kind = draw(st.sampled_from(sorted(CONDUCTS)))
+        circuit = {
+            "esd": lambda: EsdPair(d, d),
+            "diode": lambda: SeriesDiode(d),
+            "diode-": lambda: SeriesDiode(d, polarity=-1),
+            "led": lambda: Led(DiodeModel(1e-18, 2.0), "red"),
+            "res": lambda: Resistive(draw(st.floats(10.0, 300.0))),
+            "open": OpenPad,
+        }[kind]()
+        capacitance = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6)))
+        pads.append((pid, PadCircuit(circuit, capacitance)))
+        ohms = draw(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1000.0), st.just(2e6)))
+        contacts[pid] = ContactState(ohms)
+        mode = draw(st.sampled_from(("current", "voltage", None) if CONDUCTS[kind]
+                                    else ("voltage", None)))
+        if mode == "current":
+            sign = draw(st.sampled_from(CONDUCTS[kind]))
+            stimuli[pid] = Stimulus(mode, sign * draw(st.floats(1e-5, 5e-3)))
+        elif mode == "voltage":
+            stimuli[pid] = Stimulus(mode, draw(st.floats(-2.0, 2.0)), draw(st.floats(1.0, 1000.0)))
+        state[pid] = draw(st.floats(-1.0, 1.0))
+    uut = UutModel(
+        pads=tuple(pads),
+        vcc_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 50.0))),
+        gnd_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 20.0))),
+    )
+    return uut, contacts, stimuli, state, draw(st.floats(1e-6, 1e-3))
+
+
+def bridged_rails():
+    """A driven resistor lifts GND 1.4 V above VCC, so both diodes of the
+    ESD pad conduct and couple the two rails through it."""
+    d = DiodeModel(1e-14)
+    uut = UutModel(
+        pads=(("r", PadCircuit(Resistive(10.0))), ("e", PadCircuit(EsdPair(d, d)))),
+        vcc_path_ohms=25.0,
+        gnd_path_ohms=200.0,
+    )
+    return uut, {}, {"r": Stimulus("voltage", 2.0, 1.0)}, {"r": 0.0, "e": 0.0}, 1e-3
 
 
 class TestSolveDc:
@@ -167,10 +294,6 @@ class TestSolveDc:
 
     def test_kcl_residual_randomized_fixtures(self):
         rng = np.random.default_rng(42)
-        # Signs of current each kind conducts; an open pad conducts none, so
-        # it is only driven in voltage mode.
-        conducts = {"esd": (1, -1), "diode": (1,), "diode-": (-1,), "led": (1,), "res": (1, -1),
-                    "open": ()}
         seen = set()
         for _ in range(80):
             n_pads = int(rng.integers(1, 5))
@@ -180,7 +303,7 @@ class TestSolveDc:
             led = DiodeModel(1e-18, 2.0)
             for i in range(n_pads):
                 pid = f"p{i}"
-                kind = str(rng.choice(list(conducts)))
+                kind = str(rng.choice(list(CONDUCTS)))
                 circuit = {
                     "esd": lambda: EsdPair(d, d),
                     "diode": lambda: SeriesDiode(d),
@@ -190,8 +313,8 @@ class TestSolveDc:
                     "open": OpenPad,
                 }[kind]()
                 pads.append((pid, PadCircuit(circuit)))
-                if conducts[kind] and rng.random() < 0.5:
-                    sign = float(rng.choice(conducts[kind]))
+                if CONDUCTS[kind] and rng.random() < 0.5:
+                    sign = float(rng.choice(CONDUCTS[kind]))
                     stimuli[pid] = Stimulus("current", sign * float(rng.uniform(1e-4, 5e-3)))
                 else:
                     level = float(rng.uniform(-1.0, 1.0))
@@ -206,9 +329,95 @@ class TestSolveDc:
             result = solve_dc(uut, contacts, stimuli)
             assert kcl_residual(uut, contacts, stimuli, result) < 1e-9
         # every kind in each mode it can be driven in, and both GND terminations
-        assert seen == {(k, "current") for k, signs in conducts.items() if signs} | {
-            (k, "voltage") for k in conducts
+        assert seen == {(k, "current") for k, signs in CONDUCTS.items() if signs} | {
+            (k, "voltage") for k in CONDUCTS
         } | {("gnd-path", True), ("gnd-path", False)}
+
+
+class TestNewtonStep:
+    """The rail-elimination step against a dense Newton on the same stamps."""
+
+    @given(networks())
+    @example(bridged_rails())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference(self, network):
+        uut, contacts, stimuli, state, dt = network
+        companions = {
+            pid: (pc.shunt_capacitance / dt, pc.shunt_capacitance / dt * state[pid])
+            for pid, pc in uut.pads
+            if pc.shunt_capacitance > 0.0
+        }
+
+        def solve():
+            if companions:
+                return step_transient(uut, contacts, stimuli, state, dt)[1]
+            return solve_dc(uut, contacts, stimuli)
+
+        reference = dense_newton(uut, contacts, stimuli, companions)
+        if reference is None:
+            with pytest.raises(NonConvergence):
+                solve()
+            return
+        iterations, pad_volts, vcc, gnd = reference
+        result = solve()
+        assert abs(result.iterations - iterations) <= 1
+        for pid, volts in pad_volts.items():
+            assert abs(result[pid].pad_volts - volts) <= 1e-9
+        assert abs(result.vcc_volts - vcc) <= 1e-9
+        assert abs(result.gnd_volts - gnd) <= 1e-9
+        assert kcl_residual(uut, contacts, stimuli, result, companions) < 1e-9
+        assert repr(solve()) == repr(result)  # bit-identical
+
+    def test_no_dense_linear_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        d = DiodeModel(1e-14)
+        uut = UutModel(
+            pads=(("esd", PadCircuit(EsdPair(d, d), 1e-9)), ("led", PadCircuit(Led(d)))),
+            vcc_path_ohms=25.0,
+            gnd_path_ohms=5.0,
+        )
+        contacts = {"esd": ContactState(0.1), "led": ContactState(0.1)}
+        stimuli = {"esd": Stimulus("current", 1e-3), "led": Stimulus("voltage", 0.8, 100.0)}
+        dc = solve_dc(uut, contacts, stimuli)
+        assert kcl_residual(uut, contacts, stimuli, dc) < 1e-9
+        state, result = step_transient(uut, contacts, stimuli, None, 1e-3)
+        companions = {"esd": (1e-6, 0.0)}
+        assert kcl_residual(uut, contacts, stimuli, result, companions) < 1e-9
+        assert state["esd"] == result["esd"].pad_volts
+
+
+class TestNonFinite:
+    """A non-finite residual ends the solve at the iteration it appears in."""
+
+    # The companion of 1 nF over dt = 5e-324 s is C/dt = inf.
+    TINY_DT = 5e-324
+
+    @pytest.mark.parametrize("cap_first", [True, False], ids=["nan-first", "nan-last"])
+    def test_step_transient_fails_at_once(self, cap_first):
+        pads = [("c", PadCircuit(OpenPad(), 1e-9)), ("r", PadCircuit(Resistive(100.0)))]
+        uut = UutModel(pads=tuple(pads if cap_first else pads[::-1]))
+        with pytest.raises(NonConvergence) as info:
+            step_transient(uut, {}, {"r": Stimulus("current", 1e-3)}, None, self.TINY_DT)
+        assert info.value.iterations == 0
+        assert math.isnan(info.value.residual)
+
+    def test_solve_dc_fails_at_once(self):
+        # A rail path of 1e-320 Ohm has the conductance 1/1e-320 = inf.
+        uut = UutModel(pads=(("p1", diode_pad()),), gnd_path_ohms=1e-320)
+        with pytest.raises(NonConvergence) as info:
+            solve_dc(uut, {}, {"p1": Stimulus("current", 1e-3)})
+        assert info.value.iterations == 0
+        assert not math.isfinite(info.value.residual)
+
+    def test_execute_fails_at_once(self):
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("c", PadCircuit(EsdPair(d, d), 1e-9)),))
+        waveform = StimulusWaveform("current", (1e-3,), self.TINY_DT, ("c",))
+        with pytest.raises(SimulationFailure, match="after 0 iterations"):
+            execute(waveform, ProtectionLimits(2.0, 0.05), Bench(uut, {}))
 
 
 class TestRailSense:

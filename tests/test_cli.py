@@ -193,13 +193,15 @@ class TestCheck:
             ["shape", "--region", "unit-box", "--vector", "nan,0"],
             ["corr", "--file", "{flat}"],
             ["corr", "--file", "{ramp}", "--threshold", "nan"],
+            ["corr", "--file", "{rounded}"],
         ],
         ids=["level", "window", "window-reversed", "levels", "windows", "window-count",
-             "vector", "constant-reference", "threshold"],
+             "vector", "constant-reference", "threshold", "reference-constant-up-to-rounding"],
     )
     def test_bad_input_exit_1_without_verdict(self, tmp_path, capsys, argv):
         files = {"{flat}": write(tmp_path, "flat.txt", "1\n1\n1\n"),
-                 "{ramp}": write(tmp_path, "ramp.txt", "0.1\n0.2\n0.3\n")}
+                 "{ramp}": write(tmp_path, "ramp.txt", "0.1\n0.2\n0.3\n"),
+                 "{rounded}": write(tmp_path, "rounded.txt", "0.2\n0.2\n0.2\n")}
         assert main(["check", *(files.get(a, a) for a in argv)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

@@ -94,7 +94,16 @@ class TestValidation:
     def test_contact_for_unknown_pad(self):
         doc = default_doc()
         doc["contacts"]["ghost"] = {"resistance": 0.1}
-        with pytest.raises(Exception):
+        with pytest.raises(FixtureError, match="contacts.ghost"):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize("index, field, value", [(0, "pads", ["p1", "ghost"]),
+                                                     (1, "pad", "ghost")],
+                             ids=["rail-sense", "single-level"])
+    def test_check_on_unknown_pad(self, index, field, value):
+        doc = default_doc()
+        doc["setup_plan"][index][field] = value
+        with pytest.raises(FixtureError, match=rf"setup_plan\[{index}\].*ghost"):
             load_fixture(json.dumps(doc))
 
     def test_non_finite_protection_limit(self):
