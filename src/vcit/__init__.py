@@ -25,7 +25,6 @@ from .checks import (
     HalfSpaceRegion,
     MeasurementVector,
     VcitVerdict,
-    classify_signature,
     correlation_score,
     correlation_test,
     differential_test,
@@ -50,7 +49,6 @@ from .prober import (
     ProtectionLimits,
     StimulusWaveform,
     execute,
-    measure_charge,
 )
 from .fixture import Fixture, load_default_fixture, load_fixture
 

@@ -1,5 +1,5 @@
 """Measurement classification: window tests, differential multi-level tests,
-correlation detection, half-space region membership, and defect signatures.
+correlation detection, and half-space region membership.
 
 All functions here are pure: immutable inputs, no shared state.
 """
@@ -71,13 +71,6 @@ class HalfSpaceRegion:
     def violated(self, values: Sequence[float]) -> list:
         c = self.projections(values)
         return [int(j) for j in np.nonzero(c > self.distances)[0]]
-
-    @classmethod
-    def from_band(cls, lo: float, hi: float) -> "HalfSpaceRegion":
-        """1-D closed interval [lo, hi] as a two-half-space region."""
-        if lo > hi:
-            raise ValueError("band must have lo <= hi")
-        return cls(normals=[[1.0, -1.0]], distances=[hi, -lo])
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,22 +226,3 @@ def shape_test(x: MeasurementVector, region: HalfSpaceRegion) -> VcitVerdict:
             "projections": tuple(float(c) for c in region.projections(x.values)),
         },
     )
-
-
-def classify_signature(x: MeasurementVector, catalog: Sequence) -> str:
-    """Tag of the first catalog region containing x, else "unclassified".
-
-    Overlaps resolve by catalog order; that tie rule is part of the fixture
-    file contract.
-    """
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-    for tag, region in catalog:
-        if len(x) != region.dimension:
-            raise DimensionMismatch(
-                f"vector dimension {len(x)} vs region dimension {region.dimension}"
-            )
-    for tag, region in catalog:
-        if not region.violated(x.values):
-            return tag
-    return "unclassified"

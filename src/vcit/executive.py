@@ -182,6 +182,8 @@ class RailSenseCheck:
         if not math.isfinite(self.amperes):
             raise ValueError(f"amperes must be finite, got {self.amperes!r}")
         closed_window(self.band, "band")
+        if self.rail not in ("VCC", "GND"):
+            raise ValueError(f"rail must be 'VCC' or 'GND', got {self.rail!r}")
 
 
 Check = Union[PadCheck, RailSenseCheck]
@@ -421,8 +423,11 @@ def run_session(plan: SessionPlan, bench: Bench, operator: OperatorPort, port=No
     """Drive one full test session; returns (Verdict, events).
 
     Deterministic for identical plan, bench, and scripted operator: the log
-    has no wall-clock content, only ordered indices.
+    has no wall-clock content, only ordered indices.  A failed pad the UUT
+    does not have raises UnknownPad before the log starts.
     """
+    for pid in plan.failed_pads:
+        bench.uut.pad(pid)
     log = EventLog()
     log.append(IDLE, "session-start", f"seed={plan.seed}")
 

@@ -3,9 +3,10 @@
 A fixture is a JSON document describing the bench (pads, circuit kinds and
 parameters, contact states, rail termination), the protection limits, the
 VCIT setup battery (rail-sense and single-level checks, each with its band),
-the defect-signature catalog, the dummy UUT, and the needle maintenance log.
+the named shape regions, the dummy UUT, and the needle maintenance log.
 The full schema is documented in the README; validation errors raise
-FixtureError with the offending path.
+FixtureError with the offending path, and so does a top-level key the
+loader does not read.
 """
 
 from __future__ import annotations
@@ -40,13 +41,19 @@ from .prober import ProtectionLimits
 
 DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 
+# Every top-level key load_fixture reads; any other key is a typo or a
+# leftover that would otherwise be silently ignored.
+_TOP_LEVEL_KEYS = frozenset({
+    "pads", "rails", "powered", "consumption_map", "contacts", "protection",
+    "setup_plan", "regions", "dummy", "needle_log",
+})
+
 
 @dataclass(frozen=True, slots=True)
 class Fixture:
     bench: Bench
     limits: ProtectionLimits
     vcit_plan: VcitPlan
-    catalog: tuple = ()  # of (tag, HalfSpaceRegion)
     regions: Mapping[str, HalfSpaceRegion] = field(default_factory=dict)
     dummy: Optional[DummyUutSpec] = None
     needle_log: NeedleLog = NeedleLog()
@@ -59,10 +66,10 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _known_pad(uut: UutModel, pid, where: str) -> None:
-    """Raise FixtureError at where unless the UUT has pad pid."""
+def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
+    """The UUT's pad pid; FixtureError at where if it has none."""
     try:
-        uut.pad(pid)
+        return uut.pad(pid)
     except UnknownPad as exc:
         raise FixtureError(f"{where}: {exc}") from None
 
@@ -155,15 +162,16 @@ def _check(obj, where: str, uut: UutModel):
     kind = _expect(obj, dict, where).get("type")
     try:
         if kind == "rail-sense":
-            pads = tuple(obj["pads"])
-            for pid in pads:
-                _known_pad(uut, pid, where)
-            return RailSenseCheck(
-                pads=pads,
+            check = RailSenseCheck(
+                pads=tuple(obj["pads"]),
                 amperes=float(obj["amperes"]),
                 band=(float(obj["band"][0]), float(obj["band"][1])),
                 rail=str(obj.get("rail", "VCC")),
             )
+            for pid in check.pads:
+                if check.rail not in _known_pad(uut, pid, where).rails():
+                    raise FixtureError(f"{where}: pad {pid!r} has no element to rail {check.rail}")
+            return check
         if kind == "single-level":
             check = PadCheck(
                 pad_id=str(obj["pad"]),
@@ -197,6 +205,9 @@ def load_fixture(source) -> Fixture:
         raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError("fixture root must be a JSON object")
+    unknown = sorted(doc.keys() - _TOP_LEVEL_KEYS)
+    if unknown:
+        raise FixtureError(f"fixture: unknown top-level key(s) {', '.join(map(repr, unknown))}")
 
     uut = _uut(doc, "fixture")
     contacts = _contacts(doc.get("contacts", {}), "contacts")
@@ -217,13 +228,6 @@ def load_fixture(source) -> Fixture:
         for i, c in enumerate(_expect(doc.get("setup_plan", []), list, "setup_plan"))
     )
     plan = VcitPlan(checks=checks, limits=limits)
-
-    catalog = []
-    for i, entry in enumerate(_expect(doc.get("catalog", []), list, "catalog")):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise FixtureError(f"catalog[{i}]: expected [tag, region]")
-        tag, region = entry
-        catalog.append((str(tag), _region(region, f"catalog[{i}]")))
 
     regions = {
         name: _region(obj, f"regions.{name}")
@@ -262,7 +266,6 @@ def load_fixture(source) -> Fixture:
         bench=Bench(uut=uut, contacts=contacts),
         limits=limits,
         vcit_plan=plan,
-        catalog=tuple(catalog),
         regions=regions,
         dummy=dummy,
         needle_log=needle_log,

@@ -180,15 +180,6 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     return captures
 
 
-def measure_charge(capture: CaptureRecord) -> float:
-    """Charge moved over the capture window, in coulombs.
-
-    Each measured current sample is held over its dt slot (the meter reports
-    one value per slot), so the integral is the held-sample sum times dt.
-    """
-    return capture.dt * math.fsum(capture.measured_current)
-
-
 # --- waveform file format -------------------------------------------------
 #
 # Plain text, one sample per line, after a single header line:

@@ -12,7 +12,6 @@ from vcit.checks import (
     CorrelationRef,
     HalfSpaceRegion,
     MeasurementVector,
-    classify_signature,
     correlation_score,
     correlation_test,
     differential_test,
@@ -301,7 +300,7 @@ class TestHalfSpaceRegion:
             assert shape_test(vec, region).passed == shape_test(vec, augmented).passed
 
     def test_from_band(self):
-        band = HalfSpaceRegion.from_band(0.3, 1.0)
+        band = HalfSpaceRegion([[1.0, -1.0]], [1.0, -0.3])  # the closed band [0.3, 1.0]
         assert not band.violated((0.3,))
         assert not band.violated((1.0,))
         assert band.violated((0.2999,))
@@ -312,7 +311,7 @@ class TestHalfSpaceRegion:
             HalfSpaceRegion([[2.0]], [1.0])
 
     def test_dimension_mismatch(self):
-        region = HalfSpaceRegion.from_band(0.0, 1.0)
+        region = HalfSpaceRegion([[1.0, -1.0]], [1.0, 0.0])
         with pytest.raises(DimensionMismatch):
             shape_test(MeasurementVector((0.5, 0.5), ("a", "b")), region)
 
@@ -322,45 +321,6 @@ class TestHalfSpaceRegion:
             distances=[1.0, 1.0, 1.0, 1.0],
         )
         assert region.violated((2.0, -2.0)) == [0, 3]
-
-
-class TestClassifySignature:
-    def catalog(self):
-        return (
-            ("led-red", HalfSpaceRegion.from_band(1.6, 2.1)),
-            ("led-green", HalfSpaceRegion.from_band(2.8, 3.4)),
-        )
-
-    def vec(self, v):
-        return MeasurementVector((v,), ("vf",))
-
-    def test_red_led_signature(self):
-        assert classify_signature(self.vec(1.9), self.catalog()) == "led-red"
-
-    def test_green_led_signature(self):
-        assert classify_signature(self.vec(3.0), self.catalog()) == "led-green"
-
-    def test_unclassified(self):
-        assert classify_signature(self.vec(2.5), self.catalog()) == "unclassified"
-
-    def test_overlap_resolves_by_catalog_order(self):
-        catalog = (
-            ("wide", HalfSpaceRegion.from_band(0.0, 10.0)),
-            ("narrow", HalfSpaceRegion.from_band(1.0, 2.0)),
-        )
-        assert classify_signature(self.vec(1.5), catalog) == "wide"
-        assert classify_signature(self.vec(1.5), catalog[::-1]) == "narrow"
-
-    def test_empty_catalog_rejected(self):
-        with pytest.raises(ValueError):
-            classify_signature(self.vec(1.0), ())
-
-    def test_dimension_checked_over_whole_catalog(self):
-        catalog = self.catalog() + (
-            ("planar", HalfSpaceRegion([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])),
-        )
-        with pytest.raises(DimensionMismatch):
-            classify_signature(self.vec(1.9), catalog)
 
 
 def test_measurement_vector_validation():

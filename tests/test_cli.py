@@ -16,7 +16,7 @@ from vcit.executive import (
     replay_verdict,
     run_vcit_battery,
 )
-from vcit.fixture import load_default_fixture
+from vcit.fixture import default_fixture_path, load_default_fixture
 
 
 def write(tmp_path, name, text):
@@ -88,6 +88,34 @@ class TestSession:
     def test_bad_scenario_exit_1(self, tmp_path):
         script = write(tmp_path, "s", "needles: rusty\n")
         assert main(["session", "--script", script]) == 1
+
+    @pytest.mark.parametrize(
+        "edit, scenario, message",
+        [
+            (lambda doc: doc.update(setup_plna=doc.pop("setup_plan")), "", "'setup_plna'"),
+            (lambda doc: doc.update(catalog=[]), "", "'catalog'"),
+            (lambda doc: doc["setup_plan"][0].update(rail="vcc"), "",
+             "setup_plan[0]: bad check: rail must be 'VCC' or 'GND'"),
+            (lambda doc: doc["pads"].__setitem__(0, {"id": "p1", "kind": "resistive", "ohms": 100.0}),
+             "", "setup_plan[0]: pad 'p1' has no element to rail VCC"),
+            (lambda doc: None, "functional: fail\nfailed-pads: ghost\n", "no such pad: 'ghost'"),
+        ],
+        ids=["misspelt-key", "leftover-catalog", "rail-lowercase", "rail-unreachable",
+             "unknown-failed-pad"],
+    )
+    def test_bad_input_exit_1_before_the_session(self, tmp_path, capsys, edit, scenario, message):
+        doc = json.loads(default_fixture_path().read_text(encoding="utf-8"))
+        edit(doc)
+        fixture = write(tmp_path, "fixture.json", json.dumps(doc))
+        script = write(tmp_path, "s.scenario", scenario)
+        log = tmp_path / "session.log"
+        argv = ["session", "--fixture", fixture, "--script", script, "--log", str(log)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert "verdict:" not in captured.out
+        assert not log.exists()
 
     def test_seed_recorded_in_log(self, tmp_path):
         log = tmp_path / "seeded.log"

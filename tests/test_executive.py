@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, UutModel
-from vcit.errors import FixtureError
+from vcit.errors import FixtureError, UnknownPad
 from vcit.executive import (
     AWAIT_DUMMY_MOUNT,
     FIXTURE_FAULT,
@@ -258,6 +258,14 @@ class TestSession:
         restored = [SessionEvent.from_json(ln) for ln in lines]
         assert restored == events
         assert replay_verdict(restored) == NTF_DETECTED
+
+    def test_unknown_failed_pad_rejected_before_the_log(self, fixture):
+        # Filtering the battery by a pad the UUT lacks would leave no checks,
+        # and an empty battery passes.
+        plan = forced_plan(fixture, vcit=None, needles="stale", dummy=None)
+        plan = replace(plan, failed_pads=("p1", "ghost"))
+        with pytest.raises(UnknownPad, match="ghost"):
+            run_session(plan, fixture.bench, ScriptedOperator())
 
     def test_replay_rejects_undecided_log(self):
         with pytest.raises(ValueError):

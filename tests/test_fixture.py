@@ -32,7 +32,6 @@ class TestDefaultFixture:
 
     def test_catalog_and_regions(self):
         fixture = load_default_fixture()
-        assert [tag for tag, _ in fixture.catalog] == ["led-red", "led-green"]
         assert "unit-box" in fixture.regions
         assert fixture.regions["unit-box"].dimension == 2
 
@@ -105,6 +104,21 @@ class TestValidation:
         doc["setup_plan"][index][field] = value
         with pytest.raises(FixtureError, match=rf"setup_plan\[{index}\].*ghost"):
             load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["setup_plna", "catalog"])
+    def test_unknown_top_level_key(self, key):
+        doc = default_doc()
+        doc[key] = doc.pop("setup_plan") if key == "setup_plna" else []
+        with pytest.raises(FixtureError, match=f"'{key}'"):
+            load_fixture(json.dumps(doc))
+
+    def test_rail_sense_pad_needs_element_to_rail(self):
+        doc = default_doc()
+        doc["pads"][0] = {"id": "p1", "kind": "resistive", "ohms": 100.0}
+        with pytest.raises(FixtureError, match=r"setup_plan\[0\]: pad 'p1' has no element to rail VCC"):
+            load_fixture(json.dumps(doc))
+        doc["setup_plan"][0]["rail"] = "GND"  # a resistor and an ESD pair both reach GND
+        assert load_fixture(json.dumps(doc)).vcit_plan.checks[0].rail == "GND"
 
     def test_non_finite_protection_limit(self):
         doc = default_doc()
@@ -180,6 +194,7 @@ class TestValidation:
             pytest.param(("rails", "vcc_path_ohms"), math.nan, id="vcc-path-nan"),
             pytest.param(("setup_plan", 0, "band"), [0.1, math.inf], id="band-inf"),
             pytest.param(("setup_plan", 0, "amperes"), math.nan, id="amperes-nan"),
+            pytest.param(("setup_plan", 0, "rail"), "vcc", id="rail-lowercase"),
             pytest.param(
                 ("pads", 0), {"id": "p1", "kind": "resistive", "ohms": math.inf}, id="ohms-inf"
             ),
@@ -191,12 +206,6 @@ class TestValidation:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value  # NaN and Infinity are dumped as such
-        with pytest.raises(FixtureError):
-            load_fixture(json.dumps(doc))
-
-    def test_bad_catalog_entry(self):
-        doc = default_doc()
-        doc["catalog"].append(["orphan-tag"])
         with pytest.raises(FixtureError):
             load_fixture(json.dumps(doc))
 

@@ -33,7 +33,6 @@ from vcit.prober import (
     execute,
     format_capture,
     format_waveform,
-    measure_charge,
     parse_capture_lines,
     parse_captures,
     parse_waveform,
@@ -291,29 +290,7 @@ def test_retained_values_have_no_instance_dict(value):
 
 
 class TestMeasureCharge:
-    def test_constant_current_block(self):
-        capture = CaptureRecord(
-            pad_id="p1",
-            dt=1e-3,
-            applied=(1e-3,) * 10,
-            measured_voltage=(0.0,) * 10,
-            measured_current=(1e-3,) * 10,
-        )
-        assert measure_charge(capture) == 1e-5  # 10 slots x 1 mA x 1 ms
-
-    def test_additive_over_a_split(self):
-        currents = (1e-3, 2e-3, -5e-4, 7e-4, 0.0, 3e-3)
-        def rec(i_slice):
-            return CaptureRecord(
-                pad_id="p1",
-                dt=1e-3,
-                applied=(0.0,) * len(i_slice),
-                measured_voltage=(0.0,) * len(i_slice),
-                measured_current=i_slice,
-            )
-        whole = measure_charge(rec(currents))
-        parts = measure_charge(rec(currents[:3])) + measure_charge(rec(currents[3:]))
-        assert whole == pytest.approx(parts, abs=1e-18)
+    """Charge moved over a capture: each held current sample times its dt slot."""
 
     def test_rc_charge_equals_capacitor_charge(self):
         # 1 kohm needle into a 1 uF shunt: integrated contact current must
@@ -323,7 +300,8 @@ class TestMeasureCharge:
         waveform = StimulusWaveform("voltage", (1.0,) * 200, 1e-5, ("rc",))
         (capture,) = execute(waveform, LIMITS, bench)
         v_pad_final = 1.0 - capture.measured_current[-1] * 1000.0
-        assert measure_charge(capture) == pytest.approx(1e-6 * v_pad_final, abs=1e-10)
+        charge = capture.dt * math.fsum(capture.measured_current)
+        assert charge == pytest.approx(1e-6 * v_pad_final, abs=1e-10)
 
 
 class TestWaveformFormat:
