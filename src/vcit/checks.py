@@ -7,10 +7,10 @@ All functions here are pure: immutable inputs, no shared state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .circuit import Bench, powered_consumption
 from .errors import DegenerateLevels, DimensionMismatch, LengthMismatch, NotPoweredModel
@@ -36,41 +36,56 @@ class MeasurementVector:
         return len(self.values)
 
 
+def _finite_number(value, what: str) -> float:
+    """value as a float, if it is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be finite numbers, got {value!r}")
+    return float(value)
+
+
 class HalfSpaceRegion:
     """Convex pass region: all x with normals.T @ x <= distances.
 
-    normals has unit-length columns (outward boundary normals); distances
-    are the hyperplane offsets from the origin.
+    normals is an m x k matrix whose k columns are unit-length outward
+    boundary normals; distances are the hyperplane offsets from the origin.
+    The region keeps the columns as tuples in `columns`.
     """
 
     def __init__(self, normals, distances):
-        normals = np.asarray(normals, dtype=float)
-        distances = np.asarray(distances, dtype=float)
-        if normals.ndim != 2 or normals.shape[0] < 1 or normals.shape[1] < 1:
+        try:
+            rows = [tuple(row) for row in normals]
+        except TypeError:
+            rows = []
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("normals must be an m x k matrix with m, k >= 1")
-        if distances.shape != (normals.shape[1],):
+        try:
+            distances = tuple(distances)
+        except TypeError:
+            distances = ()
+        if len(distances) != len(rows[0]):
             raise ValueError("need one distance per normal column")
-        norms = np.linalg.norm(normals, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        rows = [[_finite_number(v, "normals") for v in row] for row in rows]
+        self.columns = tuple(zip(*rows))
+        self.distances = tuple(_finite_number(d, "distances") for d in distances)
+        if any(abs(math.hypot(*col) - 1.0) > 1e-9 for col in self.columns):
             raise ValueError("normal columns must be unit vectors (within 1e-9)")
-        self.normals = normals
-        self.distances = distances
 
     @property
     def dimension(self) -> int:
-        return self.normals.shape[0]
+        return len(self.columns[0])
 
-    def projections(self, values: Sequence[float]) -> np.ndarray:
-        x = np.asarray(values, dtype=float)
-        if x.shape != (self.dimension,):
+    def projections(self, values: Sequence[float]) -> tuple:
+        """normals.T @ values, each entry a correctly rounded sum."""
+        x = tuple(map(float, values))
+        if len(x) != self.dimension:
             raise DimensionMismatch(
-                f"vector has dimension {x.shape}, region expects {self.dimension}"
+                f"vector has dimension {len(x)}, region expects {self.dimension}"
             )
-        return self.normals.T @ x
+        return tuple(math.fsum(map(mul, col, x)) for col in self.columns)
 
     def violated(self, values: Sequence[float]) -> list:
         c = self.projections(values)
-        return [int(j) for j in np.nonzero(c > self.distances)[0]]
+        return [j for j, (cj, d) in enumerate(zip(c, self.distances)) if cj > d]
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,25 +175,43 @@ def differential_test(captures: Sequence[CaptureRecord], expected_deltas) -> Vci
     )
 
 
+def _unit_scaled(values: list) -> list:
+    """values times the power of two that brings the largest magnitude into
+    [0.5, 1).  The scaling is exact (down to 2**-1022 of that magnitude), so
+    it moves no Pearson score, but no sum or square can overflow."""
+    shift = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
+def _centred(values: list) -> list:
+    values = _unit_scaled(values)
+    mean = math.fsum(values) / len(values)
+    return _unit_scaled([v - mean for v in values])
+
+
 def correlation_score(acquired: Sequence[float], reference: CorrelationRef) -> float:
     """Normalized (Pearson) correlation in [-1, 1].
 
     A constant acquired signal scores 0 by convention: zero variance means
-    "no relationship", which is the open-probe signature.
+    "no relationship", which is the open-probe signature.  Means, norms and
+    the dot product are correctly rounded sums (math.fsum) of the centred
+    samples, each vector scaled by its largest magnitude first.
     """
-    a = np.asarray(acquired, dtype=float)
-    b = np.asarray(reference.reference_samples, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"acquired has {a.shape[0]} samples, reference {b.shape[0]}")
-    if a.shape[0] < 2:
+    a = [float(v) for v in acquired]
+    b = [float(v) for v in reference.reference_samples]
+    if len(a) != len(b):
+        raise LengthMismatch(f"acquired has {len(a)} samples, reference {len(b)}")
+    if len(a) < 2:
         raise LengthMismatch("need at least 2 samples")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na = float(np.linalg.norm(ac))
-    nb = float(np.linalg.norm(bc))
-    if na == 0.0:
+    if not all(map(math.isfinite, a)):
+        raise ValueError("acquired samples must be finite")
+    if max(a) == min(a):
         return 0.0
-    r = float(np.dot(ac, bc) / (na * nb))
+    ac = _centred(a)
+    bc = _centred(b)
+    na = math.sqrt(math.fsum(v * v for v in ac))
+    nb = math.sqrt(math.fsum(v * v for v in bc))
+    r = math.fsum(map(mul, ac, bc)) / (na * nb)
     r = max(-1.0, min(1.0, r))
     if 1.0 - abs(r) < _UNITY_SNAP:
         r = math.copysign(1.0, r)
@@ -221,8 +254,5 @@ def shape_test(x: MeasurementVector, region: HalfSpaceRegion) -> VcitVerdict:
     violated = region.violated(x.values)
     return VcitVerdict(
         passed=not violated,
-        detail={
-            "violated": tuple(violated),
-            "projections": tuple(float(c) for c in region.projections(x.values)),
-        },
+        detail={"violated": tuple(violated), "projections": region.projections(x.values)},
     )

@@ -13,11 +13,10 @@ fully deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import add, mul, truediv
 from typing import Mapping, Optional, Union
-
-import numpy as np
 
 from .errors import NoPathToRail, NonConvergence, NotPoweredModel, UnknownPad
 
@@ -589,10 +588,27 @@ def powered_consumption(uut: UutModel, v_input: float) -> float:
     """Supply current drawn at the given input-pad voltage (powered mode).
 
     Piecewise-linear interpolation of the consumption map, clamped to the
-    end knots.
+    end knots.  Every step is numpy.interp's, so the result is bit for bit
+    the one it gives.
     """
     if not uut.powered or uut.consumption_map is None:
         raise NotPoweredModel("model is not powered or has no consumption_map")
-    knots_v = np.array([v for v, _ in uut.consumption_map])
-    knots_i = np.array([c for _, c in uut.consumption_map])
-    return float(np.interp(v_input, knots_v, knots_i))
+    vs = [float(v) for v, _ in uut.consumption_map]
+    cs = [float(c) for _, c in uut.consumption_map]
+    x = float(v_input)
+    if len(vs) == 1:
+        return cs[0]
+    if x != x:
+        return x
+    k = bisect_right(vs, x) - 1  # vs[k] <= x < vs[k + 1]
+    if k < 0:
+        return cs[0]
+    if k >= len(vs) - 1:
+        return cs[-1]
+    if x == vs[k]:
+        return cs[k]
+    slope = (cs[k + 1] - cs[k]) / (vs[k + 1] - vs[k])
+    y = slope * (x - vs[k]) + cs[k]
+    if y != y:  # x - vs[k] overflowed (0 * inf): measure from the other end
+        y = slope * (x - vs[k + 1]) + cs[k + 1]
+    return y

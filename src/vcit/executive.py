@@ -179,6 +179,8 @@ class RailSenseCheck:
     rail: str = "VCC"
 
     def __post_init__(self):
+        if not self.pads:
+            raise ValueError("a rail-sense check needs at least one pad")
         if not math.isfinite(self.amperes):
             raise ValueError(f"amperes must be finite, got {self.amperes!r}")
         closed_window(self.band, "band")

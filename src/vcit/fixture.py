@@ -5,8 +5,8 @@ parameters, contact states, rail termination), the protection limits, the
 VCIT setup battery (rail-sense and single-level checks, each with its band),
 the named shape regions, the dummy UUT, and the needle maintenance log.
 The full schema is documented in the README; validation errors raise
-FixtureError with the offending path, and so does a top-level key the
-loader does not read.
+FixtureError with the offending path, and so does a key, in any object,
+that the loader does not read.
 """
 
 from __future__ import annotations
@@ -41,12 +41,37 @@ from .prober import ProtectionLimits
 
 DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 
-# Every top-level key load_fixture reads; any other key is a typo or a
-# leftover that would otherwise be silently ignored.
+# The keys the loader reads in each kind of object.
 _TOP_LEVEL_KEYS = frozenset({
     "pads", "rails", "powered", "consumption_map", "contacts", "protection",
     "setup_plan", "regions", "dummy", "needle_log",
 })
+_DUMMY_KEYS = frozenset({
+    "pads", "rails", "powered", "consumption_map", "bands", "drive_volts",
+    "drive_ohms", "fresh_contact_ohms",
+})
+_PAD_KEYS = {  # by pad kind
+    kind: frozenset({"id", "kind", "capacitance", *own})
+    for kind, own in (
+        ("esd-pair", ("to_vcc", "to_gnd")),
+        ("series-diode", ("diode", "polarity")),
+        ("led", ("diode", "color")),
+        ("resistive", ("ohms",)),
+        ("open", ()),
+    )
+}
+_DIODE_KEYS = frozenset({"saturation_current", "ideality", "thermal_voltage", "series_resistance"})
+_RAILS_KEYS = frozenset({"vcc_path_ohms", "gnd_path_ohms"})
+_CONTACT_KEYS = frozenset({"resistance", "cycles", "wear_rate", "open_threshold"})
+_PROTECTION_KEYS = frozenset({"max_abs_voltage", "max_abs_current"})
+_CHECK_KEYS = {  # by check type
+    "rail-sense": frozenset({"type", "pads", "amperes", "band", "rail"}),
+    "single-level": frozenset({
+        "type", "pad", "mode", "level", "window", "samples", "dt", "source_ohms",
+    }),
+}
+_REGION_KEYS = frozenset({"normals", "distances"})
+_NEEDLE_LOG_KEYS = frozenset({"last_replacement_cycle", "current_cycle", "window_cycles"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +91,15 @@ def _expect(value, kind: type, where: str):
     return value
 
 
+def _object(value, keys: frozenset, where: str) -> dict:
+    """value, if it is a JSON object with no key outside keys: any other key
+    is a typo or a leftover that would otherwise be silently ignored."""
+    if not keys.issuperset(_expect(value, dict, where)):
+        unknown = ", ".join(map(repr, sorted(value.keys() - keys)))
+        raise FixtureError(f"{where}: unknown key(s) {unknown}")
+    return value
+
+
 def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
     """The UUT's pad pid; FixtureError at where if it has none."""
     try:
@@ -75,6 +109,7 @@ def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
 
 
 def _diode(obj, where: str) -> DiodeModel:
+    _object(obj, _DIODE_KEYS, where)
     try:
         return DiodeModel(
             saturation_current=float(obj["saturation_current"]),
@@ -88,22 +123,25 @@ def _diode(obj, where: str) -> DiodeModel:
 
 def _pad_circuit(obj, where: str) -> PadCircuit:
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _PAD_KEYS:
+        raise FixtureError(f"{where}: unknown pad kind {kind!r}")
+    _object(obj, _PAD_KEYS[kind], where)
     try:
         if kind == "esd-pair":
             k = EsdPair(
-                to_vcc=_diode(obj["to_vcc"], where),
-                to_gnd=_diode(obj["to_gnd"], where),
+                to_vcc=_diode(obj["to_vcc"], f"{where}.to_vcc"),
+                to_gnd=_diode(obj["to_gnd"], f"{where}.to_gnd"),
             )
         elif kind == "series-diode":
-            k = SeriesDiode(diode=_diode(obj["diode"], where), polarity=int(obj.get("polarity", 1)))
+            k = SeriesDiode(
+                diode=_diode(obj["diode"], f"{where}.diode"), polarity=int(obj.get("polarity", 1))
+            )
         elif kind == "led":
-            k = Led(diode=_diode(obj["diode"], where), color_tag=str(obj.get("color", "")))
+            k = Led(diode=_diode(obj["diode"], f"{where}.diode"), color_tag=str(obj.get("color", "")))
         elif kind == "resistive":
             k = Resistive(ohms=float(obj["ohms"]))
-        elif kind == "open":
-            k = OpenPad()
         else:
-            raise FixtureError(f"{where}: unknown pad kind {kind!r}")
+            k = OpenPad()
         return PadCircuit(kind=k, shunt_capacitance=float(obj.get("capacitance", 0.0)))
     except FixtureError:
         raise
@@ -122,7 +160,7 @@ def _uut(obj, where: str) -> UutModel:
         if not isinstance(pid, str) or not pid:
             raise FixtureError(f"{where}.pads[{i}]: missing pad id")
         pad_tuples.append((pid, _pad_circuit(p, f"{where}.pads[{i}]")))
-    rails = _expect(obj.get("rails", {}), dict, f"{where}.rails")
+    rails = _object(obj.get("rails", {}), _RAILS_KEYS, f"{where}.rails")
     cmap = obj.get("consumption_map")
     try:
         return UutModel(
@@ -139,6 +177,7 @@ def _uut(obj, where: str) -> UutModel:
 def _contacts(obj, where: str) -> dict:
     out = {}
     for pid, c in _expect(obj, dict, where).items():
+        _object(c, _CONTACT_KEYS, f"{where}.{pid}")
         try:
             out[pid] = ContactState(
                 resistance=float(c["resistance"]),
@@ -152,6 +191,7 @@ def _contacts(obj, where: str) -> dict:
 
 
 def _region(obj, where: str) -> HalfSpaceRegion:
+    _object(obj, _REGION_KEYS, where)
     try:
         return HalfSpaceRegion(normals=obj["normals"], distances=obj["distances"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -160,6 +200,9 @@ def _region(obj, where: str) -> HalfSpaceRegion:
 
 def _check(obj, where: str, uut: UutModel):
     kind = _expect(obj, dict, where).get("type")
+    if not isinstance(kind, str) or kind not in _CHECK_KEYS:
+        raise FixtureError(f"{where}: unknown check type {kind!r}")
+    _object(obj, _CHECK_KEYS[kind], where)
     try:
         if kind == "rail-sense":
             check = RailSenseCheck(
@@ -172,22 +215,20 @@ def _check(obj, where: str, uut: UutModel):
                 if check.rail not in _known_pad(uut, pid, where).rails():
                     raise FixtureError(f"{where}: pad {pid!r} has no element to rail {check.rail}")
             return check
-        if kind == "single-level":
-            check = PadCheck(
-                pad_id=str(obj["pad"]),
-                mode=str(obj.get("mode", "current")),
-                level=float(obj["level"]),
-                window=(float(obj["window"][0]), float(obj["window"][1])),
-                samples=int(obj.get("samples", 4)),
-                dt=float(obj.get("dt", 1e-3)),
-                source_ohms=float(obj.get("source_ohms", 0.0)),
-            )
-            check.waveform()  # a check that makes no valid waveform fails here
-            _known_pad(uut, check.pad_id, where)
-            return check
+        check = PadCheck(
+            pad_id=str(obj["pad"]),
+            mode=str(obj.get("mode", "current")),
+            level=float(obj["level"]),
+            window=(float(obj["window"][0]), float(obj["window"][1])),
+            samples=int(obj.get("samples", 4)),
+            dt=float(obj.get("dt", 1e-3)),
+            source_ohms=float(obj.get("source_ohms", 0.0)),
+        )
+        check.waveform()  # a check that makes no valid waveform fails here
+        _known_pad(uut, check.pad_id, where)
+        return check
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: bad check: {exc}") from exc
-    raise FixtureError(f"{where}: unknown check type {kind!r}")
 
 
 def load_fixture(source) -> Fixture:
@@ -205,16 +246,14 @@ def load_fixture(source) -> Fixture:
         raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError("fixture root must be a JSON object")
-    unknown = sorted(doc.keys() - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise FixtureError(f"fixture: unknown top-level key(s) {', '.join(map(repr, unknown))}")
+    _object(doc, _TOP_LEVEL_KEYS, "fixture")
 
     uut = _uut(doc, "fixture")
     contacts = _contacts(doc.get("contacts", {}), "contacts")
     for pid in contacts:
         _known_pad(uut, pid, f"contacts.{pid}")
 
-    prot = _expect(doc.get("protection", {}), dict, "protection")
+    prot = _object(doc.get("protection", {}), _PROTECTION_KEYS, "protection")
     try:
         limits = ProtectionLimits(
             max_abs_voltage=float(prot.get("max_abs_voltage", 2.0)),
@@ -237,7 +276,7 @@ def load_fixture(source) -> Fixture:
     dummy = None
     d = doc.get("dummy")
     if d is not None:
-        dummy_uut = _uut(_expect(d, dict, "dummy"), "dummy")
+        dummy_uut = _uut(_object(d, _DUMMY_KEYS, "dummy"), "dummy")
         bands = _expect(d.get("bands", {}), dict, "dummy.bands")
         try:
             dummy = DummyUutSpec(
@@ -252,7 +291,7 @@ def load_fixture(source) -> Fixture:
         except (TypeError, ValueError) as exc:
             raise FixtureError(f"dummy: {exc}") from exc
 
-    nl = _expect(doc.get("needle_log", {}), dict, "needle_log")
+    nl = _object(doc.get("needle_log", {}), _NEEDLE_LOG_KEYS, "needle_log")
     try:
         needle_log = NeedleLog(
             last_replacement_cycle=int(nl.get("last_replacement_cycle", 0)),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vcit.checks import (
@@ -149,6 +149,17 @@ class TestDifferential:
         assert verdict.detail["violations"] == (0,)
 
 
+def numpy_correlation(acquired, reference):
+    """correlation_score as numpy computes it: pairwise means, BLAS norms and dot."""
+    a = np.asarray(acquired, dtype=float)
+    b = np.asarray(reference, dtype=float)
+    ac = a - a.mean()
+    bc = b - b.mean()
+    r = float(np.dot(ac, bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+    r = max(-1.0, min(1.0, r))
+    return math.copysign(1.0, r) if 1.0 - abs(r) < 1e-12 else r
+
+
 class TestCorrelation:
     def ref(self, samples, threshold=0.9):
         return CorrelationRef(reference_samples=tuple(samples), dt=1e-3, threshold=threshold)
@@ -214,6 +225,35 @@ class TestCorrelation:
     def test_negation_antisymmetry(self, acquired):
         ref = self.ref(tuple(float(k) for k in range(len(acquired))))
         assert correlation_score([-a for a in acquired], ref) == -correlation_score(acquired, ref)
+
+    def test_non_finite_acquired_rejected(self):
+        # Unchecked, a NaN or inf among them scores 1.0 and passes any threshold.
+        ref = self.ref((0.0, 1.0, 2.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                correlation_score((bad, 1.0, 2.0), ref)
+
+    @pytest.mark.parametrize("amplitude", [1e200, 1e-170, 1e308, 5e-324])
+    def test_affine_copies_at_extreme_amplitude_score_unity(self, amplitude):
+        # Squares of these overflow or underflow unless each centred vector
+        # is scaled first, and the score comes out 0.0 or NaN.
+        s = (0.1, 0.4, 0.2, 0.9, 0.3)
+        if amplitude == 5e-324:
+            s = (1.0, 4.0, 2.0, 9.0, 3.0)  # multiples of the smallest subnormal
+        copy = tuple(amplitude * v for v in s)
+        assert correlation_score(copy, self.ref(s)) == 1.0
+        assert correlation_score(s, self.ref(copy)) == 1.0
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=2, max_size=24),
+        st.lists(st.floats(-10, 10), min_size=24, max_size=24),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_formula(self, acquired, reference):
+        reference = reference[:len(acquired)]
+        assume(np.ptp(acquired) >= 0.1 and np.ptp(reference) >= 0.1)
+        score = correlation_score(acquired, self.ref(reference))
+        assert abs(score - numpy_correlation(acquired, reference)) <= 1e-12
 
 
 class TestCorrelationTest:
@@ -309,6 +349,34 @@ class TestHalfSpaceRegion:
     def test_unit_column_enforced(self):
         with pytest.raises(ValueError):
             HalfSpaceRegion([[2.0]], [1.0])
+
+    @pytest.mark.parametrize(
+        "normals, distances",
+        [
+            pytest.param([[1.0, -1.0]], [math.nan, 1.0], id="nan-distance"),  # a face that never fires
+            pytest.param([[math.nan]], [1.0], id="nan-normal"),
+            pytest.param([[1.0]], [math.inf], id="inf-distance"),
+            pytest.param([[-math.inf]], [1.0], id="inf-normal"),
+            pytest.param([["1.0"]], [1.0], id="string-normal"),
+            pytest.param([[True]], [1.0], id="bool-normal"),
+            pytest.param([[1.0]], ["1"], id="string-distance"),
+            pytest.param([[1.0]], [None], id="null-distance"),
+            pytest.param([[1.0], [0.0, 1.0]], [1.0], id="ragged"),
+            pytest.param([1.0], [1.0], id="vector-normals"),
+            pytest.param([[1.0, 0.0]], [1.0], id="one-distance-two-columns"),
+            pytest.param([[1.0]], 1.0, id="scalar-distances"),
+        ],
+    )
+    def test_bad_region_input_rejected(self, normals, distances):
+        with pytest.raises(ValueError):
+            HalfSpaceRegion(normals, distances)
+
+    def test_projections_are_correctly_rounded_sums(self):
+        # Summed left to right, 1e16 + 1.0 rounds back to 1e16 and the
+        # projection reads 0.0; the exact value is 1.0, whatever the order.
+        region = HalfSpaceRegion([[0.5], [0.5], [0.5], [0.5]], [0.0])
+        assert region.projections((2e16, 2.0, -2e16, 0.0)) == (1.0,)
+        assert region.violated((2e16, 2.0, -2e16, 0.0)) == [0]
 
     def test_dimension_mismatch(self):
         region = HalfSpaceRegion([[1.0, -1.0]], [1.0, 0.0])

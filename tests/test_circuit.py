@@ -510,6 +510,36 @@ class TestPoweredConsumption:
         with pytest.raises(NotPoweredModel):
             powered_consumption(uut, 1.0)
 
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8,
+                 unique=True),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
+        st.lists(st.floats(), max_size=8),
+        st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    @example([0.0, 1.0, 2.0], [0.0, 1e-3, 3e-3], [], [0.25, 0.5, 0.75])
+    @example([-1e308, 1e308], [-1e308, 1e308], [], [0.5, 1e-300])  # inf / inf slope
+    @example([-1.7e308, 1.7e308], [0.0, 0.0], [], [0.65])  # x - volts[0] overflows
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy_interp(self, volts, amps, anywhere, fractions):
+        volts = sorted(volts)
+        amps = sorted(amps[:len(volts)])
+        uut = UutModel(
+            pads=(("in", PadCircuit(OpenPad())),),
+            powered=True,
+            consumption_map=tuple(zip(volts, amps)),
+        )
+        inputs = [
+            *volts,  # knots
+            math.nextafter(volts[0], -math.inf), math.nextafter(volts[-1], math.inf),
+            -math.inf, math.inf, math.nan,
+            *anywhere,
+            *((1.0 - t) * volts[0] + t * volts[-1] for t in fractions),  # inside the map
+        ]
+        for x in inputs:
+            want = float(np.interp(x, volts, amps))
+            assert powered_consumption(uut, x).hex() == want.hex(), x
+
     def test_powered_requires_map(self):
         with pytest.raises(ValueError):
             UutModel(pads=(("in", PadCircuit(OpenPad())),), powered=True)

@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, session logs, checks, and the bus."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import vcit
 from vcit.bus import ProberFarm, serve
 from vcit.cli import main
 from vcit.executive import (
@@ -267,3 +272,58 @@ class TestBusIntegration:
     def test_bad_bus_address_exit_1(self, capsys):
         assert main(["session", "--bus", "not-an-address"]) == 1
         assert "host:port" in capsys.readouterr().err
+
+
+def vcit_process(argv, stderr):
+    """A fresh interpreter that imports vcit from this tree and names every
+    module it imports (-X importtime) on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vcit.__file__).resolve().parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-u", *argv], env=env, text=True,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=stderr,
+    )
+
+
+def numpy_modules(importtime_log: str) -> list:
+    names = (ln.rsplit("|", 1)[-1].strip() for ln in importtime_log.splitlines()
+             if ln.startswith("import time:"))
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+class TestStandardLibraryOnly:
+    """vcit runs on the standard library alone: importing numpy would take
+    more than half of each cold start."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["-c", "import vcit"], id="import"),
+            pytest.param(["-m", "vcit.cli", "check", "shape", "--region", "unit-box",
+                          "--vector", "0.5,-0.5"], id="check-shape"),
+        ],
+    )
+    def test_runs_without_numpy(self, argv, tmp_path):
+        with open(tmp_path / "stderr", "w+") as stderr:
+            proc = vcit_process(argv, stderr)
+            proc.communicate(timeout=60)
+            stderr.seek(0)
+            log = stderr.read()
+        assert proc.returncode == 0, log
+        assert "import time:" in log
+        assert numpy_modules(log) == []
+
+    def test_serve_listens_without_numpy(self, tmp_path):
+        with open(tmp_path / "stderr", "w+") as stderr:
+            proc = vcit_process(["-m", "vcit.cli", "serve", "--bus", "127.0.0.1:0"], stderr)
+            watchdog = threading.Timer(60.0, proc.kill)
+            watchdog.start()
+            try:
+                line = proc.stdout.readline()
+            finally:
+                watchdog.cancel()
+                proc.terminate()
+                proc.communicate(timeout=30)
+            stderr.seek(0)
+            log = stderr.read()
+        assert line.startswith("listening on 127.0.0.1:"), log
+        assert numpy_modules(log) == []

@@ -112,6 +112,60 @@ class TestValidation:
         with pytest.raises(FixtureError, match=f"'{key}'"):
             load_fixture(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            pytest.param(("pads", 0), "capacitnce", r"fixture\.pads\[0\]", id="pad"),
+            pytest.param(("pads", 0, "to_vcc"), "idealty", r"fixture\.pads\[0\]\.to_vcc", id="diode"),
+            pytest.param(("pads", 0), "polarity", r"fixture\.pads\[0\]", id="other-kinds-key"),
+            pytest.param(("rails",), "vcc_ohms", r"fixture\.rails", id="rails"),
+            pytest.param(("contacts", "p1"), "wear_rte", r"contacts\.p1", id="contact"),
+            pytest.param(("protection",), "max_volts", "protection", id="protection"),
+            pytest.param(("setup_plan", 0), "rial", r"setup_plan\[0\]", id="rail-sense"),
+            pytest.param(("setup_plan", 1), "sampels", r"setup_plan\[1\]", id="single-level"),
+            pytest.param(("regions", "unit-box"), "normal", r"regions\.unit-box", id="region"),
+            pytest.param(("dummy",), "drive_volt", "dummy", id="dummy"),
+            pytest.param(("dummy", "pads", 1), "capacitnce", r"dummy\.pads\[1\]", id="dummy-pad"),
+            pytest.param(("needle_log",), "window", "needle_log", id="needle-log"),
+        ],
+    )
+    def test_unknown_key_inside_object(self, path, key, where):
+        # Unchecked, a misspelt optional key loads with its default in its place.
+        doc = default_doc()
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = 1e-6
+        with pytest.raises(FixtureError, match=rf"^{where}: unknown key\(s\) '{key}'$"):
+            load_fixture(json.dumps(doc))
+
+    def test_every_known_key_loads(self):
+        doc = default_doc()
+        diode = {"saturation_current": 1e-14, "ideality": 1.0, "thermal_voltage": 0.02585,
+                 "series_resistance": 0.0}
+        doc["pads"] += [
+            {"id": "d", "kind": "series-diode", "diode": diode, "polarity": -1, "capacitance": 0.0},
+            {"id": "l", "kind": "led", "diode": diode, "color": "red"},
+            {"id": "r", "kind": "resistive", "ohms": 100.0},
+            {"id": "o", "kind": "open"},
+        ]
+        doc["contacts"]["p1"].update(cycles=3)
+        doc["setup_plan"][0]["rail"] = "VCC"
+        doc["setup_plan"][1].update(samples=2, dt=1e-3, source_ohms=0.0)
+        doc["dummy"].update(powered=False, consumption_map=[[0.0, 0.0]])
+        doc["consumption_map"] = [[0.0, 0.0], [2.0, 2e-3]]
+        fixture = load_fixture(json.dumps(doc))
+        assert fixture.bench.contact("p1").cycles == 3
+        assert fixture.vcit_plan.checks[1].samples == 2
+
+    def test_rail_sense_needs_a_pad(self):
+        # An empty group injects nothing and reads 0 V, so every session
+        # would end in a fixture fault.
+        doc = default_doc()
+        doc["setup_plan"][0]["pads"] = []
+        with pytest.raises(FixtureError, match=r"setup_plan\[0\]: bad check: .*at least one pad"):
+            load_fixture(json.dumps(doc))
+
     def test_rail_sense_pad_needs_element_to_rail(self):
         doc = default_doc()
         doc["pads"][0] = {"id": "p1", "kind": "resistive", "ohms": 100.0}
@@ -141,6 +195,24 @@ class TestValidation:
         doc = default_doc()
         doc["regions"]["broken"] = {"normals": [[2.0]], "distances": [1.0]}
         with pytest.raises(FixtureError):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            pytest.param({"normals": [[1.0, -1.0]], "distances": [math.nan, 1.0]}, id="nan-distance"),
+            pytest.param({"normals": [[math.nan]], "distances": [1.0]}, id="nan-normal"),
+            pytest.param({"normals": [[1.0]], "distances": [math.inf]}, id="inf-distance"),
+            pytest.param({"normals": [["1.0"]], "distances": [1.0]}, id="string-normal"),
+            pytest.param({"normals": [[True]], "distances": [1.0]}, id="bool-normal"),
+            pytest.param({"normals": [[1.0]], "distances": ["1"]}, id="string-distance"),
+        ],
+    )
+    def test_bad_region_input(self, region):
+        # Each would otherwise load; a NaN distance makes a face that never fires.
+        doc = default_doc()
+        doc["regions"]["broken"] = region
+        with pytest.raises(FixtureError, match=r"^regions\.broken: bad region: "):
             load_fixture(json.dumps(doc))
 
     def test_unknown_check_type(self):
