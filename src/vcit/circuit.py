@@ -210,11 +210,14 @@ class UutModel:
     gnd_path_ohms: float = 0.0
     powered: bool = False
     consumption_map: Optional[tuple] = None  # of (volts, amperes)
+    # pad id -> PadCircuit, built once from pads; not compared, hashed or shown
+    _pads_by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [pid for pid, _ in self.pads]
-        if len(set(ids)) != len(ids):
+        by_id = dict(self.pads)
+        if len(by_id) != len(self.pads):
             raise ValueError("pad ids must be unique")
+        object.__setattr__(self, "_pads_by_id", by_id)
         if not (0.0 <= self.vcc_path_ohms < math.inf and 0.0 <= self.gnd_path_ohms < math.inf):
             raise ValueError("rail path resistances must be finite and >= 0")
         if self.powered and self.consumption_map is None:
@@ -231,12 +234,13 @@ class UutModel:
             if any(b < a for a, b in zip(cs, cs[1:])):
                 raise ValueError("consumption_map must be nondecreasing")
 
-    def pad_map(self) -> dict:
-        return dict(self.pads)
+    def pad_map(self) -> Mapping[str, PadCircuit]:
+        """Pad id -> PadCircuit, built once and shared: do not modify it."""
+        return self._pads_by_id
 
     def pad(self, pad_id: str) -> PadCircuit:
         try:
-            return self.pad_map()[pad_id]
+            return self._pads_by_id[pad_id]
         except KeyError:
             raise UnknownPad(f"no such pad: {pad_id!r}") from None
 
@@ -370,6 +374,7 @@ def _solve_network(
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
     companions: Mapping[str, tuple],
+    start: Optional[Mapping[str, float]] = None,
 ) -> SolveResult:
     """Newton solve of the star network.  companions maps a pad id to the
     implicit Euler model (conductance, history current) of its capacitance.
@@ -377,6 +382,15 @@ def _solve_network(
     Nodes 0..n-1 are the pads, then each rail with a path resistance.  A
     rail without one is tied to the datum node, which comes last and whose
     equation is dropped, so it stays at 0 V.
+
+    Newton starts at rest (every node at 0 V).  A start mapping of pad volts
+    (a TransientState also gives the rail volts; a plain mapping leaves the
+    rails at 0 V) is tried first when its residual max|F| is smaller than
+    at rest; on a tie the solve is the one from rest, bit for bit.  A warm
+    point can still lie more clamped steps from the solution than rest
+    does, so if Newton does not converge from it the solve starts again at
+    rest: a warm start never fails a solve that a start at rest converges.
+    iterations counts every Newton iteration, an abandoned start's too.
     """
     ids = [pid for pid, _ in uut.pads]
     known = set(ids)
@@ -407,9 +421,8 @@ def _solve_network(
     # Per-iteration voltage step clamp tames the diode exponential.
     dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
 
-    x = [0.0] * (size + 1)  # node voltages, the datum last
-    residual = math.inf
-    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+    def stamp(x: list) -> tuple:
+        """(F, G, residual) at node voltages x, the datum last."""
         F = [0.0] * (size + 1)
         # G[a][i] is the conductance from pad i to rail node n + a; the last
         # row, to the datum, also takes every other conductance to ground.
@@ -447,27 +460,43 @@ def _solve_network(
         # in F makes the residual non-finite.
         total = sum(F)
         residual = max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
-        if residual < KCL_TOLERANCE_AMPS:
-            return SolveResult(
-                pads={
-                    pid: _meter(x[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
-                    for i, pid in enumerate(ids)
-                },
-                vcc_volts=x[rail_node.get("VCC", datum)],
-                gnd_volts=x[rail_node.get("GND", datum)],
-                iterations=iteration,
-                residual=residual,
-            )
-        if not math.isfinite(residual):
-            raise NonConvergence("DC solve met a non-finite residual", residual, iteration)
-        if iteration == MAX_NEWTON_ITERATIONS:
-            break
-        dx = _newton_step(F, G, rail_g)
-        if math.isfinite(dv_clamp):
-            dx = [-dv_clamp if d < -dv_clamp else dv_clamp if d > dv_clamp else d for d in dx]
-        x = list(map(add, x, dx)) + [0.0]
+        return F, G, residual
 
-    raise NonConvergence("DC solve did not converge", residual, MAX_NEWTON_ITERATIONS)
+    rest = [0.0] * (size + 1)  # node voltages, the datum last
+    starts = [(rest, *stamp(rest))]  # (x, F, G, residual) of each start, in turn
+    if start is not None:
+        rails = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
+        warm = [start.get(pid, 0.0) for pid in ids] + [rails[r] for r in rail_node] + [0.0]
+        warm_F, warm_G, warm_residual = stamp(warm)
+        if warm_residual < starts[0][3]:
+            starts.insert(0, (warm, warm_F, warm_G, warm_residual))
+    spent = 0  # Newton iterations of the starts already given up
+    for x, F, G, residual in starts:
+        for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+            if residual < KCL_TOLERANCE_AMPS:
+                return SolveResult(
+                    pads={
+                        pid: _meter(x[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
+                        for i, pid in enumerate(ids)
+                    },
+                    vcc_volts=x[rail_node.get("VCC", datum)],
+                    gnd_volts=x[rail_node.get("GND", datum)],
+                    iterations=spent + iteration,
+                    residual=residual,
+                )
+            if not math.isfinite(residual) or iteration == MAX_NEWTON_ITERATIONS:
+                break
+            dx = _newton_step(F, G, rail_g)
+            if math.isfinite(dv_clamp):
+                dx = [-dv_clamp if d < -dv_clamp else dv_clamp if d > dv_clamp else d for d in dx]
+            x = list(map(add, x, dx)) + [0.0]
+            F, G, residual = stamp(x)
+        spent += iteration
+
+    # The last start tried is the one at rest.
+    if not math.isfinite(residual):
+        raise NonConvergence("DC solve met a non-finite residual", residual, spent)
+    raise NonConvergence("DC solve did not converge", residual, spent)
 
 
 def _newton_step(F: list, G: list, rail_g: list) -> list:
@@ -559,6 +588,19 @@ def solve_rail_sense(
     return result.vcc_volts if sense_rail == "VCC" else result.gnd_volts
 
 
+class TransientState(dict):
+    """The node voltages a transient step ends at: pad id -> pad volts, with
+    the two rail voltages beside the mapping, never under a pad key (a pad
+    id may be any string).  A rail pinned at ground reads 0.0."""
+
+    __slots__ = ("vcc_volts", "gnd_volts")
+
+    def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
+        super().__init__(pad_volts)
+        self.vcc_volts = vcc_volts
+        self.gnd_volts = gnd_volts
+
+
 def step_transient(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
@@ -569,19 +611,25 @@ def step_transient(
     """One implicit-Euler step of the pad shunt capacitances from state, the
     pad voltages of the previous step (None: the UUT at rest).
 
-    Returns (next_state, SolveResult).  Under constant stimulus the state
-    converges to the solve_dc operating point.
+    Returns (next_state, SolveResult); next_state is a TransientState.
+    Newton starts from state, rails included, when its residual is smaller
+    than at rest (see _solve_network), so a step under a level that moves
+    the nodes little takes few iterations.  Under constant stimulus the
+    state converges to the solve_dc operating point.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    state = state or {}
+    history = state or {}
     companions = {}
     for pid, pc in uut.pads:
         if pc.shunt_capacitance > 0.0:
             g = pc.shunt_capacitance / dt
-            companions[pid] = (g, g * state.get(pid, 0.0))
-    result = _solve_network(uut, contacts, stimuli, companions)
-    return {pid: r.pad_volts for pid, r in result.pads.items()}, result
+            companions[pid] = (g, g * history.get(pid, 0.0))
+    result = _solve_network(uut, contacts, stimuli, companions, state)
+    next_state = TransientState(
+        {pid: r.pad_volts for pid, r in result.pads.items()}, result.vcc_volts, result.gnd_volts
+    )
+    return next_state, result
 
 
 def powered_consumption(uut: UutModel, v_input: float) -> float:

@@ -189,11 +189,10 @@ def cmd_check(args) -> int:
 
 def _check(args) -> int:
     if args.check == "corr":
-        _require(args, ["file"])
+        # A trace correlated with itself scores 1.0: the reference is required.
+        _require(args, ["file", "ref-file"])
         samples = _csv_floats(Path(args.file).read_text(encoding="utf-8").replace("\n", ","))
-        ref_samples = samples
-        if args.ref_file:
-            ref_samples = _csv_floats(Path(args.ref_file).read_text(encoding="utf-8").replace("\n", ","))
+        ref_samples = _csv_floats(Path(args.ref_file).read_text(encoding="utf-8").replace("\n", ","))
         ref = CorrelationRef(reference_samples=ref_samples, dt=1e-3, threshold=args.threshold)
         score = correlation_score(samples, ref)
         print(f"score: {score!r}")
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="lo,hi window (single)")
     p.add_argument("--windows", help="semicolon-separated lo,hi windows (diff)")
     p.add_argument("--file", help="sample file, one value per line (corr)")
-    p.add_argument("--ref-file", help="reference sample file (corr; defaults to --file)")
+    p.add_argument("--ref-file", help="reference sample file, one value per line (corr)")
     p.add_argument("--threshold", type=float, default=0.9, help="correlation threshold")
     p.add_argument("--region", help="named fixture region (shape)")
     p.add_argument("--vector", help="comma-separated measurement vector (shape)")

@@ -108,6 +108,24 @@ def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
         raise FixtureError(f"{where}: {exc}") from None
 
 
+def _integer(obj: dict, key: str, default: int, where: str) -> int:
+    """obj[key], or default when absent: a JSON integer.  int() would take
+    4.9 as 4 and true as 1, so a float or a bool is refused."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FixtureError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _flag(obj: dict, key: str, default: bool, where: str) -> bool:
+    """obj[key], or default when absent: a JSON true or false.  bool() would
+    take the string "false" as True."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise FixtureError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _diode(obj, where: str) -> DiodeModel:
     _object(obj, _DIODE_KEYS, where)
     try:
@@ -134,7 +152,8 @@ def _pad_circuit(obj, where: str) -> PadCircuit:
             )
         elif kind == "series-diode":
             k = SeriesDiode(
-                diode=_diode(obj["diode"], f"{where}.diode"), polarity=int(obj.get("polarity", 1))
+                diode=_diode(obj["diode"], f"{where}.diode"),
+                polarity=_integer(obj, "polarity", 1, where),
             )
         elif kind == "led":
             k = Led(diode=_diode(obj["diode"], f"{where}.diode"), color_tag=str(obj.get("color", "")))
@@ -167,7 +186,7 @@ def _uut(obj, where: str) -> UutModel:
             pads=tuple(pad_tuples),
             vcc_path_ohms=float(rails.get("vcc_path_ohms", 25.0)),
             gnd_path_ohms=float(rails.get("gnd_path_ohms", 0.0)),
-            powered=bool(obj.get("powered", False)),
+            powered=_flag(obj, "powered", False, where),
             consumption_map=tuple((float(v), float(c)) for v, c in cmap) if cmap else None,
         )
     except (TypeError, ValueError) as exc:
@@ -181,7 +200,7 @@ def _contacts(obj, where: str) -> dict:
         try:
             out[pid] = ContactState(
                 resistance=float(c["resistance"]),
-                cycles=int(c.get("cycles", 0)),
+                cycles=_integer(c, "cycles", 0, f"{where}.{pid}"),
                 wear_rate=float(c.get("wear_rate", 0.0)),
                 open_threshold=float(c.get("open_threshold", 1e6)),
             )
@@ -220,7 +239,7 @@ def _check(obj, where: str, uut: UutModel):
             mode=str(obj.get("mode", "current")),
             level=float(obj["level"]),
             window=(float(obj["window"][0]), float(obj["window"][1])),
-            samples=int(obj.get("samples", 4)),
+            samples=_integer(obj, "samples", 4, where),
             dt=float(obj.get("dt", 1e-3)),
             source_ohms=float(obj.get("source_ohms", 0.0)),
         )
@@ -294,11 +313,11 @@ def load_fixture(source) -> Fixture:
     nl = _object(doc.get("needle_log", {}), _NEEDLE_LOG_KEYS, "needle_log")
     try:
         needle_log = NeedleLog(
-            last_replacement_cycle=int(nl.get("last_replacement_cycle", 0)),
-            current_cycle=int(nl.get("current_cycle", 0)),
-            window_cycles=int(nl.get("window_cycles", 500)),
+            last_replacement_cycle=_integer(nl, "last_replacement_cycle", 0, "needle_log"),
+            current_cycle=_integer(nl, "current_cycle", 0, "needle_log"),
+            window_cycles=_integer(nl, "window_cycles", 500, "needle_log"),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FixtureError(f"needle_log: {exc}") from exc
 
     return Fixture(

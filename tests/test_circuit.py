@@ -1,6 +1,7 @@
 """DC/transient solver tests against closed-form and analytic oracles."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vcit.circuit import (
     Resistive,
     SeriesDiode,
     Stimulus,
+    TransientState,
     UutModel,
     powered_consumption,
     solve_dc,
@@ -33,6 +35,8 @@ from vcit.errors import (
     SimulationFailure,
     UnknownPad,
 )
+from vcit import prober
+from vcit.circuit import _solve_network
 from vcit.prober import ProtectionLimits, StimulusWaveform, execute
 
 VT = 0.02585
@@ -114,9 +118,12 @@ def kcl_residual(uut, contacts, stimuli, result, companions=None):
     return worst
 
 
-def dense_newton(uut, contacts, stimuli, companions):
-    """Test-local reference: the solver's stamps, step clamp and stopping rule
-    on the full Jacobian, solved densely by np.linalg.solve.
+def dense_newton(uut, contacts, stimuli, companions, start=None):
+    """Test-local reference: the solver's stamps, step clamp, start rule and
+    stopping rule on the full Jacobian, solved densely by np.linalg.solve.
+    start is the previous transient state, whose pad volts (and rail volts,
+    when it carries them) are the warm start point; a warm start that does
+    not converge is followed by one at rest, its iterations counted too.
 
     Returns (iterations, {pad id: pad volts}, vcc volts, gnd volts), or
     None when 200 iterations do not converge.
@@ -133,8 +140,8 @@ def dense_newton(uut, contacts, stimuli, companions):
     branches = [(i, law, rail_node.get(rail), s)
                 for i, (_, pc) in enumerate(uut.pads) for law, rail, s in pc.kind.branches]
     clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
-    x = np.zeros(size)
-    for iteration in range(201):
+
+    def system(x):
         xs = x.tolist()
         F = np.zeros(size)
         J = np.zeros((size, size))
@@ -166,11 +173,29 @@ def dense_newton(uut, contacts, stimuli, companions):
                 g = 1.0 / (stim.source_ohms + contact.effective_ohms)
                 F[i] -= (stim.level - xs[i]) * g
                 J[i, i] += g
-        if float(np.max(np.abs(F))) < 1e-9:
-            xs.append(0.0)  # the datum
-            return (iteration, dict(zip(ids, xs)), xs[rail_node.get("VCC", size)],
-                    xs[rail_node.get("GND", size)])
-        x = x + np.clip(np.linalg.solve(J, -F), -clamp, clamp)
+        return F, J
+
+    def worst(x):
+        return float(np.max(np.abs(system(x)[0]), initial=0.0))
+
+    starts = [np.zeros(size)]
+    if start is not None:
+        rails = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
+        warm = np.array([start.get(pid, 0.0) for pid in ids] + [rails[r] for r in rail_node])
+        if worst(warm) < worst(starts[0]):
+            starts.insert(0, warm)  # and at rest again if it does not converge
+    spent = 0
+    for x in starts:
+        for iteration in range(201):
+            F, J = system(x)
+            if float(np.max(np.abs(F), initial=0.0)) < 1e-9:
+                xs = x.tolist() + [0.0]  # the datum
+                return (spent + iteration, dict(zip(ids, xs)), xs[rail_node.get("VCC", size)],
+                        xs[rail_node.get("GND", size)])
+            if iteration == 200:
+                break
+            x = x + np.clip(np.linalg.solve(J, -F), -clamp, clamp)
+        spent += iteration
     return None
 
 
@@ -180,25 +205,41 @@ CONDUCTS = {"esd": (1, -1), "diode": (1,), "diode-": (-1,), "led": (1,), "res": 
             "open": ()}
 
 
+def kind_circuit(draw, kind, d):
+    """A pad circuit of the given CONDUCTS kind, its diodes d."""
+    return {
+        "esd": lambda: EsdPair(d, d),
+        "diode": lambda: SeriesDiode(d),
+        "diode-": lambda: SeriesDiode(d, polarity=-1),
+        "led": lambda: Led(DiodeModel(1e-18, 2.0), "red"),
+        "res": lambda: Resistive(draw(st.floats(10.0, 300.0))),
+        "open": OpenPad,
+    }[kind]()
+
+
+def companions_of(uut, state, dt):
+    """Each capacitive pad's implicit-Euler (conductance, history) from the
+    previous pad volts in state."""
+    return {
+        pid: (pc.shunt_capacitance / dt, pc.shunt_capacitance / dt * state.get(pid, 0.0))
+        for pid, pc in uut.pads
+        if pc.shunt_capacitance > 0.0
+    }
+
+
 @st.composite
 def networks(draw):
     """A random bench (every pad kind, pinned or resistive rails, good, worn
     or open needles, capacitance or none) with current and voltage drives
-    and a previous transient state: (uut, contacts, stimuli, state, dt)."""
+    and a previous transient state, rails included: (uut, contacts, stimuli,
+    state, dt)."""
     d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)), VT,
                    draw(st.sampled_from([0.0, 2.0])))
     pads, contacts, stimuli, state = [], {}, {}, {}
     for i in range(draw(st.integers(1, 5))):
         pid = f"p{i}"
         kind = draw(st.sampled_from(sorted(CONDUCTS)))
-        circuit = {
-            "esd": lambda: EsdPair(d, d),
-            "diode": lambda: SeriesDiode(d),
-            "diode-": lambda: SeriesDiode(d, polarity=-1),
-            "led": lambda: Led(DiodeModel(1e-18, 2.0), "red"),
-            "res": lambda: Resistive(draw(st.floats(10.0, 300.0))),
-            "open": OpenPad,
-        }[kind]()
+        circuit = kind_circuit(draw, kind, d)
         capacitance = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6)))
         pads.append((pid, PadCircuit(circuit, capacitance)))
         ohms = draw(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1000.0), st.just(2e6)))
@@ -216,6 +257,7 @@ def networks(draw):
         vcc_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 50.0))),
         gnd_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 20.0))),
     )
+    state = TransientState(state, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
     return uut, contacts, stimuli, state, draw(st.floats(1e-6, 1e-3))
 
 
@@ -342,18 +384,15 @@ class TestNewtonStep:
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_reference(self, network):
         uut, contacts, stimuli, state, dt = network
-        companions = {
-            pid: (pc.shunt_capacitance / dt, pc.shunt_capacitance / dt * state[pid])
-            for pid, pc in uut.pads
-            if pc.shunt_capacitance > 0.0
-        }
+        companions = companions_of(uut, state, dt)
 
         def solve():
             if companions:
                 return step_transient(uut, contacts, stimuli, state, dt)[1]
             return solve_dc(uut, contacts, stimuli)
 
-        reference = dense_newton(uut, contacts, stimuli, companions)
+        # A DC solve starts at rest; a transient step may start from state.
+        reference = dense_newton(uut, contacts, stimuli, companions, state if companions else None)
         if reference is None:
             with pytest.raises(NonConvergence):
                 solve()
@@ -482,6 +521,145 @@ class TestTransient:
         uut, contacts = self.rc_bench()
         with pytest.raises(ValueError):
             step_transient(uut, contacts, {}, None, 0.0)
+
+
+def cold_step(uut, contacts, stimuli, state, dt):
+    """step_transient with Newton started at rest whatever the state: the
+    reference a warm start must agree with."""
+    result = _solve_network(uut, contacts, stimuli, companions_of(uut, state or {}, dt))
+    return {pid: r.pad_volts for pid, r in result.pads.items()}, result
+
+
+@st.composite
+def capacitive_runs(draw):
+    """A bench with shunt capacitance (every pad kind, good, worn or open
+    needles) and a waveform whose level changes sign at every sample, up to
+    twice the limit of its mode: (waveform, limits, bench)."""
+    d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)), VT,
+                   draw(st.sampled_from([0.0, 2.0])))
+    pads, contacts = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        circuit = kind_circuit(draw, draw(st.sampled_from(sorted(CONDUCTS))), d)
+        # the first pad always has capacitance, so every sample is a step
+        low = 1e-12 if i == 0 else 0.0
+        pads.append((f"p{i}", PadCircuit(circuit, draw(st.one_of(st.just(low),
+                                                                   st.floats(1e-12, 1e-6))))))
+        contacts[f"p{i}"] = ContactState(draw(st.one_of(st.just(0.1), st.floats(0.1, 1000.0),
+                                                        st.just(2e6))))
+    uut = UutModel(
+        pads=tuple(pads),
+        vcc_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 50.0))),
+        gnd_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 20.0))),
+    )
+    limits = ProtectionLimits(2.0, 0.05)
+    mode = draw(st.sampled_from(("current", "voltage")))
+    limit = limits.max_abs_current if mode == "current" else limits.max_abs_voltage
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    magnitudes = draw(st.lists(st.floats(limit * 1e-3, 2.0 * limit), min_size=2, max_size=8))
+    samples = tuple(sign * (-1.0) ** k * m for k, m in enumerate(magnitudes))
+    targets = draw(st.lists(st.sampled_from([pid for pid, _ in pads]), min_size=1, max_size=3,
+                            unique=True))
+    source_ohms = draw(st.sampled_from((0.0, 50.0))) if mode == "voltage" else 0.0
+    waveform = StimulusWaveform(mode, samples, draw(st.floats(1e-6, 1e-3)), tuple(targets),
+                                source_ohms)
+    return waveform, limits, Bench(uut, contacts)
+
+
+def warm_start_stalls():
+    """After -50 mA and then +0.27 mA, the warm point (the ESD pad at +0.52 V)
+    balances -50 mA slightly better than rest does, but lies 2.55 V from
+    the new solution: more clamped steps than the 200 allowed, where a
+    start at rest converges in 161."""
+    d = DiodeModel(4.889072074546613e-13)
+    uut = UutModel(pads=(("p0", PadCircuit(EsdPair(d, d), 1e-12)),
+                         ("p1", PadCircuit(SeriesDiode(d, polarity=-1), 6.641647494059294e-07))),
+                   vcc_path_ohms=0.0, gnd_path_ohms=14.0)
+    waveform = StimulusWaveform("current", (-0.0625, 0.00026882003767883923, -0.0625),
+                                0.0006590773091758179, ("p0", "p1"))
+    bench = Bench(uut, {"p0": ContactState(0.1), "p1": ContactState(0.1)})
+    return waveform, ProtectionLimits(2.0, 0.05), bench
+
+
+class TestWarmStart:
+    """Each transient step starts from the previous step's node voltages when
+    their residual is the smaller, and at rest again if Newton does not
+    converge from there; it must read what a start at rest reads."""
+
+    @given(capacitive_runs())
+    @example(warm_start_stalls())
+    @settings(max_examples=150, deadline=None)
+    def test_execute_matches_steps_started_at_rest(self, run):
+        waveform, limits, bench = run
+        try:
+            with patch.object(prober, "step_transient", cold_step):
+                reference = execute(waveform, limits, bench)
+        except SimulationFailure:
+            reference = None
+        solves = []
+
+        def recorded(uut, contacts, stimuli, state, dt):
+            out = step_transient(uut, contacts, stimuli, state, dt)
+            solves.append((uut, contacts, dict(stimuli), state or {}, dt, out[1]))
+            return out
+
+        with patch.object(prober, "step_transient", recorded):
+            try:
+                captures = execute(waveform, limits, bench)
+            except SimulationFailure:
+                assert reference is None  # fails only where the reference fails
+                return
+        if reference is None:
+            return  # a warm start may converge where a start at rest does not
+        for got, want in zip(captures, reference, strict=True):
+            assert (got.protection_tripped, got.trip_index) == (
+                want.protection_tripped, want.trip_index)
+            assert got.applied == want.applied
+            for a, b in zip(got.measured_voltage, want.measured_voltage, strict=True):
+                assert abs(a - b) <= 1e-6
+        for uut, contacts, stimuli, state, dt, result in solves:
+            companions = companions_of(uut, state, dt)
+            assert kcl_residual(uut, contacts, stimuli, result, companions) < 1e-9
+
+    def esd_step(self, level, state):
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("p", PadCircuit(EsdPair(d, d), 1e-9)),), vcc_path_ohms=25.0,
+                       gnd_path_ohms=5.0)
+        stimuli = {"p": Stimulus("current", level)}
+        return (uut, {"p": ContactState(0.1)}, stimuli, state, 1e-3)
+
+    def test_constant_level_starts_warm(self):
+        state, first = step_transient(*self.esd_step(1e-3, None))
+        _, second = step_transient(*self.esd_step(1e-3, state))
+        assert first.iterations > 40 and second.iterations <= 3
+        assert abs(second.vcc_volts - state.vcc_volts) < 1e-3  # the rails start warm too
+
+    def test_start_at_rest_when_its_residual_is_smaller(self):
+        # After +1 mA the pad sits near +0.7 V; under -1 mA that point is
+        # further from balance than rest, so the step is the cold one, bit for bit.
+        state, _ = step_transient(*self.esd_step(1e-3, None))
+        warm = step_transient(*self.esd_step(-1e-3, state))
+        assert repr(warm) == repr(cold_step(*self.esd_step(-1e-3, state)))
+
+    def test_interface_the_benchmark_relies_on(self):
+        # perfbench/spans.py and perfbench/kcl.py call step_transient with
+        # positional arguments, unpack (state, result) and read
+        # state.get(pad) as pad volts.  So the state has no key besides the
+        # pad ids, and the rails ride as attributes: a pad may be named like
+        # a rail.
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("VCC", PadCircuit(EsdPair(d, d), 1e-9)),
+                             ("gnd_volts", PadCircuit(Resistive(100.0), 1e-9))),
+                       vcc_path_ohms=25.0, gnd_path_ohms=5.0)
+        contacts = {"VCC": ContactState(0.1)}
+        stimuli = {"VCC": Stimulus("current", 1e-3), "gnd_volts": Stimulus("voltage", 0.5, 10.0)}
+        state = None
+        for _ in range(3):
+            state, result = step_transient(uut, contacts, stimuli, state, 1e-4)
+            assert isinstance(state, dict) and set(state) == {"VCC", "gnd_volts"}
+            for pid in state:
+                assert state.get(pid) == result[pid].pad_volts
+            assert (state.vcc_volts, state.gnd_volts) == (result.vcc_volts, result.gnd_volts)
+            assert result.vcc_volts > 0.0 and result.gnd_volts > 0.0
 
 
 class TestPoweredConsumption:

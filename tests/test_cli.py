@@ -189,7 +189,7 @@ class TestCheck:
 
     def test_corr_self_is_unity(self, tmp_path, capsys):
         f = write(tmp_path, "sig.txt", "0.1\n0.5\n0.2\n0.9\n")
-        assert main(["check", "corr", "--file", f, "--threshold", "1.0"]) == 0
+        assert main(["check", "corr", "--file", f, "--ref-file", f, "--threshold", "1.0"]) == 0
         assert "score: 1.0" in capsys.readouterr().out
 
     def test_corr_against_reference_fail(self, tmp_path):
@@ -199,6 +199,14 @@ class TestCheck:
 
     def test_corr_missing_file_exit_1(self):
         assert main(["check", "corr"]) == 1
+
+    def test_corr_without_reference_exit_1(self, tmp_path, capsys):
+        # Against itself any non-constant trace would score 1.0 and pass.
+        f = write(tmp_path, "sig.txt", "0.1\n0.5\n0.2\n0.9\n")
+        assert main(["check", "corr", "--file", f, "--threshold", "0.99"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--ref-file" in captured.err
+        assert "score:" not in captured.out
 
     def test_shape_inside(self, capsys):
         assert main(["check", "shape", "--region", "unit-box", "--vector", "0.5,-0.5"]) == 0
@@ -224,9 +232,9 @@ class TestCheck:
             ["diff", "--pad", "p1", "--levels", "0.001,0.002", "--windows", "0,inf"],
             ["diff", "--pad", "p1", "--levels", "0.001,0.002,0.004", "--windows", "0,1"],
             ["shape", "--region", "unit-box", "--vector", "nan,0"],
-            ["corr", "--file", "{flat}"],
-            ["corr", "--file", "{ramp}", "--threshold", "nan"],
-            ["corr", "--file", "{rounded}"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{flat}"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{ramp}", "--threshold", "nan"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{rounded}"],
         ],
         ids=["level", "window", "window-reversed", "levels", "windows", "window-count",
              "vector", "constant-reference", "threshold", "reference-constant-up-to-rounding"],

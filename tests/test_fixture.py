@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -279,6 +280,36 @@ class TestValidation:
             target = target[key]
         target[path[-1]] = value  # NaN and Infinity are dumped as such
         with pytest.raises(FixtureError):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            pytest.param(("powered",), "false", "fixture.powered", id="powered-text"),
+            pytest.param(("pads", 0), {"id": "p1", "kind": "series-diode", "polarity": True,
+                                       "diode": {"saturation_current": 1e-14}},
+                         "fixture.pads[0].polarity", id="polarity-bool"),
+            pytest.param(("contacts", "p1", "cycles"), True, "contacts.p1.cycles",
+                         id="cycles-bool"),
+            pytest.param(("setup_plan", 1, "samples"), 4.9, "setup_plan[1].samples",
+                         id="samples-float"),
+            pytest.param(("needle_log", "last_replacement_cycle"), 0.5,
+                         "needle_log.last_replacement_cycle", id="last-replacement-float"),
+            pytest.param(("needle_log", "current_cycle"), 10.5, "needle_log.current_cycle",
+                         id="current-cycle-float"),
+            pytest.param(("needle_log", "window_cycles"), 500.9, "needle_log.window_cycles",
+                         id="window-cycles-float"),
+        ],
+    )
+    def test_flag_or_count_of_another_json_type(self, path, value, field):
+        # int() and bool() would load each of these silently as another value.
+        doc = default_doc()
+        doc["consumption_map"] = [[0.0, 0.0], [1.0, 1e-3]]  # so a powered model is valid
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(FixtureError, match=rf"^{re.escape(field)}: expected"):
             load_fixture(json.dumps(doc))
 
     def test_dummy_band_inconsistency(self):
