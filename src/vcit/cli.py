@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bus as busmod
@@ -33,8 +34,8 @@ from .checks import (
 )
 from .errors import VcitError
 from .executive import (
-    NeedleLog,
     PadCheck,
+    Scenario,
     ScriptedOperator,
     SessionPlan,
     dummy_self_test,
@@ -89,36 +90,31 @@ def _load(args):
 
 def cmd_session(args) -> int:
     fixture = _load(args)
-    operator = ConsoleOperator() if args.interactive else ScriptedOperator()
-    scenario = None
+    scenario = Scenario()
     if args.script:
         scenario = parse_scenario(Path(args.script).read_text(encoding="utf-8"))
-        operator = ScriptedOperator(scenario.operator_responses)
+    operator = ScriptedOperator(scenario.operator_responses)
+    if args.interactive:
+        operator = ConsoleOperator()
 
     needle_log = fixture.needle_log
-    if scenario is not None and scenario.needles is not None:
-        if scenario.needles == "fresh":
-            needle_log = NeedleLog(
-                last_replacement_cycle=needle_log.current_cycle,
-                current_cycle=needle_log.current_cycle,
-                window_cycles=needle_log.window_cycles,
-            )
-        else:
-            needle_log = NeedleLog(
-                last_replacement_cycle=needle_log.last_replacement_cycle,
-                current_cycle=needle_log.last_replacement_cycle + needle_log.window_cycles + 1,
-                window_cycles=needle_log.window_cycles,
-            )
+    if scenario.needles == "fresh":
+        needle_log = replace(needle_log, last_replacement_cycle=needle_log.current_cycle)
+    elif scenario.needles == "stale":
+        needle_log = replace(
+            needle_log,
+            current_cycle=needle_log.last_replacement_cycle + needle_log.window_cycles + 1,
+        )
 
     plan = SessionPlan(
         vcit_plan=fixture.vcit_plan,
         needle_log=needle_log,
         dummy=fixture.dummy,
-        functional_outcome=scenario.functional if scenario else "pass",
-        failed_pads=scenario.failed_pads if scenario else (),
-        forced_vcit=scenario.force_vcit if scenario else None,
-        forced_dummy=scenario.force_dummy if scenario else None,
-        seed=args.seed if args.seed is not None else (scenario.seed if scenario else 0),
+        functional_outcome=scenario.functional,
+        failed_pads=scenario.failed_pads,
+        forced_vcit=scenario.force_vcit,
+        forced_dummy=scenario.force_dummy,
+        seed=scenario.seed if args.seed is None else args.seed,
     )
 
     port = None
@@ -312,7 +308,7 @@ def main(argv=None) -> int:
     except VcitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:  # a file that cannot be read as UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -28,7 +28,7 @@ from .circuit import (
     solve_rail_sense,
 )
 from .checks import VcitVerdict, closed_window, single_level_test
-from .errors import FixtureError, OperatorAborted
+from .errors import FixtureError, NonConvergence, OperatorAborted
 from .prober import CaptureRecord, ProtectionLimits, StimulusWaveform, execute
 
 # Phases
@@ -194,7 +194,7 @@ Check = Union[PadCheck, RailSenseCheck]
 @dataclass(frozen=True, slots=True)
 class VcitPlan:
     checks: tuple = ()
-    limits: ProtectionLimits = ProtectionLimits(2.0, 0.05)
+    limits: ProtectionLimits = ProtectionLimits()
 
 
 class LocalProber:
@@ -300,7 +300,10 @@ class DummyUutSpec:
                 raise FixtureError(str(exc)) from None
         fresh = {pid: ContactState(self.fresh_contact_ohms) for pid, _ in self.uut.pads}
         for pid, _ in self.uut.pads:
-            reading = self._pad_reading(pid, fresh)
+            try:
+                reading = self._pad_reading(pid, fresh)
+            except NonConvergence as exc:
+                raise FixtureError(f"dummy pad {pid!r}: fresh-contact reading: {exc}") from None
             lo, hi = self.bands[pid]
             if not lo <= reading <= hi:
                 raise FixtureError(
@@ -517,57 +520,54 @@ class Scenario:
     seed: int = 0
 
 
+def _one_of(*choices):
+    """A converter for a scenario value that must be one of choices."""
+    def one_of(key, value):
+        if value not in choices:
+            raise FixtureError(f"{key} must be {'|'.join(choices)}, got {value!r}")
+        return value
+    return one_of
+
+
+def _seed(key, value):
+    try:
+        return int(value)
+    except ValueError:
+        raise FixtureError(f"bad seed: {value!r}") from None
+
+
+# Each scenario key and the converter of its value; the field is the key
+# with "_" for "-".  Every "operator.<tag>" key adds one operator response.
+_SCENARIO_TABLE = {
+    "functional": _one_of("pass", "fail"),
+    "failed-pads": lambda key, value: tuple(value.split()),
+    "needles": _one_of("fresh", "stale"),
+    "force-vcit": _one_of("pass", "fail"),
+    "force-dummy": _one_of("pass", "fail"),
+    "seed": _seed,
+}
+_OPERATOR_RESPONSE = _one_of("confirmed", "aborted")
+
+
 def parse_scenario(text: str) -> Scenario:
-    functional = "pass"
-    failed_pads: tuple = ()
-    needles = None
-    force_vcit = None
-    force_dummy = None
+    fields: dict = {}
     responses: dict = {}
-    seed = 0
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise FixtureError(f"bad scenario line: {raw!r}")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "functional":
-            if value not in ("pass", "fail"):
-                raise FixtureError(f"functional must be pass|fail, got {value!r}")
-            functional = value
-        elif key == "failed-pads":
-            failed_pads = tuple(value.split())
-        elif key == "needles":
-            if value not in ("fresh", "stale"):
-                raise FixtureError(f"needles must be fresh|stale, got {value!r}")
-            needles = value
-        elif key in ("force-vcit", "force-dummy"):
-            if value not in ("pass", "fail"):
-                raise FixtureError(f"{key} must be pass|fail, got {value!r}")
-            if key == "force-vcit":
-                force_vcit = value
-            else:
-                force_dummy = value
-        elif key.startswith("operator."):
-            if value not in ("confirmed", "aborted"):
-                raise FixtureError(f"operator response must be confirmed|aborted, got {value!r}")
-            responses[key[len("operator."):]] = value
-        elif key == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise FixtureError(f"bad seed: {value!r}") from None
+        key, value = key.strip(), value.strip()
+        if key in seen:
+            raise FixtureError(f"scenario key {key!r} given twice")
+        seen.add(key)
+        if key.startswith("operator."):
+            responses[key[len("operator."):]] = _OPERATOR_RESPONSE(key, value)
+        elif key in _SCENARIO_TABLE:
+            fields[key.replace("-", "_")] = _SCENARIO_TABLE[key](key, value)
         else:
             raise FixtureError(f"unknown scenario key: {key!r}")
-    return Scenario(
-        functional=functional,
-        failed_pads=failed_pads,
-        needles=needles,
-        force_vcit=force_vcit,
-        force_dummy=force_dummy,
-        operator_responses=responses,
-        seed=seed,
-    )
+    return Scenario(operator_responses=responses, **fields)

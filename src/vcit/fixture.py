@@ -4,13 +4,19 @@ A fixture is a JSON document describing the bench (pads, circuit kinds and
 parameters, contact states, rail termination), the protection limits, the
 VCIT setup battery (rail-sense and single-level checks, each with its band),
 the named shape regions, the dummy UUT, and the needle maintenance log.
-The full schema is documented in the README; validation errors raise
-FixtureError with the offending path, and so does a key, in any object,
-that the loader does not read.
+The full schema is documented in the README.
+
+Each kind of JSON object is read by one table that maps each of its keys to
+a field of the object built from it and to the JSON type or converter for
+the value.  A key the document leaves out takes the field's own default,
+and a field with no default is a required key.  An unknown key, a missing
+one and every value that a converter or the object rejects raise
+FixtureError with the path.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,38 +47,6 @@ from .prober import ProtectionLimits
 
 DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 
-# The keys the loader reads in each kind of object.
-_TOP_LEVEL_KEYS = frozenset({
-    "pads", "rails", "powered", "consumption_map", "contacts", "protection",
-    "setup_plan", "regions", "dummy", "needle_log",
-})
-_DUMMY_KEYS = frozenset({
-    "pads", "rails", "powered", "consumption_map", "bands", "drive_volts",
-    "drive_ohms", "fresh_contact_ohms",
-})
-_PAD_KEYS = {  # by pad kind
-    kind: frozenset({"id", "kind", "capacitance", *own})
-    for kind, own in (
-        ("esd-pair", ("to_vcc", "to_gnd")),
-        ("series-diode", ("diode", "polarity")),
-        ("led", ("diode", "color")),
-        ("resistive", ("ohms",)),
-        ("open", ()),
-    )
-}
-_DIODE_KEYS = frozenset({"saturation_current", "ideality", "thermal_voltage", "series_resistance"})
-_RAILS_KEYS = frozenset({"vcc_path_ohms", "gnd_path_ohms"})
-_CONTACT_KEYS = frozenset({"resistance", "cycles", "wear_rate", "open_threshold"})
-_PROTECTION_KEYS = frozenset({"max_abs_voltage", "max_abs_current"})
-_CHECK_KEYS = {  # by check type
-    "rail-sense": frozenset({"type", "pads", "amperes", "band", "rail"}),
-    "single-level": frozenset({
-        "type", "pad", "mode", "level", "window", "samples", "dt", "source_ohms",
-    }),
-}
-_REGION_KEYS = frozenset({"normals", "distances"})
-_NEEDLE_LOG_KEYS = frozenset({"last_replacement_cycle", "current_cycle", "window_cycles"})
-
 
 @dataclass(frozen=True, slots=True)
 class Fixture:
@@ -86,18 +60,140 @@ class Fixture:
 
 def _expect(value, kind: type, where: str):
     """value itself, if it is a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise FixtureError(f"{where}: expected a JSON {'object' if kind is dict else 'array'}")
     return value
 
 
-def _object(value, keys: frozenset, where: str) -> dict:
-    """value, if it is a JSON object with no key outside keys: any other key
-    is a typo or a leftover that would otherwise be silently ignored."""
-    if not keys.issuperset(_expect(value, dict, where)):
-        unknown = ", ".join(map(repr, sorted(value.keys() - keys)))
-        raise FixtureError(f"{where}: unknown key(s) {unknown}")
+# What each JSON type a table names must hold: int() would take 4.9 as 4
+# and true as 1, bool() the string "false" as True, float() true, "0.001"
+# and NaN.
+_JSON_TYPES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _reader(spec):
+    """The converter for spec: spec itself, or, for a JSON type, one that
+    checks that a value has it.  float is a finite number, and takes an
+    integer as a float (OverflowError past the float range)."""
+    if spec not in _JSON_TYPES:
+        return spec
+
+    def typed(value, where: str):
+        # value - value is NaN for NaN and the infinities, 0.0 for a finite float
+        if type(value) is spec and (spec is not float or value - value == 0.0):
+            return value
+        if spec is float and type(value) is int:  # a bool is not an int here
+            return float(value)
+        raise FixtureError(f"{where}: expected {_JSON_TYPES[spec]}, got {value!r}")
+    return typed
+
+
+_number = _reader(float)
+
+
+def _kind(cls, what: str, table: dict, validate=None, **defaults):
+    """The converter that builds cls from a JSON object.  table maps each key
+    to a JSON type or a converter for its value, or to (field, that) where
+    the field has another name; a field None takes the converted value's
+    entries as fields.  defaults stand in for fields that cls has none for,
+    and validate(built) checks what cls itself does not.  The converter
+    keeps the table as its .table."""
+    entries = {}  # key -> (field, the JSON type it names or None, converter)
+    for key, spec in table.items():
+        name, spec = spec if type(spec) is tuple else (key, spec)
+        entries[key] = name, spec if spec in _JSON_TYPES else None, _reader(spec)
+    params = inspect.signature(cls).parameters
+    required = [  # the key of each field with no default
+        key for key, (name, _, _) in entries.items()
+        if name in params and params[name].default is params[name].empty and name not in defaults
+    ]
+
+    def build(obj, where: str, skip=(), **fields):
+        """cls from the JSON object obj, with fields given beside it; the
+        keys in skip are left to another kind.  Any other key is a typo or a
+        leftover that would otherwise be silently ignored."""
+        if type(obj) is not dict:
+            raise FixtureError(f"{where}: expected a JSON object")
+        if defaults:
+            fields.update(defaults)
+        try:
+            for key, value in obj.items():
+                if key not in entries:
+                    if key in skip:
+                        continue
+                    _unknown(obj, where, entries, skip)
+                name, json_type, convert = entries[key]
+                if type(value) is not json_type or json_type is float and value - value != 0.0:
+                    # The document's own keys, other than the UUT's, have no path prefix.
+                    value = convert(value, f"{where}.{key}" if where else key)
+                if name is None:
+                    fields.update(value)
+                else:
+                    fields[name] = value
+            built = cls(**fields)
+            if validate:
+                validate(built)
+            return built
+        # The one place where a ValueError or a TypeError becomes a FixtureError.
+        except (ValueError, TypeError, OverflowError) as exc:
+            missing = ", ".join(repr(key) for key in required if key not in obj)
+            if missing:  # cls raised TypeError for them
+                raise FixtureError(f"{where}: missing key(s) {missing}") from None
+            raise FixtureError(f"{where}: bad {what}: {exc}") from None
+
+    build.table = entries
+    return build
+
+
+def _unknown(obj: dict, where: str, *tables):
+    """Raise the FixtureError for obj's keys that no table holds."""
+    unknown = sorted(k for k in obj if not any(k in t for t in tables))
+    raise FixtureError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _nested(**fields) -> dict:
+    """The fields of a nested JSON object, for the object around it."""
+    return fields
+
+
+def _pair(value, where: str) -> tuple:
+    """A window, band or consumption-map knot: exactly two finite numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise FixtureError(f"{where}: expected two finite numbers, got {value!r}")
+    return _number(value[0], where), _number(value[1], where)
+
+
+def _as_is(value, where: str):
+    """value itself, for an object that checks it (a region)."""
     return value
+
+
+def _array(spec, nonempty: bool = False):
+    """A converter for a JSON array: the tuple of its entries, each read by spec."""
+    read = _reader(spec)
+
+    def array(value, where: str) -> tuple:
+        if type(value) is not list or (nonempty and not value):
+            raise FixtureError(f"{where}: expected a {'non-empty ' * nonempty}JSON array")
+        return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return array
+
+
+def _named(spec):
+    """A converter for a JSON object of named entries: name -> entry read by spec."""
+    read = _reader(spec)
+
+    def named(value, where: str) -> dict:
+        return {name: read(v, f"{where}.{name}") for name, v in _expect(value, dict, where).items()}
+    return named
+
+
+def _tagged(obj, key: str, kinds: dict, where: str):
+    """The kind that the JSON object obj's key names."""
+    tag = _expect(obj, dict, where).get(key)
+    if type(tag) is not str or tag not in kinds:
+        raise FixtureError(f"{where}: unknown {key} {tag!r}")
+    return kinds[tag]
 
 
 def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
@@ -108,146 +204,87 @@ def _known_pad(uut: UutModel, pid, where: str) -> PadCircuit:
         raise FixtureError(f"{where}: {exc}") from None
 
 
-def _integer(obj: dict, key: str, default: int, where: str) -> int:
-    """obj[key], or default when absent: a JSON integer.  int() would take
-    4.9 as 4 and true as 1, so a float or a bool is refused."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FixtureError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
+_DIODE = _kind(DiodeModel, "diode model", {
+    "saturation_current": float, "ideality": float, "thermal_voltage": float,
+    "series_resistance": float,
+})
+_PAD_KINDS = {
+    "esd-pair": _kind(EsdPair, "pad circuit", {"to_vcc": _DIODE, "to_gnd": _DIODE}),
+    "series-diode": _kind(SeriesDiode, "pad circuit", {"diode": _DIODE, "polarity": int}),
+    "led": _kind(Led, "pad circuit", {"diode": _DIODE, "color": ("color_tag", str)}),
+    "resistive": _kind(Resistive, "pad circuit", {"ohms": float}),
+    "open": _kind(OpenPad, "pad circuit", {}),
+}
+_PAD = _kind(PadCircuit, "pad circuit", {"capacitance": ("shunt_capacitance", float)})
+_PAD_KEYS = {"id", "kind", *_PAD.table}  # the keys of every pad, whatever its kind
 
 
-def _flag(obj: dict, key: str, default: bool, where: str) -> bool:
-    """obj[key], or default when absent: a JSON true or false.  bool() would
-    take the string "false" as True."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise FixtureError(f"{where}.{key}: expected true or false, got {value!r}")
-    return value
+def _pad(obj, where: str) -> tuple:
+    """(id, PadCircuit) of a pad object: its id and kind, the keys of that
+    kind and its capacitance.  The id is one word of a bus line."""
+    kind = _tagged(obj, "kind", _PAD_KINDS, where)
+    pid = obj.get("id")
+    if not (type(pid) is str and pid and pid.isascii() and pid.isprintable() and " " not in pid):
+        raise FixtureError(f"{where}: pad id must be printable ASCII with no space, got {pid!r}")
+    circuit = kind(obj, where, skip=_PAD_KEYS)  # rejects any other key
+    return pid, _PAD(obj, where, skip=obj, kind=circuit)  # so the circuit need not
 
 
-def _diode(obj, where: str) -> DiodeModel:
-    _object(obj, _DIODE_KEYS, where)
-    try:
-        return DiodeModel(
-            saturation_current=float(obj["saturation_current"]),
-            ideality=float(obj.get("ideality", 1.0)),
-            thermal_voltage=float(obj.get("thermal_voltage", 0.02585)),
-            series_resistance=float(obj.get("series_resistance", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureError(f"{where}: bad diode model: {exc}") from exc
+def _check(obj, where: str):
+    return _tagged(obj, "type", _CHECKS, where)(obj, where, skip=("type",))
 
 
-def _pad_circuit(obj, where: str) -> PadCircuit:
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _PAD_KEYS:
-        raise FixtureError(f"{where}: unknown pad kind {kind!r}")
-    _object(obj, _PAD_KEYS[kind], where)
-    try:
-        if kind == "esd-pair":
-            k = EsdPair(
-                to_vcc=_diode(obj["to_vcc"], f"{where}.to_vcc"),
-                to_gnd=_diode(obj["to_gnd"], f"{where}.to_gnd"),
-            )
-        elif kind == "series-diode":
-            k = SeriesDiode(
-                diode=_diode(obj["diode"], f"{where}.diode"),
-                polarity=_integer(obj, "polarity", 1, where),
-            )
-        elif kind == "led":
-            k = Led(diode=_diode(obj["diode"], f"{where}.diode"), color_tag=str(obj.get("color", "")))
-        elif kind == "resistive":
-            k = Resistive(ohms=float(obj["ohms"]))
-        else:
-            k = OpenPad()
-        return PadCircuit(kind=k, shunt_capacitance=float(obj.get("capacitance", 0.0)))
-    except FixtureError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FixtureError(f"{where}: bad pad circuit: {exc}") from exc
+_UUT = _kind(UutModel, "UUT", {
+    "pads": _array(_pad, nonempty=True),
+    "rails": (None, _kind(_nested, "rails", {"vcc_path_ohms": float, "gnd_path_ohms": float})),
+    "powered": bool,
+    "consumption_map": _array(_pair),
+})
+_CHECKS = {
+    "rail-sense": _kind(RailSenseCheck, "check", {
+        "pads": _array(str), "amperes": float, "band": _pair, "rail": str,
+    }),
+    "single-level": _kind(PadCheck, "check", {
+        "pad": ("pad_id", str), "mode": str, "level": float, "window": _pair,
+        "samples": int, "dt": float, "source_ohms": float,
+    }, validate=PadCheck.waveform, mode="current"),  # a check must make a valid waveform
+}
+_DUMMY = _kind(DummyUutSpec, "dummy", {
+    "bands": _named(_pair), "drive_volts": float, "drive_ohms": float, "fresh_contact_ohms": float,
+})
 
 
-def _uut(obj, where: str) -> UutModel:
-    pads = obj.get("pads")
-    if not isinstance(pads, list) or not pads:
-        raise FixtureError(f"{where}: 'pads' must be a non-empty list")
-    pad_tuples = []
-    for i, p in enumerate(pads):
-        p = _expect(p, dict, f"{where}.pads[{i}]")
-        pid = p.get("id")
-        if not isinstance(pid, str) or not pid:
-            raise FixtureError(f"{where}.pads[{i}]: missing pad id")
-        pad_tuples.append((pid, _pad_circuit(p, f"{where}.pads[{i}]")))
-    rails = _object(obj.get("rails", {}), _RAILS_KEYS, f"{where}.rails")
-    cmap = obj.get("consumption_map")
-    try:
-        return UutModel(
-            pads=tuple(pad_tuples),
-            vcc_path_ohms=float(rails.get("vcc_path_ohms", 25.0)),
-            gnd_path_ohms=float(rails.get("gnd_path_ohms", 0.0)),
-            powered=_flag(obj, "powered", False, where),
-            consumption_map=tuple((float(v), float(c)) for v, c in cmap) if cmap else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise FixtureError(f"{where}: {exc}") from exc
+def _dummy(obj, where: str) -> DummyUutSpec:
+    """The dummy UUT: the keys of a UUT, its bands and its drive."""
+    uut = _UUT(obj, where, skip=_DUMMY.table)
+    dummy = _DUMMY(obj, where, skip=_UUT.table, uut=uut)
+    for pid in dummy.bands:
+        _known_pad(uut, pid, f"{where}.bands.{pid}")
+    return dummy
 
 
-def _contacts(obj, where: str) -> dict:
-    out = {}
-    for pid, c in _expect(obj, dict, where).items():
-        _object(c, _CONTACT_KEYS, f"{where}.{pid}")
-        try:
-            out[pid] = ContactState(
-                resistance=float(c["resistance"]),
-                cycles=_integer(c, "cycles", 0, f"{where}.{pid}"),
-                wear_rate=float(c.get("wear_rate", 0.0)),
-                open_threshold=float(c.get("open_threshold", 1e6)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FixtureError(f"{where}.{pid}: bad contact: {exc}") from exc
-    return out
-
-
-def _region(obj, where: str) -> HalfSpaceRegion:
-    _object(obj, _REGION_KEYS, where)
-    try:
-        return HalfSpaceRegion(normals=obj["normals"], distances=obj["distances"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureError(f"{where}: bad region: {exc}") from exc
-
-
-def _check(obj, where: str, uut: UutModel):
-    kind = _expect(obj, dict, where).get("type")
-    if not isinstance(kind, str) or kind not in _CHECK_KEYS:
-        raise FixtureError(f"{where}: unknown check type {kind!r}")
-    _object(obj, _CHECK_KEYS[kind], where)
-    try:
-        if kind == "rail-sense":
-            check = RailSenseCheck(
-                pads=tuple(obj["pads"]),
-                amperes=float(obj["amperes"]),
-                band=(float(obj["band"][0]), float(obj["band"][1])),
-                rail=str(obj.get("rail", "VCC")),
-            )
-            for pid in check.pads:
-                if check.rail not in _known_pad(uut, pid, where).rails():
-                    raise FixtureError(f"{where}: pad {pid!r} has no element to rail {check.rail}")
-            return check
-        check = PadCheck(
-            pad_id=str(obj["pad"]),
-            mode=str(obj.get("mode", "current")),
-            level=float(obj["level"]),
-            window=(float(obj["window"][0]), float(obj["window"][1])),
-            samples=_integer(obj, "samples", 4, where),
-            dt=float(obj.get("dt", 1e-3)),
-            source_ohms=float(obj.get("source_ohms", 0.0)),
-        )
-        check.waveform()  # a check that makes no valid waveform fails here
-        _known_pad(uut, check.pad_id, where)
-        return check
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FixtureError(f"{where}: bad check: {exc}") from exc
+_BENCH = _kind(Bench, "bench", {
+    "contacts": _named(_kind(ContactState, "contact", {
+        "resistance": float, "cycles": int, "wear_rate": float, "open_threshold": float,
+    })),
+})
+_PLAN = _kind(VcitPlan, "plan", {
+    "setup_plan": ("checks", _array(_check)),
+    "protection": ("limits", _kind(ProtectionLimits, "protection limits", {
+        "max_abs_voltage": float, "max_abs_current": float,
+    })),
+})
+_FIXTURE = _kind(Fixture, "fixture", {
+    "regions": _named(_kind(HalfSpaceRegion, "region", {"normals": _as_is, "distances": _as_is})),
+    "dummy": _dummy,
+    "needle_log": _kind(NeedleLog, "needle log", {
+        "last_replacement_cycle": int, "current_cycle": int, "window_cycles": int,
+    }),
+})
+# The top level holds the keys of four kinds; each leaves the others' keys.
+_TOP_LEVEL = (_UUT, _BENCH, _PLAN, _FIXTURE)
+_OTHERS = {kind: {key for other in _TOP_LEVEL if other is not kind for key in other.table}
+           for kind in _TOP_LEVEL}
 
 
 def load_fixture(source) -> Fixture:
@@ -255,79 +292,29 @@ def load_fixture(source) -> Fixture:
     if isinstance(source, Path):
         try:
             text = source.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FixtureError(f"cannot read fixture {source}: {exc}") from exc
     else:
         text = source
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError("fixture root must be a JSON object")
-    _object(doc, _TOP_LEVEL_KEYS, "fixture")
-
-    uut = _uut(doc, "fixture")
-    contacts = _contacts(doc.get("contacts", {}), "contacts")
-    for pid in contacts:
+    uut = _UUT(doc, "fixture", skip=_OTHERS[_UUT])
+    bench = _BENCH(doc, "", skip=_OTHERS[_BENCH], uut=uut)
+    for pid in bench.contacts:
         _known_pad(uut, pid, f"contacts.{pid}")
-
-    prot = _object(doc.get("protection", {}), _PROTECTION_KEYS, "protection")
-    try:
-        limits = ProtectionLimits(
-            max_abs_voltage=float(prot.get("max_abs_voltage", 2.0)),
-            max_abs_current=float(prot.get("max_abs_current", 0.05)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FixtureError(f"protection: {exc}") from exc
-
-    checks = tuple(
-        _check(c, f"setup_plan[{i}]", uut)
-        for i, c in enumerate(_expect(doc.get("setup_plan", []), list, "setup_plan"))
-    )
-    plan = VcitPlan(checks=checks, limits=limits)
-
-    regions = {
-        name: _region(obj, f"regions.{name}")
-        for name, obj in _expect(doc.get("regions", {}), dict, "regions").items()
-    }
-
-    dummy = None
-    d = doc.get("dummy")
-    if d is not None:
-        dummy_uut = _uut(_object(d, _DUMMY_KEYS, "dummy"), "dummy")
-        bands = _expect(d.get("bands", {}), dict, "dummy.bands")
-        try:
-            dummy = DummyUutSpec(
-                uut=dummy_uut,
-                bands={pid: (float(b[0]), float(b[1])) for pid, b in bands.items()},
-                drive_volts=float(d.get("drive_volts", 3.3)),
-                drive_ohms=float(d.get("drive_ohms", 500.0)),
-                fresh_contact_ohms=float(d.get("fresh_contact_ohms", 0.1)),
-            )
-        except FixtureError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise FixtureError(f"dummy: {exc}") from exc
-
-    nl = _object(doc.get("needle_log", {}), _NEEDLE_LOG_KEYS, "needle_log")
-    try:
-        needle_log = NeedleLog(
-            last_replacement_cycle=_integer(nl, "last_replacement_cycle", 0, "needle_log"),
-            current_cycle=_integer(nl, "current_cycle", 0, "needle_log"),
-            window_cycles=_integer(nl, "window_cycles", 500, "needle_log"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FixtureError(f"needle_log: {exc}") from exc
-
-    return Fixture(
-        bench=Bench(uut=uut, contacts=contacts),
-        limits=limits,
-        vcit_plan=plan,
-        regions=regions,
-        dummy=dummy,
-        needle_log=needle_log,
-    )
+    plan = _PLAN(doc, "", skip=_OTHERS[_PLAN])
+    for i, check in enumerate(plan.checks):
+        where, rail_sense = f"setup_plan[{i}]", isinstance(check, RailSenseCheck)
+        for pid in check.pads if rail_sense else (check.pad_id,):
+            pad = _known_pad(uut, pid, where)
+            if rail_sense and check.rail not in pad.rails():
+                raise FixtureError(f"{where}: pad {pid!r} has no element to rail {check.rail}")
+    return _FIXTURE(doc, "", skip=_OTHERS[_FIXTURE], bench=bench, limits=plan.limits,
+                    vcit_plan=plan)
 
 
 def default_fixture_path() -> Path:

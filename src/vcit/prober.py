@@ -44,8 +44,8 @@ class StimulusWaveform:
 
 @dataclass(frozen=True, slots=True)
 class ProtectionLimits:
-    max_abs_voltage: float
-    max_abs_current: float
+    max_abs_voltage: float = 2.0
+    max_abs_current: float = 0.05
 
     def __post_init__(self):
         for limit in (self.max_abs_voltage, self.max_abs_current):

@@ -104,9 +104,12 @@ class TestSession:
             (lambda doc: doc["pads"].__setitem__(0, {"id": "p1", "kind": "resistive", "ohms": 100.0}),
              "", "setup_plan[0]: pad 'p1' has no element to rail VCC"),
             (lambda doc: None, "functional: fail\nfailed-pads: ghost\n", "no such pad: 'ghost'"),
+            (lambda doc: doc["setup_plan"][1].update(window=[0.3]), "",
+             "setup_plan[1].window: expected two finite numbers, got [0.3]"),
+            (lambda doc: None, "functional: fail\nfunctional: pass\n", "'functional' given twice"),
         ],
         ids=["misspelt-key", "leftover-catalog", "rail-lowercase", "rail-unreachable",
-             "unknown-failed-pad"],
+             "unknown-failed-pad", "window-one-entry", "scenario-key-twice"],
     )
     def test_bad_input_exit_1_before_the_session(self, tmp_path, capsys, edit, scenario, message):
         doc = json.loads(default_fixture_path().read_text(encoding="utf-8"))
@@ -121,6 +124,13 @@ class TestSession:
         assert "Traceback" not in captured.err
         assert "verdict:" not in captured.out
         assert not log.exists()
+
+    @pytest.mark.parametrize("option", ["--script", "--fixture"])
+    def test_file_that_is_not_utf8_exit_1(self, tmp_path, capsys, option):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["session", option, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_seed_recorded_in_log(self, tmp_path):
         log = tmp_path / "seeded.log"

@@ -5,6 +5,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, UutModel
 from vcit.errors import FixtureError, UnknownPad
@@ -313,6 +315,29 @@ class TestScenarioParsing:
     def test_bad_lines_rejected(self, line):
         with pytest.raises(FixtureError):
             parse_scenario(line)
+
+    @pytest.mark.parametrize("key, first, second", [("functional", "fail", "pass"),
+                                                    ("operator.mount-dummy", "aborted", "confirmed")])
+    def test_key_given_twice_rejected(self, key, first, second):
+        # Otherwise the last line would win silently.
+        with pytest.raises(FixtureError, match=f"'{key}' given twice"):
+            parse_scenario(f"{key}: {first}\n{key}: {second}\n")
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["functional", "failed-pads", "needles", "force-vcit", "force-dummy",
+                         "seed", "operator.mount-dummy", "operator.", "# functional"])
+        | st.text("aefst:#.-7 \t\né", max_size=8),
+        st.sampled_from([":", ": ", " ", ":: ", "\n"]),
+        st.sampled_from(["pass", "fail", "fresh", "stale", "confirmed", "aborted", "7", "p1 p2", ""])
+        | st.text("aefst:#.-7 \t\né", max_size=8),
+    ), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_key_lines_parse_or_raise_fixture_error(self, lines):
+        try:
+            scenario = parse_scenario("\n".join(key + sep + value for key, sep, value in lines))
+        except FixtureError:
+            return
+        assert isinstance(scenario, Scenario)
 
 
 def test_scripted_operator_default_and_override():

@@ -1,19 +1,49 @@
 """Fixture file loading and validation."""
 
+import copy
 import json
 import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vcit.circuit import EsdPair, Led, OpenPad, Resistive, SeriesDiode
+from vcit.circuit import Bench, EsdPair, Led, OpenPad, PadCircuit, Resistive, SeriesDiode, UutModel
 from vcit.errors import FixtureError
-from vcit.executive import PadCheck, RailSenseCheck
-from vcit.fixture import default_fixture_path, load_default_fixture, load_fixture
+from vcit.executive import PadCheck, RailSenseCheck, VcitPlan
+from vcit.fixture import Fixture, default_fixture_path, load_default_fixture, load_fixture
+from vcit.prober import ProtectionLimits
 
 
 def default_doc():
     return json.loads(default_fixture_path().read_text(encoding="utf-8"))
+
+
+def every_kind_doc():
+    """The default fixture with a pad of every kind and every optional key."""
+    doc = default_doc()
+    diode = {"saturation_current": 1e-14, "ideality": 1.0, "thermal_voltage": 0.02585,
+             "series_resistance": 0.0}
+    doc["pads"] += [
+        {"id": "d", "kind": "series-diode", "diode": diode, "polarity": -1, "capacitance": 0.0},
+        {"id": "l", "kind": "led", "diode": diode, "color": "red"},
+        {"id": "r", "kind": "resistive", "ohms": 100.0},
+        {"id": "o", "kind": "open"},
+    ]
+    doc["contacts"]["p1"].update(cycles=3)
+    doc["setup_plan"][0]["rail"] = "VCC"
+    doc["setup_plan"][1].update(samples=2, dt=1e-3, source_ohms=0.0)
+    doc["dummy"].update(powered=False, consumption_map=[[0.0, 0.0]])
+    doc["consumption_map"] = [[0.0, 0.0], [2.0, 2e-3]]
+    return doc
+
+
+def set_path(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
 
 
 class TestDefaultFixture:
@@ -141,23 +171,53 @@ class TestValidation:
             load_fixture(json.dumps(doc))
 
     def test_every_known_key_loads(self):
-        doc = default_doc()
-        diode = {"saturation_current": 1e-14, "ideality": 1.0, "thermal_voltage": 0.02585,
-                 "series_resistance": 0.0}
-        doc["pads"] += [
-            {"id": "d", "kind": "series-diode", "diode": diode, "polarity": -1, "capacitance": 0.0},
-            {"id": "l", "kind": "led", "diode": diode, "color": "red"},
-            {"id": "r", "kind": "resistive", "ohms": 100.0},
-            {"id": "o", "kind": "open"},
-        ]
-        doc["contacts"]["p1"].update(cycles=3)
-        doc["setup_plan"][0]["rail"] = "VCC"
-        doc["setup_plan"][1].update(samples=2, dt=1e-3, source_ohms=0.0)
-        doc["dummy"].update(powered=False, consumption_map=[[0.0, 0.0]])
-        doc["consumption_map"] = [[0.0, 0.0], [2.0, 2e-3]]
-        fixture = load_fixture(json.dumps(doc))
+        fixture = load_fixture(json.dumps(every_kind_doc()))
         assert fixture.bench.contact("p1").cycles == 3
         assert fixture.vcit_plan.checks[1].samples == 2
+
+    def test_minimal_fixture_takes_the_dataclass_defaults(self):
+        fixture = load_fixture(json.dumps({"pads": [{"id": "x", "kind": "open"}]}))
+        assert fixture == Fixture(
+            bench=Bench(uut=UutModel(pads=(("x", PadCircuit(OpenPad())),))),
+            limits=ProtectionLimits(),
+            vcit_plan=VcitPlan(),
+        )
+        assert fixture.limits == fixture.vcit_plan.limits == ProtectionLimits(2.0, 0.05)
+
+    @pytest.mark.parametrize(
+        "pid",
+        [pytest.param("", id="empty"), pytest.param("pé", id="non-ascii"),
+         pytest.param("p 1", id="space"), pytest.param("p\t1", id="tab"), pytest.param(1, id="number")],
+    )
+    def test_pad_id_that_is_not_one_bus_word(self, pid):
+        # A READ block names the pad as one ASCII word: "capture  1 0.001 1 0 -"
+        # with an empty id cannot be parsed back.
+        doc = default_doc()
+        doc["pads"][0]["id"] = pid
+        with pytest.raises(FixtureError, match=r"^fixture\.pads\[0\]: pad id must be"):
+            load_fixture(json.dumps(doc))
+
+    def test_dummy_band_for_a_pad_it_lacks(self):
+        doc = default_doc()
+        doc["dummy"]["bands"]["ghost"] = [0.1, 0.5]
+        with pytest.raises(FixtureError, match=r"^dummy\.bands\.ghost: no such pad: 'ghost'$"):
+            load_fixture(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            pytest.param(("setup_plan", 1, "window"), "setup_plan[1].window", id="window"),
+            pytest.param(("setup_plan", 0, "band"), "setup_plan[0].band", id="rail-sense-band"),
+            pytest.param(("dummy", "bands", "p1"), "dummy.bands.p1", id="dummy-band"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [[0.3], [0.1, 0.5, 0.9]], ids=["one-entry", "three-entries"])
+    def test_window_of_other_than_two_numbers(self, path, where, value):
+        # Unchecked, one entry raises IndexError and a third is silently dropped.
+        doc = default_doc()
+        set_path(doc, path, value)
+        with pytest.raises(FixtureError, match=rf"^{re.escape(where)}: expected two finite numbers"):
+            load_fixture(json.dumps(doc))
 
     def test_rail_sense_needs_a_pad(self):
         # An empty group injects nothing and reads 0 V, so every session
@@ -271,14 +331,16 @@ class TestValidation:
             pytest.param(
                 ("pads", 0), {"id": "p1", "kind": "resistive", "ohms": math.inf}, id="ohms-inf"
             ),
+            # float() takes a bool or a numeric string as a number.
+            pytest.param(("setup_plan", 1, "level"), True, id="level-bool"),
+            pytest.param(("setup_plan", 1, "level"), "0.001", id="level-text"),
+            pytest.param(("contacts", "p1", "resistance"), True, id="resistance-bool"),
+            pytest.param(("consumption_map",), [[0.0, True]], id="knot-bool"),
         ],
     )
     def test_wrong_typed_or_non_finite_field(self, path, value):
         doc = default_doc()
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value  # NaN and Infinity are dumped as such
+        set_path(doc, path, value)  # NaN and Infinity are dumped as such
         with pytest.raises(FixtureError):
             load_fixture(json.dumps(doc))
 
@@ -329,3 +391,42 @@ class TestValidation:
 
         with pytest.raises(FixtureError):
             load_fixture(Path(tmp_path) / "does-not-exist.json")
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON document, but the root's."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+DOCS = (default_doc(), every_kind_doc())
+PLACES = [(i, path) for i, doc in enumerate(DOCS) for path in _paths(doc)]
+NUMBERS = st.one_of(st.integers(), st.floats())
+KEYS = sorted({path[-1] for _, path in PLACES if isinstance(path[-1], str)})
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+    st.lists(NUMBERS, max_size=3),
+    st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4),
+                    st.none() | NUMBERS | st.text(max_size=4) | st.lists(NUMBERS, max_size=3),
+                    max_size=3),
+)
+
+
+@given(st.sampled_from(PLACES), JSON_VALUES)
+@example((0, ("setup_plan", 1, "window")), [0.3])  # must not raise IndexError
+@example((0, ("dummy", "pads", 0, "to_vcc", "ideality")), 4)  # a dummy solve that stalls
+@settings(max_examples=100, deadline=None)
+def test_any_one_value_replaced_loads_or_raises_fixture_error(place, value):
+    i, path = place
+    doc = copy.deepcopy(DOCS[i])
+    set_path(doc, path, value)
+    try:
+        load_fixture(json.dumps(doc))
+    except FixtureError:
+        pass
