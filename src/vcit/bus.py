@@ -18,18 +18,17 @@ import io
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .circuit import Bench
-from .errors import BusError, ProtocolError, SimulationFailure, UnknownPad, VcitError
+from .errors import BusError, ProtocolError, SimulationFailure, UnknownPad
 from .prober import (
     ProtectionLimits,
     StimulusWaveform,
     execute,
     format_capture,
     parse_captures,
-    waveform_from_fields,
 )
 
 PROTOCOL_VERSION = "VCIT/1"
@@ -158,8 +157,16 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
         if count != len(payload):
             return _err(ERR_MALFORMED, f"declared {count} samples, got {len(payload)}")
         try:
-            waveform = waveform_from_fields(args[1], args[2], args[3:], payload)
-        except ProtocolError as exc:
+            dt = float(args[2])
+        except ValueError:
+            return _err(ERR_MALFORMED, f"bad waveform dt: {args[2]!r}")
+        try:
+            samples = tuple(float(s) for s in payload)
+        except ValueError as exc:
+            return _err(ERR_MALFORMED, f"bad waveform sample: {exc}")
+        try:
+            waveform = StimulusWaveform(args[1], samples, dt, tuple(args[3:]))
+        except ValueError as exc:
             return _err(ERR_MALFORMED, str(exc))
         slot.waveform = waveform
         slot.raw_samples = tuple(payload)
@@ -404,4 +411,9 @@ class RemoteProber:
         client_call(BusCommand("ARM"), self.connection)
         client_call(BusCommand("TRIG"), self.connection)
         reply = client_call(BusCommand("READ"), self.connection)
-        return parse_captures(reply.block)
+        captures = parse_captures(reply.block)
+        want = [(pid, len(samples)) for pid in waveform.target_pads]
+        got = [(c.pad_id, len(c)) for c in captures]
+        if got != want:
+            raise ProtocolError(f"READ reply holds (pad, samples) {got}, expected {want}")
+        return captures

@@ -234,10 +234,6 @@ class UutModel:
             if any(b < a for a, b in zip(cs, cs[1:])):
                 raise ValueError("consumption_map must be nondecreasing")
 
-    def pad_map(self) -> Mapping[str, PadCircuit]:
-        """Pad id -> PadCircuit, built once and shared: do not modify it."""
-        return self._pads_by_id
-
     def pad(self, pad_id: str) -> PadCircuit:
         try:
             return self._pads_by_id[pad_id]
@@ -392,11 +388,9 @@ def _solve_network(
     rest: a warm start never fails a solve that a start at rest converges.
     iterations counts every Newton iteration, an abandoned start's too.
     """
-    ids = [pid for pid, _ in uut.pads]
-    known = set(ids)
     for pid in stimuli:
-        if pid not in known:
-            raise UnknownPad(f"no such pad: {pid!r}")
+        uut.pad(pid)  # raises UnknownPad
+    ids = [pid for pid, _ in uut.pads]
 
     n = len(ids)
     rail_node = {}
@@ -569,17 +563,15 @@ def solve_rail_sense(
     """
     if sense_rail not in ("VCC", "GND"):
         raise ValueError("sense_rail must be 'VCC' or 'GND'")
-    pad_map = uut.pad_map()
     active = {}
     for pid, amps in inject.items():
-        if pid not in pad_map:
-            raise UnknownPad(f"no such pad: {pid!r}")
+        uut.pad(pid)  # raises UnknownPad
         if not math.isfinite(amps):
             raise ValueError("injection levels must be finite")
         if amps != 0.0:
             active[pid] = amps
     for pid in active:
-        if sense_rail not in pad_map[pid].rails():
+        if sense_rail not in uut.pad(pid).rails():
             raise NoPathToRail(f"pad {pid!r} has no element to rail {sense_rail}")
     if any(contacts.get(pid, GOOD_CONTACT).is_open for pid in active):
         return 0.0

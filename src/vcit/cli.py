@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bus as busmod
@@ -72,8 +71,8 @@ class ConsoleOperator:
 
 def _parse_bus(address: str):
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise VcitError(f"bus address must be host:port, got {address!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise VcitError(f"bus address must be host:port with a port in 0-65535, got {address!r}")
     return host, int(port)
 
 
@@ -97,18 +96,9 @@ def cmd_session(args) -> int:
     if args.interactive:
         operator = ConsoleOperator()
 
-    needle_log = fixture.needle_log
-    if scenario.needles == "fresh":
-        needle_log = replace(needle_log, last_replacement_cycle=needle_log.current_cycle)
-    elif scenario.needles == "stale":
-        needle_log = replace(
-            needle_log,
-            current_cycle=needle_log.last_replacement_cycle + needle_log.window_cycles + 1,
-        )
-
     plan = SessionPlan(
         vcit_plan=fixture.vcit_plan,
-        needle_log=needle_log,
+        needle_log=scenario.needle_log(fixture.needle_log),
         dummy=fixture.dummy,
         functional_outcome=scenario.functional,
         failed_pads=scenario.failed_pads,
@@ -228,6 +218,8 @@ def _check(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if args.probers < 1:
+        raise VcitError(f"--probers must be at least 1, got {args.probers}")
     fixture = _load(args)
     address = args.bus or "127.0.0.1:7605"
     host, port = _parse_bus(address)

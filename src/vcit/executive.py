@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Protocol, Sequence, Union
 
 from .circuit import (
@@ -518,6 +518,15 @@ class Scenario:
     force_dummy: Optional[str] = None
     operator_responses: Mapping[str, str] = field(default_factory=dict)
     seed: int = 0
+
+    def needle_log(self, log: NeedleLog) -> NeedleLog:
+        """log under the needles override: fresh needles were replaced in
+        the current cycle, stale ones window_cycles + 1 cycles before it."""
+        if self.needles == "fresh":
+            return replace(log, last_replacement_cycle=log.current_cycle)
+        if self.needles == "stale":
+            return replace(log, current_cycle=log.last_replacement_cycle + log.window_cycles + 1)
+        return log
 
 
 def _one_of(*choices):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .circuit import Bench, Stimulus, solve_dc, step_transient
 from .errors import NonConvergence, ProtocolError, SimulationFailure
@@ -180,51 +180,9 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     return captures
 
 
-# --- waveform file format -------------------------------------------------
-#
-# Plain text, one sample per line, after a single header line:
-#
-#   <mode> <dt> <pad> [<pad> ...]
-#
-# Blank lines and lines starting with '#' are ignored.
-
-def format_waveform(waveform: StimulusWaveform) -> str:
-    header = " ".join([waveform.mode, repr(waveform.dt), *waveform.target_pads])
-    lines = [header] + [repr(s) for s in waveform.samples]
-    return "\n".join(lines) + "\n"
-
-
-def parse_waveform(text: str) -> StimulusWaveform:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ProtocolError("empty waveform file")
-    head = lines[0].split()
-    if len(head) < 3:
-        raise ProtocolError("waveform header must be: mode dt pads...")
-    return waveform_from_fields(head[0], head[1], head[2:], lines[1:])
-
-
-def waveform_from_fields(mode: str, dt_text: str, pads, sample_texts) -> StimulusWaveform:
-    """Build a waveform from its text fields, as the file format and the bus
-    WAVEFORM command carry them; any bad field raises ProtocolError."""
-    try:
-        dt = float(dt_text)
-    except ValueError:
-        raise ProtocolError(f"bad waveform dt: {dt_text!r}") from None
-    try:
-        samples = tuple(float(s) for s in sample_texts)
-    except ValueError as exc:
-        raise ProtocolError(f"bad waveform sample: {exc}") from None
-    try:
-        return StimulusWaveform(mode=mode, samples=samples, dt=dt, target_pads=tuple(pads))
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-
-
 # --- capture serialization ------------------------------------------------
 #
-# Text block used by the bus READ reply and for on-disk records:
+# Text block of the bus READ reply, one block per captured pad:
 #
 #   capture <pad_id> <dt> <n> <tripped 0|1> <trip_index|->
 #   <applied> <voltage> <current>        (n lines)
@@ -248,65 +206,47 @@ def format_capture(capture: CaptureRecord) -> str:
     return "\n".join([head] + rows) + "\n"
 
 
-def _parse_capture_header(line: str):
-    """(pad_id, dt, n, trip_index) of a capture header line."""
-    head = line.split()
-    if len(head) != 6 or head[0] != "capture":
-        raise ProtocolError(f"bad capture header: {line!r}")
-    _, pad_id, dt_s, n_s, trip_flag, trip_s = head
-    try:
-        dt = float(dt_s)
-        n = int(n_s)
-        trip_index = None if trip_s == "-" else int(trip_s)
-    except ValueError:
-        raise ProtocolError(f"bad capture header: {line!r}") from None
-    if (
-        not math.isfinite(dt)
-        or n < 1
-        or trip_flag not in ("0", "1")
-        or (trip_flag == "1") != (trip_index is not None)
-        or (trip_index is not None and not 0 <= trip_index < n)
-    ):
-        raise ProtocolError(f"bad capture header: {line!r}")
-    return pad_id, dt, n, trip_index
-
-
-def parse_capture_lines(lines: list) -> CaptureRecord:
-    """Parse one format_capture block: the header line and its n rows."""
-    if not lines:
-        raise ProtocolError("empty capture block")
-    pad_id, dt, n, trip_index = _parse_capture_header(lines[0])
-    if len(lines) != n + 1:
-        raise ProtocolError(f"capture declares {n} samples, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = tuple(float(p) for p in ln.split())
-        except ValueError:
-            raise ProtocolError(f"bad capture row: {ln!r}") from None
-        if len(row) != 3 or not all(math.isfinite(x) for x in row):
-            raise ProtocolError(f"bad capture row: {ln!r}")
-        rows.append(row)
-    applied, volts, amps = zip(*rows)
-    return CaptureRecord(
-        pad_id=pad_id,
-        dt=dt,
-        applied=applied,
-        measured_voltage=volts,
-        measured_current=amps,
-        protection_tripped=trip_index is not None,
-        trip_index=trip_index,
-    )
-
-
 def parse_captures(lines) -> list:
-    """Split a concatenation of format_capture blocks, such as a READ reply
-    block, into its captures."""
+    """Parse a concatenation of format_capture blocks, such as a READ reply
+    block, into its captures; anything malformed raises ProtocolError."""
     lines = list(lines)
     captures = []
     start = 0
     while start < len(lines):
-        end = start + 1 + _parse_capture_header(lines[start])[2]
-        captures.append(parse_capture_lines(lines[start:end]))
-        start = end
+        line = lines[start]
+        head = line.split()
+        if len(head) != 6 or head[0] != "capture":
+            raise ProtocolError(f"bad capture header: {line!r}")
+        _, pad_id, dt_s, n_s, trip_flag, trip_s = head
+        try:
+            dt = float(dt_s)
+            n = int(n_s)
+            trip_index = None if trip_s == "-" else int(trip_s)
+        except ValueError:
+            raise ProtocolError(f"bad capture header: {line!r}") from None
+        if (
+            not math.isfinite(dt)
+            or n < 1
+            or trip_flag not in ("0", "1")
+            or (trip_flag == "1") != (trip_index is not None)
+            or (trip_index is not None and not 0 <= trip_index < n)
+        ):
+            raise ProtocolError(f"bad capture header: {line!r}")
+        rows = lines[start + 1:start + 1 + n]
+        if len(rows) != n:
+            raise ProtocolError(f"capture declares {n} samples, got {len(rows)}")
+        values = []
+        for ln in rows:
+            try:
+                row = tuple(float(p) for p in ln.split())
+            except ValueError:
+                raise ProtocolError(f"bad capture row: {ln!r}") from None
+            if len(row) != 3 or not all(math.isfinite(x) for x in row):
+                raise ProtocolError(f"bad capture row: {ln!r}")
+            values.append(row)
+        applied, volts, amps = zip(*values)
+        captures.append(
+            CaptureRecord(pad_id, dt, applied, volts, amps, trip_index is not None, trip_index)
+        )
+        start += 1 + n
     return captures

@@ -1,6 +1,7 @@
 """Bus protocol tests: loopback scripts, transport equivalence (in-process
 vs TCP), error atomicity, and the remote prober port."""
 
+import io
 import socket
 import threading
 
@@ -27,11 +28,11 @@ from vcit.bus import (
 from vcit.errors import BusError, ProtocolError
 from vcit.fixture import load_default_fixture
 from vcit.prober import (
+    CaptureRecord,
     ProtectionLimits,
     StimulusWaveform,
     execute,
-    format_waveform,
-    parse_waveform,
+    format_capture,
 )
 
 
@@ -164,9 +165,15 @@ class TestLoopback:
             LONG_HEADER,
             LONG_SAMPLE,
             LONG_BLOCK,
+            b"WAVEFORM 1 current fast p1\n0.001\n.\n",
+            b"WAVEFORM 1 current 0.001 p1\n1e-3x\n.\n",
+            b"WAVEFORM 1 current 0.001 p1\nnan\n.\n",
+            b"WAVEFORM 0 current 0.001 p1\n.\n",
+            b"WAVEFORM 1.0 current 0.001 p1\n0.001\n.\n",
         ],
         ids=["non-ascii-line", "non-ascii-pad", "non-ascii-sample", "inf-limits", "inf-dt",
-             "long-line", "long-waveform-header", "long-sample", "too-many-samples"],
+             "long-line", "long-waveform-header", "long-sample", "too-many-samples",
+             "dt-not-number", "sample-not-number", "sample-nan", "no-samples", "count-not-int"],
     )
     def test_rejected_command_one_ascii_err_state_kept(self, farm, bad):
         good = run_script(ProberFarm(load_default_fixture().bench, 3), self.STAGE + b"STATUS\nQUIT\n")
@@ -190,7 +197,7 @@ class TestLoopback:
         upload = BusCommand("WAVEFORM", (str(len(texts)), mode, repr(dt), *pads), payload=texts)
         farm = ProberFarm(bench, 1)
         assert run_script(farm, b"SELECT 0\n" + upload.encode()) == b"OK\nOK\n"
-        assert farm.slots[0].waveform == parse_waveform(format_waveform(waveform)) == waveform
+        assert farm.slots[0].waveform == waveform
 
     @given(
         st.lists(
@@ -313,6 +320,32 @@ class TestClient:
             server.shutdown()
             server.server_close()
         assert remote == local  # repr round trip preserves every float bit
+
+    WAVEFORM = StimulusWaveform("current", (1e-3, 2e-3), 1e-3, ("p1", "p2"))
+
+    @staticmethod
+    def read_reply(*captures) -> bytes:
+        block = "".join(format_capture(CaptureRecord(pid, 1e-3, (0.0,) * n, (0.0,) * n, (0.0,) * n))
+                        for pid, n in captures)
+        return f"OK {len(captures)}\n{block}.\n".encode("ascii")
+
+    def scripted_execute(self, read_reply: bytes):
+        """RemoteProber.execute of WAVEFORM against a server that answers
+        SELECT, LIMITS, WAVEFORM, ARM and TRIG with OK, then READ with
+        read_reply."""
+        replies = b"OK\n" * 4 + b"OK 2\n" + read_reply
+        connection = BusConnection(io.BytesIO(replies), io.BytesIO())
+        return RemoteProber(connection, ProtectionLimits(2.0, 0.05)).execute(self.WAVEFORM)
+
+    @pytest.mark.parametrize(
+        "captures",
+        [(), (("zz", 2), ("p2", 2)), (("p1", 1), ("p2", 2)), (("p2", 2), ("p1", 2)),
+         (("p1", 2),), (("p1", 2), ("p2", 2), ("p2", 2))],
+        ids=["empty", "foreign-pad", "short", "swapped", "missing-pad", "extra-capture"],
+    )
+    def test_remote_prober_rejects_read_not_matching_waveform(self, captures):
+        with pytest.raises(ProtocolError, match="READ reply"):
+            self.scripted_execute(self.read_reply(*captures))
 
     def test_remote_prober_rejects_source_resistance(self, farm):
         server, conn = self.client_pair(farm)

@@ -291,6 +291,24 @@ class TestBusIntegration:
         assert main(["session", "--bus", "not-an-address"]) == 1
         assert "host:port" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--bus", "127.0.0.1:70000"], "port in 0-65535"),
+            (["session", "--bus", "127.0.0.1:99999"], "port in 0-65535"),
+            (["session", "--bus", "127.0.0.1:\u00b2"], "port in 0-65535"),
+            (["serve", "--bus", "127.0.0.1:0", "--probers", "0"], "--probers must be at least 1"),
+            (["serve", "--bus", "127.0.0.1:0", "--probers", "-2"], "--probers must be at least 1"),
+        ],
+        ids=["serve-port-too-large", "session-port-too-large", "port-not-ascii", "no-probers",
+             "negative-probers"],
+    )
+    def test_bad_port_or_farm_size_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 def vcit_process(argv, stderr):
     """A fresh interpreter that imports vcit from this tree and names every

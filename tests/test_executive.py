@@ -68,6 +68,16 @@ class TestNeedleLog:
         with pytest.raises(ValueError):
             NeedleLog(last_replacement_cycle=last, current_cycle=current, window_cycles=window)
 
+    @pytest.mark.parametrize(
+        "needles, expected",
+        [("fresh", NeedleLog(420, 420, 100)), ("stale", NeedleLog(300, 401, 100)),
+         (None, NeedleLog(300, 420, 100))],
+    )
+    def test_scenario_override(self, needles, expected):
+        log = Scenario(needles=needles).needle_log(NeedleLog(300, 420, 100))
+        assert log == expected
+        assert log.replaced_within_window == (needles == "fresh")
+
 
 class TestSetupIntegrity:
     def test_healthy_bench_passes(self, fixture):

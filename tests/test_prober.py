@@ -1,5 +1,5 @@
 """Prober instrument tests: waveform execution, protection clamping, charge
-measurement, and the on-disk waveform/capture formats."""
+measurement, and the capture block format."""
 
 import math
 from dataclasses import replace
@@ -32,10 +32,7 @@ from vcit.prober import (
     StimulusWaveform,
     execute,
     format_capture,
-    format_waveform,
-    parse_capture_lines,
     parse_captures,
-    parse_waveform,
 )
 
 LIMITS = ProtectionLimits(max_abs_voltage=2.0, max_abs_current=0.05)
@@ -304,32 +301,6 @@ class TestMeasureCharge:
         assert charge == pytest.approx(1e-6 * v_pad_final, abs=1e-10)
 
 
-class TestWaveformFormat:
-    def test_round_trip(self):
-        w = StimulusWaveform("current", (1e-3, 2e-3, -5e-4), 1e-3, ("p1", "p2"))
-        assert parse_waveform(format_waveform(w)) == w
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# header comment\n\ncurrent 0.001 p1\n0.001\n\n# mid\n0.002\n"
-        w = parse_waveform(text)
-        assert w.samples == (1e-3, 2e-3)
-        assert w.target_pads == ("p1",)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "current 0.001\n0.001\n",
-            "current notanumber p1\n0.001\n",
-            "sideways 0.001 p1\n1\n",
-            "current inf p1\n0.001\n",
-        ],
-    )
-    def test_bad_files_raise(self, text):
-        with pytest.raises(ProtocolError):
-            parse_waveform(text)
-
-
 class TestCaptureFormat:
     def test_round_trip(self):
         c = CaptureRecord(
@@ -341,11 +312,11 @@ class TestCaptureFormat:
             protection_tripped=True,
             trip_index=1,
         )
-        assert parse_capture_lines(format_capture(c).splitlines()) == c
+        assert parse_captures(format_capture(c).splitlines()) == [c]
 
     def test_round_trip_untripped(self):
         c = CaptureRecord("x", 2e-3, (0.0,), (0.0,), (0.0,))
-        assert parse_capture_lines(format_capture(c).splitlines()) == c
+        assert parse_captures(format_capture(c).splitlines()) == [c]
 
     @pytest.mark.parametrize(
         "lines",
@@ -363,17 +334,16 @@ class TestCaptureFormat:
             ["capture p1 0.001 1 0 -", "0 nan 0"],
             ["capture p1 0.001 1 0 -", "0 0 inf"],
             ["capture p1 0.001 1 0 -", "0 0"],
-            [],
         ],
         ids=[
             "count-short", "flag-2-untripped", "flag-2-index", "tripped-no-index",
             "untripped-index", "index-not-int", "index-past-end", "no-samples", "dt-nan",
-            "row-not-float", "row-nan", "row-inf", "row-short", "empty",
+            "row-not-float", "row-nan", "row-inf", "row-short",
         ],
     )
     def test_bad_blocks_raise(self, lines):
         with pytest.raises(ProtocolError):
-            parse_capture_lines(lines)
+            parse_captures(lines)
 
     def test_read_block_count_checked(self):
         block = (format_capture(CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)))
