@@ -353,9 +353,15 @@ class BusConnection:
                 self._sock.close()
 
     def _read_line(self) -> str:
-        raw = self.rfile.readline()
+        # A STATUS waveform= line echoes a WAVEFORM header of up to
+        # MAX_LINE_BYTES, so no valid reply line is longer than twice that.
+        raw = self.rfile.readline(2 * MAX_LINE_BYTES)
         if not raw:
             raise ProtocolError("connection closed mid-reply")
+        if len(raw) == 2 * MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            raise ProtocolError(f"reply line longer than {2 * MAX_LINE_BYTES} bytes")
+        if not raw.isascii():
+            raise ProtocolError(f"non-ASCII byte in reply line: {raw[:80]!r}")
         return raw.decode("ascii").rstrip("\r\n")
 
 

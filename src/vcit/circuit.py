@@ -44,6 +44,8 @@ class DiodeModel:
     ideality: float = 1.0
     thermal_voltage: float = 0.02585
     series_resistance: float = 0.0
+    # ideality * thermal_voltage, computed once; not compared, hashed or shown
+    nvt: float = field(init=False, repr=False, compare=False)
 
     leak = _GMIN  # conductance in parallel with the junction
 
@@ -56,10 +58,7 @@ class DiodeModel:
             raise ValueError("thermal_voltage must be finite and > 0")
         if not 0.0 <= self.series_resistance < math.inf:
             raise ValueError("series_resistance must be finite and >= 0")
-
-    @property
-    def nvt(self) -> float:
-        return self.ideality * self.thermal_voltage
+        object.__setattr__(self, "nvt", self.ideality * self.thermal_voltage)
 
     def _junction_current(self, vd: float) -> float:
         x = vd / self.nvt
@@ -91,14 +90,20 @@ class DiodeModel:
         """Port current for port voltage v.  current(0) == 0 exactly."""
         if v == 0.0:
             return 0.0
-        if self.series_resistance == 0.0:
-            return self._junction_current(v)
+        if self.series_resistance == 0.0:  # the law inline: the solver's innermost call
+            x = v / self.nvt
+            if x > _EXP_CAP:
+                return self.saturation_current * (math.exp(_EXP_CAP) * (1.0 + x - _EXP_CAP) - 1.0)
+            return self.saturation_current * math.expm1(x)
         return self._junction_current(self._solve_junction(v))
 
     def conductance(self, v: float) -> float:
         """d(current)/d(v) at port voltage v; always > 0."""
         if self.series_resistance == 0.0:
-            return self._junction_conductance(v)
+            x = v / self.nvt
+            if x > _EXP_CAP:
+                return self.saturation_current * math.exp(_EXP_CAP) / self.nvt
+            return self.saturation_current * math.exp(x) / self.nvt
         gd = self._junction_conductance(self._solve_junction(v))
         return gd / (1.0 + gd * self.series_resistance)
 
@@ -210,8 +215,10 @@ class UutModel:
     gnd_path_ohms: float = 0.0
     powered: bool = False
     consumption_map: Optional[tuple] = None  # of (volts, amperes)
-    # pad id -> PadCircuit, built once from pads; not compared, hashed or shown
+    # pad id -> PadCircuit and the Newton system (see _system), built once
+    # from the fields; not compared, hashed or shown
     _pads_by_id: dict = field(init=False, repr=False, compare=False)
+    _system: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = dict(self.pads)
@@ -233,6 +240,7 @@ class UutModel:
                 raise ValueError("consumption_map knots must be strictly increasing in volts")
             if any(b < a for a, b in zip(cs, cs[1:])):
                 raise ValueError("consumption_map must be nondecreasing")
+        object.__setattr__(self, "_system", _system(self))
 
     def pad(self, pad_id: str) -> PadCircuit:
         try:
@@ -365,6 +373,33 @@ def _meter(vp: float, stim: Optional[Stimulus], contact: ContactState) -> PadRea
     )
 
 
+def _plus_zero(v: float) -> bool:
+    return v == 0.0 and math.copysign(1.0, v) > 0.0
+
+
+def _system(uut: UutModel) -> tuple:
+    """What no solve of the model changes: (pad ids, the rails with a path
+    resistance, their path conductances, one (pad index, law, rail index,
+    polarity) entry per element, where the datum's rail index is
+    len(rails), the Newton step clamp, the pads whose every element goes to
+    the datum, and whether every law's conductance at rest is finite: only
+    then does each carry exactly 0 A at rest, as _solve_network assumes)."""
+    paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
+             if ohms > 0.0]
+    rails = tuple(rail for rail, _ in paths)
+    table = tuple(
+        (i, law, rails.index(rail) if rail in rails else len(rails), s)
+        for i, (_, pc) in enumerate(uut.pads)
+        for law, rail, s in pc.kind.branches
+    )
+    exact = all(math.isfinite(law.conductance(0.0)) for _, law, _, _ in table)
+    grounded = set(range(len(uut.pads))) - {i for i, _, a, _ in table if a < len(rails)}
+    # The per-iteration voltage step clamp tames the diode exponential.
+    dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in table), default=math.inf)
+    return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), table,
+            dv_clamp, frozenset(grounded if exact else ()), exact)
+
+
 def _solve_network(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
@@ -377,7 +412,9 @@ def _solve_network(
 
     Nodes 0..n-1 are the pads, then each rail with a path resistance.  A
     rail without one is tied to the datum node, which comes last and whose
-    equation is dropped, so it stays at 0 V.
+    equation is dropped, so it stays at 0 V.  A pad with every element to
+    the datum, no stimulus, and a capacitor history and start of exactly
+    +0.0 sits at exactly 0 V; it is left out, which changes no iterate.
 
     Newton starts at rest (every node at 0 V).  A start mapping of pad volts
     (a TransientState also gives the rail volts; a plain mapping leaves the
@@ -390,33 +427,36 @@ def _solve_network(
     """
     for pid in stimuli:
         uut.pad(pid)  # raises UnknownPad
-    ids = [pid for pid, _ in uut.pads]
+    ids, rails, rail_g, table, dv_clamp, grounded, exact = uut._system
+    start_volts = start or {}
+    idle = {
+        i for i in grounded
+        if ids[i] not in stimuli
+        and _plus_zero(companions.get(ids[i], (0.0, 0.0))[1])
+        and _plus_zero(start_volts.get(ids[i], 0.0))
+    }
+    pads = [i for i in range(len(ids)) if i not in idle]  # the pad index of each pad node
+    node = dict(zip(pads, range(len(pads))))
+    names = [ids[i] for i in pads]
 
-    n = len(ids)
-    rail_node = {}
-    rail_g = []  # path conductance of rail node n + a
-    for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)):
-        if ohms > 0.0:
-            rail_node[rail] = n + len(rail_g)
-            rail_g.append(1.0 / ohms)
+    n = len(names)
+    rail_node = {rail: n + a for a, rail in enumerate(rails)}
     size = n + len(rail_g)
     datum = size
-    branches = [
-        (i, law, rail_node.get(rail, datum), s)
-        for i, (_, pc) in enumerate(uut.pads)
-        for law, rail, s in pc.kind.branches
-    ]
-    caps = [(i, *companions[pid]) for i, pid in enumerate(ids) if pid in companions]
+    # Each law's methods are looked up per solve, never cached: they may be
+    # patched to count calls.
+    branches = [(node[i], law.current, law.conductance, law.leak, n + a, s)
+                for i, law, a, s in table if i in node]
+    caps = [(i, *companions[pid]) for i, pid in enumerate(names) if pid in companions]
     drives = [
         (i, stimuli[pid], contacts.get(pid, GOOD_CONTACT))
-        for i, pid in enumerate(ids)
+        for i, pid in enumerate(names)
         if pid in stimuli
     ]
-    # Per-iteration voltage step clamp tames the diode exponential.
-    dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in branches), default=math.inf)
 
-    def stamp(x: list) -> tuple:
-        """(F, G, residual) at node voltages x, the datum last."""
+    def stamp(x: list, laws: bool = True) -> tuple:
+        """(F, G, residual) at node voltages x, the datum last.  laws=False
+        leaves out the branches and leaks: exact for F at rest."""
         F = [0.0] * (size + 1)
         # G[a][i] is the conductance from pad i to rail node n + a; the last
         # row, to the datum, also takes every other conductance to ground.
@@ -426,13 +466,13 @@ def _solve_network(
             F[n + a] += x[n + a] * g
         # Each branch carries i = s*(law(v) + leak*v) at v = s*(vp - vr) from
         # the pad into its rail.
-        for i, law, r, s in branches:
+        for i, law_i, law_g, leak, r, s in branches if laws else ():
             v = s * (x[i] - x[r])
-            current = s * (law.current(v) + law.leak * v)
+            current = s * (law_i(v) + leak * v)
             F[i] += current
             F[r] -= current
-            G[r - n][i] += law.conductance(v) + law.leak
-        for i in range(n):
+            G[r - n][i] += law_g(v) + leak
+        for i in range(n if laws else 0):
             F[i] += _GMIN * x[i]
             ground[i] += _GMIN
         for i, g, history in caps:
@@ -457,22 +497,22 @@ def _solve_network(
         return F, G, residual
 
     rest = [0.0] * (size + 1)  # node voltages, the datum last
-    starts = [(rest, *stamp(rest))]  # (x, F, G, residual) of each start, in turn
+    starts = [(rest, None)]  # (x, its stamp or None to stamp it when tried) of each start
     if start is not None:
-        rails = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
-        warm = [start.get(pid, 0.0) for pid in ids] + [rails[r] for r in rail_node] + [0.0]
-        warm_F, warm_G, warm_residual = stamp(warm)
-        if warm_residual < starts[0][3]:
-            starts.insert(0, (warm, warm_F, warm_G, warm_residual))
+        rail_volts = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
+        warm = [start.get(pid, 0.0) for pid in names] + [rail_volts[r] for r in rails] + [0.0]
+        warm_stamp = stamp(warm)
+        # Rest is stamped in full only when tried; its residual needs no law.
+        if warm_stamp[2] < stamp(rest, laws=not exact)[2]:
+            starts.insert(0, (warm, warm_stamp))
     spent = 0  # Newton iterations of the starts already given up
-    for x, F, G, residual in starts:
+    for x, stamped in starts:
+        F, G, residual = stamped or stamp(x)
         for iteration in range(MAX_NEWTON_ITERATIONS + 1):
             if residual < KCL_TOLERANCE_AMPS:
                 return SolveResult(
-                    pads={
-                        pid: _meter(x[i], stimuli.get(pid), contacts.get(pid, GOOD_CONTACT))
-                        for i, pid in enumerate(ids)
-                    },
+                    pads={pid: _meter(x[node[i]] if i in node else 0.0, stimuli.get(pid),
+                                      contacts.get(pid, GOOD_CONTACT)) for i, pid in enumerate(ids)},
                     vcc_volts=x[rail_node.get("VCC", datum)],
                     gnd_volts=x[rail_node.get("GND", datum)],
                     iterations=spent + iteration,

@@ -31,6 +31,16 @@ def test_workload_ops_pass_their_checks(workload):
         assert wl.check(op, wl.run(op)) == [], (wl.name, i)
 
 
+def test_law_counter_sees_the_diode_law():
+    """LawCounter patches DiodeModel.current and .conductance on the class,
+    so the solver must call the law through them, not inline it."""
+    wl = workloads.WideBoard(1)
+    op = wl.op(0)
+    with spans.LawCounter() as counter:
+        wl.run(op)
+    assert counter.metrics()["circuit.diode_law.calls"] > 0
+
+
 def test_loopback_cycle_reads_the_expected_block():
     fx = load_default_fixture()
     waveform = workloads.bus_waveform(random.Random(0))

@@ -360,6 +360,28 @@ class TestClient:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize(
+        "verb, reply",
+        [("HELLO", b"OK \xff\n"), ("HELLO", b"OK " + b"x" * 5_000_000 + b"\n"),
+         ("READ", b"OK 1\n" + b"x" * 5_000_000 + b"\n.\n")],
+        ids=["non-ascii", "overlong", "overlong-block-line"],
+    )
+    def test_reply_framing_errors_are_protocol_errors(self, verb, reply):
+        rfile = io.BytesIO(reply)
+        with pytest.raises(ProtocolError):
+            client_call(BusCommand(verb), BusConnection(rfile, io.BytesIO()))
+        assert rfile.tell() <= len(b"OK 1\n") + 2 * MAX_LINE_BYTES  # the bound, not the line
+
+    def test_status_after_longest_waveform_header(self, farm):
+        dt = "0.001" + "0" * (MAX_LINE_BYTES - len("WAVEFORM 1 current 0.001 p1\n"))
+        waveform = BusCommand("WAVEFORM", ("1", "current", dt, "p1"), payload=("0.002",))
+        assert waveform.encode().index(b"\n") + 1 == MAX_LINE_BYTES
+        commands = (BusCommand("SELECT", ("0",)), waveform, BusCommand("STATUS"))
+        transcript = run_script(farm, b"".join(c.encode() for c in commands))
+        connection = BusConnection(io.BytesIO(transcript), io.BytesIO())
+        replies = [client_call(c, connection) for c in commands]
+        assert replies[2].block[-2:] == (f"waveform=1 current {dt} p1", "0.002")
+
 
 def test_command_encoding():
     cmd = BusCommand("WAVEFORM", ("2", "current", "0.001", "p1"), payload=("0.001", "0.002"))

@@ -1,6 +1,7 @@
 """DC/transient solver tests against closed-form and analytic oracles."""
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -17,6 +18,7 @@ from vcit.circuit import (
     Led,
     OpenPad,
     PadCircuit,
+    PadReading,
     Resistive,
     SeriesDiode,
     Stimulus,
@@ -662,6 +664,91 @@ class TestWarmStart:
             assert result.vcc_volts > 0.0 and result.gnd_volts > 0.0
 
 
+def outcome(solve):
+    """repr of what solve() returns, or of the exception it raises."""
+    try:
+        return repr(solve())
+    except NonConvergence as exc:
+        return f"NonConvergence: {exc}"
+
+
+class TestIdlePads:
+    """A pad with every element to the datum, no stimulus and no charge sits
+    at exactly 0 V, so the solver leaves it out: that may change no other
+    reading, bit for bit, and no pad that can move may be left out."""
+
+    @given(networks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_idle_grounded_pads_change_nothing(self, network, data):
+        uut, contacts, stimuli, state, dt = network
+        # Only the bench's own laws, so the smallest nVt, and with it the
+        # step clamp, stays the same.
+        diodes = [law for _, pc in uut.pads for law, _, _ in pc.kind.branches
+                  if isinstance(law, DiodeModel)]
+        kinds = [OpenPad]
+        if uut.gnd_path_ohms == 0.0:
+            kinds.append(lambda: Resistive(data.draw(st.floats(10.0, 2000.0))))
+            if diodes:
+                kinds += [lambda: SeriesDiode(data.draw(st.sampled_from(diodes))),
+                          lambda: SeriesDiode(data.draw(st.sampled_from(diodes)), polarity=-1),
+                          lambda: Led(data.draw(st.sampled_from(diodes)))]
+            if diodes and uut.vcc_path_ohms == 0.0:
+                kinds.append(lambda: EsdPair(data.draw(st.sampled_from(diodes)),
+                                             data.draw(st.sampled_from(diodes))))
+        added = {f"idle{k}": PadCircuit(data.draw(st.sampled_from(kinds))(),
+                                        data.draw(st.sampled_from([0.0, 1e-9])))
+                 for k in range(data.draw(st.integers(1, 4)))}
+        pads = list(uut.pads)
+        for pid, pc in added.items():
+            pads.insert(data.draw(st.integers(0, len(pads))), (pid, pc))
+        wide = UutModel(tuple(pads), uut.vcc_path_ohms, uut.gnd_path_ohms)
+        # The added pads start at +0.0, given or left to the default.
+        wide_state = TransientState({**state, **{pid: 0.0 for pid in added
+                                                 if data.draw(st.booleans())}},
+                                    state.vcc_volts, state.gnd_volts)
+
+        def narrowed(result):
+            """result without the added pads, each of which must read 0 V."""
+            for pid in added:
+                assert repr(result[pid]) == repr(PadReading(0.0, 0.0, 0.0))
+            return replace(result, pads={pid: result[pid] for pid, _ in uut.pads})
+
+        assert outcome(lambda: solve_dc(uut, contacts, stimuli)) == outcome(
+            lambda: narrowed(solve_dc(wide, contacts, stimuli)))
+        assert outcome(lambda: step_transient(uut, contacts, stimuli, state, dt)[1]) == outcome(
+            lambda: narrowed(step_transient(wide, contacts, stimuli, wide_state, dt)[1]))
+
+    @pytest.mark.parametrize("kind", [SeriesDiode(DiodeModel(1e-14)), Resistive(1000.0), OpenPad()],
+                             ids=["diode", "resistor", "open"])
+    def test_charged_pad_is_solved_not_dropped(self, kind):
+        uut = UutModel(pads=(("c", PadCircuit(kind, 1e-6)), ("p", diode_pad())))
+        dt = 1e-3
+        charged, _ = step_transient(uut, {}, {"c": Stimulus("current", 1e-4)}, None, dt)
+        assert charged["c"] > 0.0
+        # Idle but charged: warm from the state, and at rest with only its
+        # capacitor history to say so.  Through an open pad's GMIN leak alone
+        # the decay stays below the KCL tolerance.
+        warm = step_transient(uut, {}, {}, charged, dt)[1]
+        cold = cold_step(uut, {}, {}, charged, dt)[1]
+        for result in (warm, cold):
+            assert 0.0 < result["c"].pad_volts <= charged["c"]
+            assert kcl_residual(uut, {}, {}, result, companions_of(uut, charged, dt)) < 1e-9
+
+    def test_negative_zero_start_keeps_its_sign(self):
+        # A plain mapping starts the idle pad p at -0.0 and q at its solution,
+        # so Newton takes no step and p reads the -0.0 it started at, as the
+        # full system does.
+        uut = UutModel(pads=(("q", PadCircuit(Resistive(100.0), 1e-9)), ("p", diode_pad())))
+        stimuli = {"q": Stimulus("current", 1e-3)}
+        start = {"q": solve_dc(uut, {}, stimuli)["q"].pad_volts, "p": -0.0}
+        result = step_transient(uut, {}, stimuli, start, 1e-3)[1]
+        iterations, pad_volts, _, _ = dense_newton(uut, {}, stimuli, companions_of(uut, start, 1e-3),
+                                                   start)
+        assert result.iterations == iterations == 0
+        assert repr(result["p"]) == repr(PadReading(-0.0, 0.0, -0.0))
+        assert math.copysign(1.0, pad_volts["p"]) == -1.0
+
+
 class TestPoweredConsumption:
     def powered(self):
         return UutModel(
@@ -769,6 +856,21 @@ class TestDiodeModel:
         eps = 1e-4
         assert d.current(v + eps) > d.current(v)
 
+    @given(st.floats(1.0, 3.0), st.floats(0.01, 0.1), st.floats(1.0, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_nvt_follows_its_fields(self, ideality, vt, new_ideality):
+        d = DiodeModel(1e-14, ideality, vt)
+        assert d.nvt == ideality * vt
+        e = replace(d, ideality=new_ideality)
+        assert e.nvt == new_ideality * vt
+
+    def test_cached_nvt_not_compared_hashed_or_shown(self):
+        d = DiodeModel(1e-14, 1.5, VT, 2.0)
+        assert repr(d) == ("DiodeModel(saturation_current=1e-14, ideality=1.5, "
+                           "thermal_voltage=0.02585, series_resistance=2.0)")
+        assert hash(d) == hash((1e-14, 1.5, VT, 2.0))
+        assert d == DiodeModel(1e-14, 1.5, VT, 2.0) != DiodeModel(1e-14, 1.5, VT)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             DiodeModel(0.0)
@@ -776,6 +878,17 @@ class TestDiodeModel:
             DiodeModel(1e-14, ideality=0.5)
         with pytest.raises(ValueError):
             DiodeModel(1e-14, thermal_voltage=0.0)
+
+
+def test_uut_cached_system_not_compared_hashed_or_shown():
+    d = DiodeModel(1e-14)
+    pads = (("p1", PadCircuit(EsdPair(d, d))), ("p2", PadCircuit(OpenPad(), 1e-9)))
+    uut = UutModel(pads, 25.0, 0.0)
+    assert repr(uut) == (f"UutModel(pads={pads!r}, vcc_path_ohms=25.0, gnd_path_ohms=0.0, "
+                         "powered=False, consumption_map=None)")
+    assert hash(uut) == hash((pads, 25.0, 0.0, False, None))
+    assert uut == UutModel(pads, 25.0, 0.0) != UutModel(pads, 25.0, 1.0)
+    assert replace(uut, gnd_path_ohms=1.0) == UutModel(pads, 25.0, 1.0)
 
 
 def test_bench_default_contact_is_ideal():
