@@ -26,6 +26,8 @@ OPEN_CONTACT_OHMS = 1e12
 
 KCL_TOLERANCE_AMPS = 1e-9
 MAX_NEWTON_ITERATIONS = 200
+# Trials per Newton step: the full step, then halved until max|F| falls.
+MAX_STEP_TRIALS = 64
 
 # Per-junction leak keeping reverse-biased / floating nodes well conditioned.
 # Contributes < 1e-11 A at every node, far below the KCL tolerance.
@@ -59,6 +61,8 @@ class DiodeModel:
         if not 0.0 <= self.series_resistance < math.inf:
             raise ValueError("series_resistance must be finite and >= 0")
         object.__setattr__(self, "nvt", self.ideality * self.thermal_voltage)
+        if not math.isfinite(self.saturation_current / self.nvt):
+            raise ValueError("saturation_current / (ideality * thermal_voltage) must be finite")
 
     def _junction_current(self, vd: float) -> float:
         x = vd / self.nvt
@@ -110,8 +114,8 @@ class DiodeModel:
 
 # Each pad kind describes its wiring as a branch table: one
 # (law, rail, polarity) entry per element between the pad and a rail.  The
-# law gives current(v), conductance(v), its parallel leak and the nvt that
-# bounds a Newton step; polarity +1 conducts pad -> rail, -1 rail -> pad.
+# law gives current(v), conductance(v) and its parallel leak, and carries
+# exactly 0 A at v = 0; polarity +1 conducts pad -> rail, -1 rail -> pad.
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +165,10 @@ class Resistive:
     ohms: float
 
     leak = 0.0
-    nvt = math.inf  # a linear law needs no Newton step clamp
 
     def __post_init__(self):
-        if not 0.0 < self.ohms < math.inf:
-            raise ValueError("ohms must be finite and > 0")
+        if not (0.0 < self.ohms < math.inf and math.isfinite(1.0 / self.ohms)):
+            raise ValueError("ohms must be finite and > 0, with a finite 1 / ohms")
 
     @property
     def branches(self) -> tuple:
@@ -381,9 +384,7 @@ def _system(uut: UutModel) -> tuple:
     """What no solve of the model changes: (pad ids, the rails with a path
     resistance, their path conductances, one (pad index, law, rail index,
     polarity) entry per element, where the datum's rail index is
-    len(rails), the Newton step clamp, the pads whose every element goes to
-    the datum, and whether every law's conductance at rest is finite: only
-    then does each carry exactly 0 A at rest, as _solve_network assumes)."""
+    len(rails), and the pads whose every element goes to the datum)."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
@@ -392,12 +393,9 @@ def _system(uut: UutModel) -> tuple:
         for i, (_, pc) in enumerate(uut.pads)
         for law, rail, s in pc.kind.branches
     )
-    exact = all(math.isfinite(law.conductance(0.0)) for _, law, _, _ in table)
     grounded = set(range(len(uut.pads))) - {i for i, _, a, _ in table if a < len(rails)}
-    # The per-iteration voltage step clamp tames the diode exponential.
-    dv_clamp = 0.5 * min((law.nvt for _, law, _, _ in table), default=math.inf)
     return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), table,
-            dv_clamp, frozenset(grounded if exact else ()), exact)
+            frozenset(grounded))
 
 
 def _solve_network(
@@ -407,8 +405,9 @@ def _solve_network(
     companions: Mapping[str, tuple],
     start: Optional[Mapping[str, float]] = None,
 ) -> SolveResult:
-    """Newton solve of the star network.  companions maps a pad id to the
-    implicit Euler model (conductance, history current) of its capacitance.
+    """Damped Newton solve of the star network.  companions maps a pad id
+    to the implicit Euler model (conductance, history current) of its
+    capacitance.
 
     Nodes 0..n-1 are the pads, then each rail with a path resistance.  A
     rail without one is tied to the datum node, which comes last and whose
@@ -416,18 +415,19 @@ def _solve_network(
     the datum, no stimulus, and a capacitor history and start of exactly
     +0.0 sits at exactly 0 V; it is left out, which changes no iterate.
 
-    Newton starts at rest (every node at 0 V).  A start mapping of pad volts
-    (a TransientState also gives the rail volts; a plain mapping leaves the
-    rails at 0 V) is tried first when its residual max|F| is smaller than
-    at rest; on a tie the solve is the one from rest, bit for bit.  A warm
-    point can still lie more clamped steps from the solution than rest
-    does, so if Newton does not converge from it the solve starts again at
-    rest: a warm start never fails a solve that a start at rest converges.
-    iterations counts every Newton iteration, an abandoned start's too.
+    Newton starts at rest (every node at 0 V), or at a start mapping of pad
+    volts (a TransientState also gives the rail volts; a plain mapping
+    leaves the rails at 0 V) when its residual max|F| is smaller than at
+    rest; on a tie the solve is the one from rest, bit for bit.  Each step
+    tries x + t*dx for t = 1, 1/2, 1/4, ... and takes the first trial whose
+    max|F| is strictly below the current one (a non-finite one never is).
+    If none of MAX_STEP_TRIALS trials is, the solve has stalled and fails
+    as one that runs out of iterations does.  iterations counts the
+    accepted steps.
     """
     for pid in stimuli:
         uut.pad(pid)  # raises UnknownPad
-    ids, rails, rail_g, table, dv_clamp, grounded, exact = uut._system
+    ids, rails, rail_g, table, grounded = uut._system
     start_volts = start or {}
     idle = {
         i for i in grounded
@@ -456,7 +456,8 @@ def _solve_network(
 
     def stamp(x: list, laws: bool = True) -> tuple:
         """(F, G, residual) at node voltages x, the datum last.  laws=False
-        leaves out the branches and leaks: exact for F at rest."""
+        leaves out the branches and leaks: exact for F at rest, where every
+        law carries exactly 0 A."""
         F = [0.0] * (size + 1)
         # G[a][i] is the conductance from pad i to rail node n + a; the last
         # row, to the datum, also takes every other conductance to ground.
@@ -497,40 +498,41 @@ def _solve_network(
         return F, G, residual
 
     rest = [0.0] * (size + 1)  # node voltages, the datum last
-    starts = [(rest, None)]  # (x, its stamp or None to stamp it when tried) of each start
+    x, stamped = rest, None  # the start and its stamp, or None to stamp it
     if start is not None:
         rail_volts = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
         warm = [start.get(pid, 0.0) for pid in names] + [rail_volts[r] for r in rails] + [0.0]
         warm_stamp = stamp(warm)
-        # Rest is stamped in full only when tried; its residual needs no law.
-        if warm_stamp[2] < stamp(rest, laws=not exact)[2]:
-            starts.insert(0, (warm, warm_stamp))
-    spent = 0  # Newton iterations of the starts already given up
-    for x, stamped in starts:
-        F, G, residual = stamped or stamp(x)
-        for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-            if residual < KCL_TOLERANCE_AMPS:
-                return SolveResult(
-                    pads={pid: _meter(x[node[i]] if i in node else 0.0, stimuli.get(pid),
-                                      contacts.get(pid, GOOD_CONTACT)) for i, pid in enumerate(ids)},
-                    vcc_volts=x[rail_node.get("VCC", datum)],
-                    gnd_volts=x[rail_node.get("GND", datum)],
-                    iterations=spent + iteration,
-                    residual=residual,
-                )
-            if not math.isfinite(residual) or iteration == MAX_NEWTON_ITERATIONS:
+        # Rest is stamped in full only when it is the start; its residual needs no law.
+        if warm_stamp[2] < stamp(rest, laws=False)[2]:
+            x, stamped = warm, warm_stamp
+    F, G, residual = stamped or stamp(x)
+    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+        if residual < KCL_TOLERANCE_AMPS:
+            return SolveResult(
+                pads={pid: _meter(x[node[i]] if i in node else 0.0, stimuli.get(pid),
+                                  contacts.get(pid, GOOD_CONTACT)) for i, pid in enumerate(ids)},
+                vcc_volts=x[rail_node.get("VCC", datum)],
+                gnd_volts=x[rail_node.get("GND", datum)],
+                iterations=iteration,
+                residual=residual,
+            )
+        if not math.isfinite(residual):
+            raise NonConvergence("DC solve met a non-finite residual", residual, iteration)
+        if iteration == MAX_NEWTON_ITERATIONS:
+            break
+        dx = _newton_step(F, G, rail_g)
+        for _ in range(MAX_STEP_TRIALS):
+            trial = list(map(add, x, dx)) + [0.0]
+            trial_stamp = stamp(trial)
+            if trial_stamp[2] < residual:
                 break
-            dx = _newton_step(F, G, rail_g)
-            if math.isfinite(dv_clamp):
-                dx = [-dv_clamp if d < -dv_clamp else dv_clamp if d > dv_clamp else d for d in dx]
-            x = list(map(add, x, dx)) + [0.0]
-            F, G, residual = stamp(x)
-        spent += iteration
-
-    # The last start tried is the one at rest.
-    if not math.isfinite(residual):
-        raise NonConvergence("DC solve met a non-finite residual", residual, spent)
-    raise NonConvergence("DC solve did not converge", residual, spent)
+            dx = [0.5 * d for d in dx]  # exact: t*dx for the next power of two
+        else:
+            break  # stalled: no trial lowers max|F|
+        x = trial
+        F, G, residual = trial_stamp
+    raise NonConvergence("DC solve did not converge", residual, iteration)
 
 
 def _newton_step(F: list, G: list, rail_g: list) -> list:

@@ -103,6 +103,18 @@ class TestPadKinds:
             with pytest.raises(FixtureError):
                 self.load_single_pad({"kind": "series-diode", "diode": diode})
 
+    @pytest.mark.parametrize("pad, where", [
+        pytest.param({"id": "r", "kind": "resistive", "ohms": 5e-324}, r"pads\[1\]:",
+                     id="resistor"),
+        pytest.param({"id": "d", "kind": "series-diode",
+                      "diode": {"saturation_current": 1.0, "thermal_voltage": 1e-310}},
+                     r"pads\[1\]\.diode:", id="diode"),
+    ])
+    def test_law_with_infinite_rest_conductance(self, pad, where):
+        doc = {"pads": [{"id": "o", "kind": "open"}, pad]}
+        with pytest.raises(FixtureError, match=where + " bad .*must be finite"):
+            load_fixture(json.dumps(doc))
+
 
 class TestValidation:
     def test_not_json(self):

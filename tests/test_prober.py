@@ -26,6 +26,7 @@ from vcit.circuit import (
 )
 from vcit.errors import ProtocolError, SimulationFailure, UnknownPad
 from vcit.executive import PadCheck, SessionEvent, Verdict
+from vcit.fixture import load_default_fixture
 from vcit.prober import (
     CaptureRecord,
     ProtectionLimits,
@@ -137,6 +138,52 @@ class TestExecute:
                 StimulusWaveform("voltage", (1.0,), 1e-3, ("p1",), ohms)
 
 
+class TestRailsAndClamps:
+    """Currents that a pad cannot carry under the voltage limit rail and
+    clamp at it, whatever the pad kind and however far the rail is."""
+
+    NEEDLE = ContactState(1e-3)
+
+    @pytest.mark.parametrize("kind, level", [(OpenPad(), 1e-3), (Led(DiodeModel(1e-18, 2.0)), -1e-3)],
+                             ids=["open-pad", "reverse-led"])
+    def test_pad_that_cannot_conduct_rails(self, kind, level):
+        uut = UutModel(pads=(("p", PadCircuit(kind)), ("e", PadCircuit(EsdPair(_DIODE, _DIODE)))))
+        bench = Bench(uut, {"p": self.NEEDLE, "e": self.NEEDLE})
+        (capture,) = execute(StimulusWaveform("current", (level,), 1e-3, ("p",)), LIMITS, bench)
+        assert capture.measured_voltage == (math.copysign(LIMITS.max_abs_voltage, level),)
+        assert capture.trip_index == 0
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_50_ma_into_default_fixture_pads_rails(self, count):
+        bench = load_default_fixture().bench
+        targets = tuple(pid for pid, _ in bench.uut.pads)[:count]
+        captures = execute(StimulusWaveform("current", (0.05,), 1e-3, targets), LIMITS, bench)
+        assert len(captures) == count
+        for capture in captures:
+            assert capture.measured_voltage == (LIMITS.max_abs_voltage,)
+            assert capture.trip_index == 0
+
+    def test_resistive_pad_beside_an_esd_pair_rails(self):
+        # 2 mA through 1732 Ohm needs 3.46 V.
+        uut = UutModel(pads=(("r", PadCircuit(Resistive(1732.0))),
+                             ("e", PadCircuit(EsdPair(_DIODE, _DIODE)))))
+        bench = Bench(uut, {"r": self.NEEDLE, "e": self.NEEDLE})
+        (capture,) = execute(StimulusWaveform("current", (2e-3,), 1e-3, ("r",)), LIMITS, bench)
+        assert capture.measured_voltage == (LIMITS.max_abs_voltage,)
+        assert capture.trip_index == 0
+
+    def test_led_behind_a_gnd_path_clamps(self):
+        # 4.7 mA would lift the LED node to about 2.6 V.
+        uut = UutModel(pads=(("s", PadCircuit(SeriesDiode(_DIODE))),
+                             ("l", PadCircuit(Led(DiodeModel(1e-18, 2.0))))),
+                       vcc_path_ohms=0.0, gnd_path_ohms=76.0)
+        bench = Bench(uut, {"s": self.NEEDLE, "l": self.NEEDLE})
+        diode, led = execute(StimulusWaveform("current", (4.7e-3,), 1e-3, ("s", "l")), LIMITS, bench)
+        assert diode.measured_current == (4.7e-3,) and not diode.protection_tripped
+        assert led.measured_voltage == (LIMITS.max_abs_voltage,)
+        assert led.trip_index == 0
+
+
 def per_sample_reference(waveform, limits, bench):
     """Captures of each sample executed as its own one-sample waveform,
     concatenated; the trip index is the first sample that tripped."""
@@ -163,9 +210,8 @@ def per_sample_reference(waveform, limits, bench):
 
 
 _DIODE = DiodeModel(1e-14)
-# A current into a pad that conducts one way only, or into an open pad, has
-# no operating point the solver reaches; current mode keeps to pads that
-# conduct both ways.
+# Current mode keeps to pads that conduct both ways; TestRailsAndClamps and
+# the execute property in test_circuit.py drive the others.
 _PAD_KINDS = {
     "current": [EsdPair(_DIODE, _DIODE), Resistive(100.0), Resistive(1e4)],
     "voltage": [
