@@ -24,6 +24,7 @@ from typing import Optional
 from .circuit import Bench
 from .errors import BusError, ProtocolError, SimulationFailure, UnknownPad
 from .prober import (
+    MAX_WAVEFORM_SAMPLES,
     ProtectionLimits,
     StimulusWaveform,
     execute,
@@ -39,12 +40,11 @@ ERR_SEQUENCE = 409
 ERR_OUT_OF_RANGE = 416
 ERR_EXECUTION = 500
 
-# Longest command or sample line read, in bytes with its newline, and the
-# most samples one WAVEFORM block may carry.  A longer line or block is
+# Longest command or sample line read, in bytes with its newline.  A longer
+# line, or a WAVEFORM block of more than MAX_WAVEFORM_SAMPLES samples, is
 # still consumed to its end, then answered with one ERR 400; nothing of it
 # is stored.
 MAX_LINE_BYTES = 4096
-MAX_WAVEFORM_SAMPLES = 4096
 
 _BLOCK_VERBS = ("READ", "STATUS")
 _VERBS = ("HELLO", "LIST", "SELECT", "WAVEFORM", "LIMITS", "ARM", "TRIG", "READ", "STATUS", "QUIT")

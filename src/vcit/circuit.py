@@ -28,6 +28,10 @@ KCL_TOLERANCE_AMPS = 1e-9
 MAX_NEWTON_ITERATIONS = 200
 # Trials per Newton step: the full step, then halved until max|F| falls.
 MAX_STEP_TRIALS = 64
+# Largest rest conductance Is / nVt of a diode law, in S, many orders above
+# any pad junction.  Near 1e60 S a reverse-biased junction scales the Newton
+# step past what rounding can resolve, and the solve stalls.
+MAX_REST_CONDUCTANCE = 1.0
 
 # Per-junction leak keeping reverse-biased / floating nodes well conditioned.
 # Contributes < 1e-11 A at every node, far below the KCL tolerance.
@@ -61,8 +65,9 @@ class DiodeModel:
         if not 0.0 <= self.series_resistance < math.inf:
             raise ValueError("series_resistance must be finite and >= 0")
         object.__setattr__(self, "nvt", self.ideality * self.thermal_voltage)
-        if not math.isfinite(self.saturation_current / self.nvt):
-            raise ValueError("saturation_current / (ideality * thermal_voltage) must be finite")
+        if not self.saturation_current / self.nvt <= MAX_REST_CONDUCTANCE:
+            raise ValueError("saturation_current / (ideality * thermal_voltage) must be finite "
+                             f"and at most {MAX_REST_CONDUCTANCE:g} S")
 
     def _junction_current(self, vd: float) -> float:
         x = vd / self.nvt

@@ -137,7 +137,7 @@ def cmd_selftest(args) -> int:
     verdict = dummy_self_test(fixture.dummy, fixture.bench.contacts)
     for pad in verdict.detail["pads"]:
         lo, hi = pad["window"]
-        state = "in-band" if lo <= pad["reading"] <= hi else "OUT-OF-BAND"
+        state = "in-band" if pad["passed"] else "OUT-OF-BAND"
         print(f"{pad['pad_id']}: {pad['reading']:.6g} V  band [{lo:g}, {hi:g}]  {state}")
     print(f"self test: {'pass' if verdict.passed else 'fail'}")
     return 0 if verdict.passed else EXIT_CHECK_FAILED

@@ -29,7 +29,7 @@ from .circuit import (
 )
 from .checks import VcitVerdict, closed_window, single_level_test
 from .errors import FixtureError, NonConvergence, OperatorAborted
-from .prober import CaptureRecord, ProtectionLimits, StimulusWaveform, execute
+from .prober import MAX_WAVEFORM_SAMPLES, CaptureRecord, ProtectionLimits, StimulusWaveform, execute
 
 # Phases
 IDLE = "Idle"
@@ -133,12 +133,11 @@ class OperatorPort(Protocol):
 class ScriptedOperator:
     """Operator responses supplied by a scenario script (CI use)."""
 
-    def __init__(self, responses: Optional[Mapping[str, str]] = None, default: str = "confirmed"):
+    def __init__(self, responses: Optional[Mapping[str, str]] = None):
         self.responses = dict(responses or {})
-        self.default = default
 
     def ask(self, prompt_tag: str) -> str:
-        return self.responses.get(prompt_tag, self.default)
+        return self.responses.get(prompt_tag, "confirmed")
 
 
 # --- VCIT check battery -----------------------------------------------------
@@ -157,6 +156,14 @@ class PadCheck:
 
     def __post_init__(self):
         closed_window(self.window)
+        # Checked before waveform() builds (level,) * samples.
+        if not 1 <= self.samples <= MAX_WAVEFORM_SAMPLES:
+            raise ValueError(f"samples must be 1 to {MAX_WAVEFORM_SAMPLES}, got {self.samples!r}")
+
+    @property
+    def pads(self) -> tuple:
+        """The pads this check touches, as for a RailSenseCheck."""
+        return (self.pad_id,)
 
     def waveform(self) -> StimulusWaveform:
         """The constant stimulus this check applies to its pad."""
@@ -241,12 +248,7 @@ def run_vcit_battery(
     checks = list(plan.checks)
     if pads is not None:
         wanted = set(pads)
-        checks = [
-            c
-            for c in checks
-            if (isinstance(c, PadCheck) and c.pad_id in wanted)
-            or (isinstance(c, RailSenseCheck) and wanted & set(c.pads))
-        ]
+        checks = [c for c in checks if wanted.intersection(c.pads)]
     results = [_run_check(c, bench, port) for c in checks]
     failed = [r.detail for r in results if not r.passed]
     return VcitVerdict(
@@ -301,28 +303,24 @@ class DummyUutSpec:
         fresh = {pid: ContactState(self.fresh_contact_ohms) for pid, _ in self.uut.pads}
         for pid, _ in self.uut.pads:
             try:
-                reading = self._pad_reading(pid, fresh)
+                pad = self.band_test(pid, fresh)
             except NonConvergence as exc:
                 raise FixtureError(f"dummy pad {pid!r}: fresh-contact reading: {exc}") from None
-            lo, hi = self.bands[pid]
-            if not lo <= reading <= hi:
+            if not pad["passed"]:
+                lo, hi = pad["window"]
                 raise FixtureError(
-                    f"dummy pad {pid!r}: fresh-contact reading {reading:.6g} V "
+                    f"dummy pad {pid!r}: fresh-contact reading {pad['reading']:.6g} V "
                     f"outside its band [{lo:g}, {hi:g}]"
                 )
 
-    def _pad_reading(self, pad_id: str, contacts: Mapping[str, ContactState]) -> float:
+    def pad_capture(self, pad_id: str, contacts: Mapping[str, ContactState]) -> CaptureRecord:
+        """Single-sample capture of the supply-sense reading for one pad."""
         result = solve_dc(
             self.uut,
             contacts,
             {pad_id: Stimulus("voltage", self.drive_volts, self.drive_ohms)},
         )
-        rails = self.uut.pad(pad_id).rails()
-        return result.vcc_volts if "VCC" in rails else result.gnd_volts
-
-    def pad_capture(self, pad_id: str, contacts: Mapping[str, ContactState]) -> CaptureRecord:
-        """Single-sample capture of the supply-sense reading for one pad."""
-        reading = self._pad_reading(pad_id, contacts)
+        reading = result.vcc_volts if "VCC" in self.uut.pad(pad_id).rails() else result.gnd_volts
         return CaptureRecord(
             pad_id=pad_id,
             dt=1e-3,
@@ -331,6 +329,12 @@ class DummyUutSpec:
             measured_current=(0.0,),
         )
 
+    def band_test(self, pad_id: str, contacts: Mapping[str, ContactState]) -> dict:
+        """pad_id's reading on contacts against its band: the pad_id,
+        reading, window and passed of one pad of the self test."""
+        verdict = single_level_test(self.pad_capture(pad_id, contacts), self.bands[pad_id])
+        return {**verdict.detail, "passed": verdict.passed}
+
 
 def dummy_self_test(dummy: DummyUutSpec, bench_contacts: Mapping[str, ContactState]) -> VcitVerdict:
     """Per-pad signature-band battery over the mounted dummy.
@@ -338,75 +342,11 @@ def dummy_self_test(dummy: DummyUutSpec, bench_contacts: Mapping[str, ContactSta
     Passes iff every pad's supply-sense reading is inside its band; worn or
     open needles pull readings below band.
     """
-    details = []
-    ok = True
-    for pid, _ in dummy.uut.pads:
-        capture = dummy.pad_capture(pid, bench_contacts)
-        verdict = single_level_test(capture, dummy.bands[pid])
-        details.append(dict(verdict.detail))
-        ok = ok and verdict.passed
-    return VcitVerdict(passed=ok, detail={"pads": tuple(details)})
+    pads = tuple(dummy.band_test(pid, bench_contacts) for pid, _ in dummy.uut.pads)
+    return VcitVerdict(passed=all(pad["passed"] for pad in pads), detail={"pads": pads})
 
 
 # --- diagnosis and session --------------------------------------------------
-
-def diagnose_functional_failure(
-    bench: Bench,
-    failed_pads: Sequence[str],
-    needle_log: NeedleLog,
-    operator: OperatorPort,
-    *,
-    plan: VcitPlan,
-    dummy: Optional[DummyUutSpec],
-    log: EventLog,
-    forced_vcit: Optional[str] = None,
-    forced_dummy: Optional[str] = None,
-    port=None,
-) -> Verdict:
-    """Separate a true UUT failure from a probing (NTF) failure.
-
-    VCIT pass -> the product really failed.  VCIT fail with recently
-    replaced needles -> the UUT interface is bad.  Otherwise the operator
-    mounts the dummy: a failed dummy self test proves worn probing (NTF,
-    with the replacement actions recorded); a passing one clears the
-    probing and leaves the UUT interface as the fault.
-
-    forced_vcit / forced_dummy override the measured outcomes for scripted
-    scenario enumeration; when absent the outcomes come from the bench.
-    """
-    if forced_vcit is not None:
-        vcit_pass = forced_vcit == "pass"
-    else:
-        vcit_pass = run_vcit_battery(bench, plan, pads=failed_pads, port=port).passed
-    log.append(VCIT_DIAGNOSIS, "vcit-check", "pass" if vcit_pass else "fail")
-    if vcit_pass:
-        return Verdict(UUT_FAIL_FUNCTIONAL, evidence=("vcit-pass-on-failed-pads",))
-
-    fresh = needle_log.replaced_within_window
-    log.append(VCIT_DIAGNOSIS, "needle-window", "fresh" if fresh else "stale")
-    if fresh:
-        return Verdict(UUT_FAIL_INTERFACE, evidence=("vcit-fail", "needles-recently-replaced"))
-
-    log.append(AWAIT_DUMMY_MOUNT, "prompt:mount-dummy", "issued")
-    response = operator.ask("mount-dummy")
-    log.append(AWAIT_DUMMY_MOUNT, "response:mount-dummy", response)
-    if response != "confirmed":
-        raise OperatorAborted("operator declined to mount the dummy UUT")
-
-    if forced_dummy is not None:
-        dummy_pass = forced_dummy == "pass"
-    else:
-        if dummy is None:
-            raise FixtureError("diagnosis reached the dummy self test but no dummy is configured")
-        dummy_pass = dummy_self_test(dummy, bench.contacts).passed
-    log.append(DUMMY_SELF_TEST, "dummy-self-test", "pass" if dummy_pass else "fail")
-    if dummy_pass:
-        return Verdict(UUT_FAIL_INTERFACE, evidence=("vcit-fail", "dummy-self-test-pass"))
-
-    for action in NTF_ACTIONS:
-        log.append(NEEDLE_REPLACEMENT, "action", action)
-    return Verdict(NTF_DETECTED, evidence=("vcit-fail", "dummy-self-test-fail") + NTF_ACTIONS)
-
 
 @dataclass(frozen=True, slots=True)
 class SessionPlan:
@@ -422,6 +362,54 @@ class SessionPlan:
     def __post_init__(self):
         if self.functional_outcome not in ("pass", "fail"):
             raise ValueError("functional_outcome must be 'pass' or 'fail'")
+
+
+def diagnose_functional_failure(
+    plan: SessionPlan, bench: Bench, operator: OperatorPort, log: EventLog, port=None
+) -> Verdict:
+    """Separate a true UUT failure from a probing (NTF) failure.
+
+    VCIT pass -> the product really failed.  VCIT fail with recently
+    replaced needles -> the UUT interface is bad.  Otherwise the operator
+    mounts the dummy: a failed dummy self test proves worn probing (NTF,
+    with the replacement actions recorded); a passing one clears the
+    probing and leaves the UUT interface as the fault.
+
+    The plan's forced_vcit / forced_dummy override the measured outcomes for
+    scripted scenario enumeration; when absent they come from the bench.
+    """
+    if plan.forced_vcit is not None:
+        vcit_pass = plan.forced_vcit == "pass"
+    else:
+        vcit_pass = run_vcit_battery(bench, plan.vcit_plan, pads=plan.failed_pads, port=port).passed
+    log.append(VCIT_DIAGNOSIS, "vcit-check", "pass" if vcit_pass else "fail")
+    if vcit_pass:
+        return Verdict(UUT_FAIL_FUNCTIONAL, evidence=("vcit-pass-on-failed-pads",))
+
+    fresh = plan.needle_log.replaced_within_window
+    log.append(VCIT_DIAGNOSIS, "needle-window", "fresh" if fresh else "stale")
+    if fresh:
+        return Verdict(UUT_FAIL_INTERFACE, evidence=("vcit-fail", "needles-recently-replaced"))
+
+    log.append(AWAIT_DUMMY_MOUNT, "prompt:mount-dummy", "issued")
+    response = operator.ask("mount-dummy")
+    log.append(AWAIT_DUMMY_MOUNT, "response:mount-dummy", response)
+    if response != "confirmed":
+        raise OperatorAborted("operator declined to mount the dummy UUT")
+
+    if plan.forced_dummy is not None:
+        dummy_pass = plan.forced_dummy == "pass"
+    else:
+        if plan.dummy is None:
+            raise FixtureError("diagnosis reached the dummy self test but no dummy is configured")
+        dummy_pass = dummy_self_test(plan.dummy, bench.contacts).passed
+    log.append(DUMMY_SELF_TEST, "dummy-self-test", "pass" if dummy_pass else "fail")
+    if dummy_pass:
+        return Verdict(UUT_FAIL_INTERFACE, evidence=("vcit-fail", "dummy-self-test-pass"))
+
+    for action in NTF_ACTIONS:
+        log.append(NEEDLE_REPLACEMENT, "action", action)
+    return Verdict(NTF_DETECTED, evidence=("vcit-fail", "dummy-self-test-fail") + NTF_ACTIONS)
 
 
 def run_session(plan: SessionPlan, bench: Bench, operator: OperatorPort, port=None):
@@ -449,18 +437,7 @@ def run_session(plan: SessionPlan, bench: Bench, operator: OperatorPort, port=No
         return verdict, log.events
 
     try:
-        verdict = diagnose_functional_failure(
-            bench,
-            plan.failed_pads,
-            plan.needle_log,
-            operator,
-            plan=plan.vcit_plan,
-            dummy=plan.dummy,
-            log=log,
-            forced_vcit=plan.forced_vcit,
-            forced_dummy=plan.forced_dummy,
-            port=port,
-        )
+        verdict = diagnose_functional_failure(plan, bench, operator, log, port=port)
     except OperatorAborted:
         verdict = Verdict(FIXTURE_FAULT, evidence=("operator-aborted",))
     _finish(log, verdict)

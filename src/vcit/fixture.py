@@ -51,11 +51,15 @@ DEFAULT_FIXTURE_RESOURCE = "default_fixture.json"
 @dataclass(frozen=True, slots=True)
 class Fixture:
     bench: Bench
-    limits: ProtectionLimits
     vcit_plan: VcitPlan
     regions: Mapping[str, HalfSpaceRegion] = field(default_factory=dict)
     dummy: Optional[DummyUutSpec] = None
     needle_log: NeedleLog = NeedleLog()
+
+    @property
+    def limits(self) -> ProtectionLimits:
+        """The protection limits, which the VCIT plan holds."""
+        return self.vcit_plan.limits
 
 
 def _expect(value, kind: type, where: str):
@@ -308,13 +312,12 @@ def load_fixture(source) -> Fixture:
         _known_pad(uut, pid, f"contacts.{pid}")
     plan = _PLAN(doc, "", skip=_OTHERS[_PLAN])
     for i, check in enumerate(plan.checks):
-        where, rail_sense = f"setup_plan[{i}]", isinstance(check, RailSenseCheck)
-        for pid in check.pads if rail_sense else (check.pad_id,):
+        where = f"setup_plan[{i}]"
+        for pid in check.pads:
             pad = _known_pad(uut, pid, where)
-            if rail_sense and check.rail not in pad.rails():
+            if isinstance(check, RailSenseCheck) and check.rail not in pad.rails():
                 raise FixtureError(f"{where}: pad {pid!r} has no element to rail {check.rail}")
-    return _FIXTURE(doc, "", skip=_OTHERS[_FIXTURE], bench=bench, limits=plan.limits,
-                    vcit_plan=plan)
+    return _FIXTURE(doc, "", skip=_OTHERS[_FIXTURE], bench=bench, vcit_plan=plan)
 
 
 def default_fixture_path() -> Path:

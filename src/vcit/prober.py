@@ -16,6 +16,10 @@ from typing import Optional
 from .circuit import Bench, Stimulus, solve_dc, step_transient
 from .errors import NonConvergence, ProtocolError, SimulationFailure
 
+# The most samples a waveform from outside the program may hold: a bus
+# WAVEFORM block or a fixture's single-level check.
+MAX_WAVEFORM_SAMPLES = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class StimulusWaveform:

@@ -997,6 +997,18 @@ class TestDiodeModel:
         with pytest.raises(ValueError):
             DiodeModel(1e-14, thermal_voltage=0.0)
 
+    def test_rest_conductance_bound(self):
+        # Is / nVt = 1e300 S: once the junction is off, a reverse current
+        # left the residual flat to rounding, and the solve stalled.
+        with pytest.raises(ValueError, match="at most 1 S"):
+            DiodeModel(1e-5, 1.0, 1e-305)
+        with pytest.raises(ValueError, match="at most 1 S"):
+            DiodeModel(0.5, 1.0, 0.25)
+        d = DiodeModel(0.25, 1.0, 0.25)  # exactly the bound
+        uut = UutModel(pads=(("p", PadCircuit(SeriesDiode(d))),))
+        for amps in (1e-3, -1e-3):
+            assert solve_dc(uut, {}, {"p": Stimulus("current", amps)}).residual < 1e-9
+
 
 def test_uut_cached_system_not_compared_hashed_or_shown():
     d = DiodeModel(1e-14)

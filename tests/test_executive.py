@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, UutModel
-from vcit.errors import FixtureError, UnknownPad
+from vcit.errors import FixtureError, OperatorAborted, UnknownPad
 from vcit.executive import (
     AWAIT_DUMMY_MOUNT,
     FIXTURE_FAULT,
@@ -37,6 +37,7 @@ from vcit.executive import (
     run_vcit_battery,
 )
 from vcit.fixture import load_default_fixture
+from vcit.prober import MAX_WAVEFORM_SAMPLES
 
 
 @pytest.fixture
@@ -116,6 +117,32 @@ class TestSetupIntegrity:
         )
         assert verdict.passed
 
+    @pytest.mark.parametrize("pads, kept", [
+        ([], []), (["p2"], [0, 2]), (["p3", "p1"], [0, 1, 3]), (["p1", "p2", "p3"], [0, 1, 2, 3]),
+    ])
+    def test_battery_keeps_the_checks_on_the_failed_pads(self, fixture, pads, kept):
+        # Every check names its pads, a single-level check its one pad.
+        checks = fixture.vcit_plan.checks
+        assert [c.pads for c in checks] == [("p1", "p2", "p3"), ("p1",), ("p2",), ("p3",)]
+        verdict = run_vcit_battery(fixture.bench, fixture.vcit_plan, pads=pads)
+        ran = [d.get("pads") or (d["pad_id"],) for d in verdict.detail["checks"]]
+        assert ran == [checks[i].pads for i in kept]
+        assert verdict.detail["empty"] == (not kept)
+
+
+class TestPadCheck:
+    @pytest.mark.parametrize("samples", [0, -1, MAX_WAVEFORM_SAMPLES + 1, 1_165_191_242])
+    def test_sample_count_out_of_range(self, samples):
+        # Rejected before waveform() would build (level,) * samples.
+        with pytest.raises(ValueError, match=f"samples must be 1 to {MAX_WAVEFORM_SAMPLES}"):
+            PadCheck("p1", "current", 1e-3, (0.3, 1.0), samples=samples)
+
+    @pytest.mark.parametrize("samples", [1, MAX_WAVEFORM_SAMPLES])
+    def test_sample_count_at_the_bounds(self, samples):
+        check = PadCheck("p1", "current", 1e-3, (0.3, 1.0), samples=samples)
+        assert check.waveform().samples == (1e-3,) * samples
+        assert check.pads == ("p1",)
+
 
 class TestDummyUut:
     def test_default_dummy_passes_fresh(self, fixture):
@@ -136,8 +163,23 @@ class TestDummyUut:
 
     def test_inconsistent_band_rejected(self, fixture):
         bands = {pid: (0.9, 1.0) for pid, _ in fixture.dummy.uut.pads}
-        with pytest.raises(FixtureError):
+        with pytest.raises(FixtureError, match=r"^dummy pad 'p1': fresh-contact reading 0\.12397 V "
+                                               r"outside its band \[0\.9, 1\]$"):
             DummyUutSpec(uut=fixture.dummy.uut, bands=bands)
+
+    def test_self_test_reports_each_pad_against_its_band(self, fixture):
+        contacts = dict(fixture.bench.contacts, p2=ContactState(5000.0))
+        verdict = dummy_self_test(fixture.dummy, contacts)
+        pads = verdict.detail["pads"]
+        assert [p["pad_id"] for p in pads] == ["p1", "p2", "p3"]
+        assert [p["passed"] for p in pads] == [True, False, True]
+        assert not verdict.passed
+        for p in pads:
+            lo, hi = p["window"]
+            assert (lo, hi) == fixture.dummy.bands[p["pad_id"]]
+            assert p["passed"] == (lo <= p["reading"] <= hi)
+            capture = fixture.dummy.pad_capture(p["pad_id"], contacts)
+            assert p["reading"] == capture.measured_voltage[0]
 
 
 def forced_plan(fixture, *, vcit, needles, dummy, functional="fail"):
@@ -213,15 +255,9 @@ class TestDiagnosisBranches:
         # worn bench: setup would fail, so diagnose directly
         log = EventLog()
         bench = bench_with_open(fixture, "p1")
-        verdict = diagnose_functional_failure(
-            bench,
-            ["p1"],
-            STALE,
-            ScriptedOperator(),
-            plan=fixture.vcit_plan,
-            dummy=fixture.dummy,
-            log=log,
-        )
+        plan = SessionPlan(vcit_plan=fixture.vcit_plan, needle_log=STALE, dummy=fixture.dummy,
+                           functional_outcome="fail", failed_pads=("p1",))
+        verdict = diagnose_functional_failure(plan, bench, ScriptedOperator(), log)
         # open needle: VCIT fails, dummy (measured on the same worn
         # contacts) fails too -> NTF
         assert verdict.kind == NTF_DETECTED
@@ -354,3 +390,90 @@ def test_scripted_operator_default_and_override():
     op = ScriptedOperator({"mount-dummy": "aborted"})
     assert op.ask("mount-dummy") == "aborted"
     assert op.ask("anything-else") == "confirmed"
+    assert ScriptedOperator().ask("mount-dummy") == "confirmed"
+
+
+# --- the session layer against its decision table ---------------------------
+
+FX = load_default_fixture()
+FX_PADS = tuple(pid for pid, _ in FX.bench.uut.pads)
+# Half the needles fresh, the others from slightly worn to open
+# (open_threshold is 1e6 ohm), so that most benches pass setup.
+NEEDLE_OHMS = st.just(0.1) | st.sampled_from([2.0, 40.0, 300.0, 3000.0, 2e6])
+FORCED = st.sampled_from([None, "pass", "fail"])
+
+
+@st.composite
+def sessions(draw):
+    """(plan, bench, operator) on the default fixture's UUT: worn or open
+    needles, any needle log, any failed pads, measured or forced outcomes
+    and any operator response to the dummy prompt."""
+    bench = Bench(FX.bench.uut, {pid: ContactState(draw(NEEDLE_OHMS)) for pid in FX_PADS})
+    last, age, window = (draw(st.integers(0, 2000)) for _ in range(3))
+    plan = SessionPlan(
+        vcit_plan=FX.vcit_plan,
+        needle_log=NeedleLog(last, last + age, window),
+        dummy=FX.dummy,
+        functional_outcome=draw(st.sampled_from(["pass", "fail"])),
+        failed_pads=tuple(draw(st.lists(st.sampled_from(FX_PADS), unique=True))),
+        forced_vcit=draw(FORCED),
+        forced_dummy=draw(FORCED),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    response = st.sampled_from(["confirmed", "aborted"])
+    responses = draw(st.dictionaries(st.just("mount-dummy"), response))
+    return plan, bench, ScriptedOperator(responses)
+
+
+def expected_diagnosis(plan, bench, operator):
+    """(verdict kind, whether the dummy prompt is issued) of the diagnosis,
+    by the decision table of expected_kind."""
+    vcit = plan.forced_vcit
+    if vcit is None:
+        battery = run_vcit_battery(bench, plan.vcit_plan, pads=plan.failed_pads)
+        vcit = "pass" if battery.passed else "fail"
+    needles = "fresh" if plan.needle_log.replaced_within_window else "stale"
+    if vcit == "pass" or needles == "fresh":
+        return expected_kind(vcit, needles, None), False
+    if operator.ask("mount-dummy") != "confirmed":
+        return FIXTURE_FAULT, True
+    dummy = plan.forced_dummy
+    if dummy is None:
+        dummy = "pass" if dummy_self_test(plan.dummy, bench.contacts).passed else "fail"
+    return expected_kind(vcit, needles, dummy), True
+
+
+def prompted(events) -> bool:
+    return any(e.action == "prompt:mount-dummy" for e in events)
+
+
+@given(sessions())
+@settings(max_examples=100, deadline=None)
+def test_session_follows_the_decision_table(case):
+    plan, bench, operator = case
+    verdict, events = run_session(plan, bench, operator)
+    if not run_setup_integrity(bench, plan.vcit_plan).passed:
+        expected = FIXTURE_FAULT, False
+    elif plan.functional_outcome == "pass":
+        expected = PASS, False
+    else:
+        expected = expected_diagnosis(plan, bench, operator)
+    assert (verdict.kind, prompted(events)) == expected
+    assert replay_verdict(events) == verdict.kind
+    assert (events[-1].action, events[-1].outcome) == ("verdict", verdict.kind)
+
+
+@given(sessions())
+@settings(max_examples=100, deadline=None)
+def test_diagnosis_follows_the_decision_table(case):
+    """The diagnosis on its own, so that a measured VCIT fail (which a
+    passing setup battery rules out in a session) reaches the measured
+    dummy self test."""
+    plan, bench, operator = case
+    log = EventLog()
+    try:
+        kind = diagnose_functional_failure(plan, bench, operator, log).kind
+    except OperatorAborted:
+        kind = FIXTURE_FAULT
+    assert (kind, prompted(log.events)) == expected_diagnosis(plan, bench, operator)
+    assert replay_verdict(log.events) == kind

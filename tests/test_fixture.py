@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from vcit.circuit import Bench, EsdPair, Led, OpenPad, PadCircuit, Resistive, Se
 from vcit.errors import FixtureError
 from vcit.executive import PadCheck, RailSenseCheck, VcitPlan
 from vcit.fixture import Fixture, default_fixture_path, load_default_fixture, load_fixture
-from vcit.prober import ProtectionLimits
+from vcit.prober import MAX_WAVEFORM_SAMPLES, ProtectionLimits
 
 
 def default_doc():
@@ -109,6 +110,10 @@ class TestPadKinds:
         pytest.param({"id": "d", "kind": "series-diode",
                       "diode": {"saturation_current": 1.0, "thermal_voltage": 1e-310}},
                      r"pads\[1\]\.diode:", id="diode"),
+        # Finite, but Is / nVt = 1e300 S: a reverse current into it stalled the solve.
+        pytest.param({"id": "d", "kind": "series-diode",
+                      "diode": {"saturation_current": 1e-5, "thermal_voltage": 1e-305}},
+                     r"pads\[1\]\.diode:", id="diode-above-1-siemens"),
     ])
     def test_law_with_infinite_rest_conductance(self, pad, where):
         doc = {"pads": [{"id": "o", "kind": "open"}, pad]}
@@ -191,10 +196,25 @@ class TestValidation:
         fixture = load_fixture(json.dumps({"pads": [{"id": "x", "kind": "open"}]}))
         assert fixture == Fixture(
             bench=Bench(uut=UutModel(pads=(("x", PadCircuit(OpenPad())),))),
-            limits=ProtectionLimits(),
             vcit_plan=VcitPlan(),
         )
         assert fixture.limits == fixture.vcit_plan.limits == ProtectionLimits(2.0, 0.05)
+
+    def test_limits_are_the_plans(self):
+        # One copy: a Fixture cannot hold limits that its plan does not.
+        assert "limits" not in {f.name for f in fields(Fixture)}
+        limits = ProtectionLimits(1.0, 0.01)
+        fixture = replace(load_default_fixture(), vcit_plan=VcitPlan(limits=limits))
+        assert fixture.limits is limits
+
+    @pytest.mark.parametrize("samples", [MAX_WAVEFORM_SAMPLES + 1, 1_165_191_242])
+    def test_single_level_check_with_too_many_samples(self, samples):
+        # Loading used to build (level,) * samples: 9 GB at this second count.
+        doc = default_doc()
+        doc["setup_plan"][1]["samples"] = samples
+        message = rf"^setup_plan\[1\]: bad check: samples must be 1 to {MAX_WAVEFORM_SAMPLES}, got"
+        with pytest.raises(FixtureError, match=rf"{message} {samples}$"):
+            load_fixture(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "pid",
@@ -433,6 +453,7 @@ JSON_VALUES = st.one_of(
 @given(st.sampled_from(PLACES), JSON_VALUES)
 @example((0, ("setup_plan", 1, "window")), [0.3])  # must not raise IndexError
 @example((0, ("dummy", "pads", 0, "to_vcc", "ideality")), 4)  # a dummy solve that stalls
+@example((1, ("setup_plan", 1, "samples")), 1_165_191_242)  # a 9 GB waveform
 @settings(max_examples=100, deadline=None)
 def test_any_one_value_replaced_loads_or_raises_fixture_error(place, value):
     i, path = place
