@@ -387,20 +387,27 @@ def _plus_zero(v: float) -> bool:
 
 def _system(uut: UutModel) -> tuple:
     """What no solve of the model changes: (pad ids, the rails with a path
-    resistance, their path conductances, one (pad index, law, rail index,
-    polarity) entry per element, where the datum's rail index is
-    len(rails), and the pads whose every element goes to the datum)."""
+    resistance, their path conductances, each pad's (law, rail index,
+    polarity) per element, where the datum's rail index is len(rails), and
+    the pads whose every element goes to the datum)."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
-    table = tuple(
-        (i, law, rails.index(rail) if rail in rails else len(rails), s)
-        for i, (_, pc) in enumerate(uut.pads)
-        for law, rail, s in pc.kind.branches
+    elements = tuple(
+        tuple((law, rails.index(rail) if rail in rails else len(rails), s)
+              for law, rail, s in pc.kind.branches)
+        for _, pc in uut.pads
     )
-    grounded = set(range(len(uut.pads))) - {i for i, _, a, _ in table if a < len(rails)}
-    return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), table,
-            frozenset(grounded))
+    grounded = frozenset(i for i, pad in enumerate(elements) if all(a == len(rails) for _, a, _ in pad))
+    return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), elements,
+            grounded)
+
+
+def _max_abs(F: list) -> float:
+    """max|F|, or a non-finite value when an entry is one: max() can pass
+    over a NaN, the sum cannot."""
+    total = sum(F)
+    return max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
 
 
 def _solve_network(
@@ -424,15 +431,18 @@ def _solve_network(
     volts (a TransientState also gives the rail volts; a plain mapping
     leaves the rails at 0 V) when its residual max|F| is smaller than at
     rest; on a tie the solve is the one from rest, bit for bit.  Each step
-    tries x + t*dx for t = 1, 1/2, 1/4, ... and takes the first trial whose
-    max|F| is strictly below the current one (a non-finite one never is).
-    If none of MAX_STEP_TRIALS trials is, the solve has stalled and fails
+    stamps the conductances G once, at the accepted point, and tries
+    x + t*dx for t = 1, 1/2, 1/4, ...; it takes the first trial whose max|F|
+    is strictly below the current one (a non-finite one never is).  A trial
+    fills F pad by pad and is given up at the first pad whose |F_i| is not
+    below the current max|F|, before any later pad's law is evaluated.  If
+    none of MAX_STEP_TRIALS trials is lower, the solve has stalled and fails
     as one that runs out of iterations does.  iterations counts the
     accepted steps.
     """
     for pid in stimuli:
         uut.pad(pid)  # raises UnknownPad
-    ids, rails, rail_g, table, grounded = uut._system
+    ids, rails, rail_g, elements, grounded = uut._system
     start_volts = start or {}
     idle = {
         i for i in grounded
@@ -448,96 +458,116 @@ def _solve_network(
     rail_node = {rail: n + a for a, rail in enumerate(rails)}
     size = n + len(rail_g)
     datum = size
-    # Each law's methods are looked up per solve, never cached: they may be
-    # patched to count calls.
-    branches = [(node[i], law.current, law.conductance, law.leak, n + a, s)
-                for i, law, a, s in table if i in node]
-    caps = [(i, *companions[pid]) for i, pid in enumerate(names) if pid in companions]
-    drives = [
-        (i, stimuli[pid], contacts.get(pid, GOOD_CONTACT))
-        for i, pid in enumerate(names)
-        if pid in stimuli
+
+    def drive(pid: str) -> tuple:
+        """(level, conductance) of a pad's drive: a voltage drive's level
+        behind 1 / _drive_ohms, or the current a current drive delivers (0
+        through an open needle, or with no drive) behind 0."""
+        stim = stimuli.get(pid)
+        if stim is None:
+            return 0.0, 0.0
+        contact = contacts.get(pid, GOOD_CONTACT)
+        if stim.mode == "current":
+            # Ideal current source in series with the contact delivers the
+            # full level; an open contact delivers nothing.
+            return (0.0 if contact.is_open else stim.level), 0.0
+        return stim.level, 1.0 / _drive_ohms(stim, contact)
+
+    # One entry per pad node: its branches, each carrying s*(law(v) + leak*v)
+    # at v = s*(vp - vr) from the pad into rail node r, its capacitor's
+    # (conductance, history) or None, and its drive.  Each law's methods are
+    # looked up per solve, never cached: they may be patched to count calls.
+    terms = [
+        (tuple((law.current, law.leak, n + a, s) for law, a, s in elements[i]),
+         companions.get(pid), *drive(pid))
+        for i, pid in zip(pads, names)
     ]
+    branches = [(k, law.conductance, law.leak, a, s)
+                for k, i in enumerate(pads) for law, a, s in elements[i]]
 
-    def stamp(x: list, laws: bool = True) -> tuple:
-        """(F, G, residual) at node voltages x, the datum last.  laws=False
-        leaves out the branches and leaks: exact for F at rest, where every
-        law carries exactly 0 A."""
-        F = [0.0] * (size + 1)
-        # G[a][i] is the conductance from pad i to rail node n + a; the last
-        # row, to the datum, also takes every other conductance to ground.
-        G = [[0.0] * n for _ in range(len(rail_g) + 1)]
-        ground = G[-1]
-        for a, g in enumerate(rail_g):
-            F[n + a] += x[n + a] * g
-        # Each branch carries i = s*(law(v) + leak*v) at v = s*(vp - vr) from
-        # the pad into its rail.
-        for i, law_i, law_g, leak, r, s in branches if laws else ():
-            v = s * (x[i] - x[r])
-            current = s * (law_i(v) + leak * v)
-            F[i] += current
-            F[r] -= current
-            G[r - n][i] += law_g(v) + leak
-        for i in range(n if laws else 0):
-            F[i] += _GMIN * x[i]
-            ground[i] += _GMIN
-        for i, g, history in caps:
-            F[i] += g * x[i] - history
-            ground[i] += g
-        for i, stim, contact in drives:
-            if stim.mode == "current":
-                # Ideal current source in series with the contact delivers
-                # the full level; an open contact delivers nothing.
-                if not contact.is_open:
-                    F[i] -= stim.level
-            else:
-                g = 1.0 / _drive_ohms(stim, contact)
-                F[i] -= (stim.level - x[i]) * g
-                ground[i] += g
+    def residual(x: list, bound: float) -> Optional[tuple]:
+        """(F, max|F|) at node voltages x, the datum last, if max|F| is below
+        bound; else None, returned as soon as one pad's |F_i| is not."""
+        F = [0.0] * n + [0.0 + x[n + a] * g for a, g in enumerate(rail_g)] + [0.0]
+        for i, (pad_branches, cap, level, drive_g) in enumerate(terms):
+            xi = x[i]
+            f = 0.0
+            for current, leak, r, s in pad_branches:
+                v = s * (xi - x[r])
+                amps = s * (current(v) + leak * v)
+                f += amps
+                F[r] -= amps
+            f += _GMIN * xi
+            if cap is not None:
+                f += cap[0] * xi - cap[1]
+            f -= (level - xi) * drive_g if drive_g else level
+            if not abs(f) < bound:  # a NaN never is
+                return None
+            F[i] = f
         del F[datum]  # the datum equation is dropped
+        worst = _max_abs(F)
+        return (F, worst) if worst < bound else None
 
-        # max() can pass over a NaN, the sum cannot: a NaN or inf anywhere
-        # in F makes the residual non-finite.
-        total = sum(F)
-        residual = max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
-        return F, G, residual
+    def conductances(x: list) -> list:
+        """G at node voltages x: G[a][i] is the conductance from pad i to
+        rail node n + a; the last row, to the datum, also takes every other
+        conductance to ground."""
+        G = [[0.0] * n for _ in range(len(rail_g) + 1)]
+        for i, conductance, leak, a, s in branches:
+            G[a][i] += conductance(s * (x[i] - x[n + a])) + leak
+        ground = G[-1]
+        for i, (_, cap, _, drive_g) in enumerate(terms):
+            ground[i] += _GMIN
+            if cap is not None:
+                ground[i] += cap[0]
+            if drive_g:
+                ground[i] += drive_g
+        return G
 
-    rest = [0.0] * (size + 1)  # node voltages, the datum last
-    x, stamped = rest, None  # the start and its stamp, or None to stamp it
+    # At rest every law carries exactly 0 A, so F there holds only the rail,
+    # capacitor-history and drive terms: no law is evaluated for it.
+    x = [0.0] * (size + 1)  # node voltages, the datum last
+    F = []
+    for _, cap, level, drive_g in terms:
+        f = 0.0
+        if cap is not None:
+            f += cap[0] * 0.0 - cap[1]
+        f -= level * drive_g if drive_g else level
+        F.append(f)
+    F += [0.0 + 0.0 * g for g in rail_g]
+    worst = _max_abs(F)
     if start is not None:
         rail_volts = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
         warm = [start.get(pid, 0.0) for pid in names] + [rail_volts[r] for r in rails] + [0.0]
-        warm_stamp = stamp(warm)
-        # Rest is stamped in full only when it is the start; its residual needs no law.
-        if warm_stamp[2] < stamp(rest, laws=False)[2]:
-            x, stamped = warm, warm_stamp
-    F, G, residual = stamped or stamp(x)
+        warm_residual = residual(warm, worst)
+        if warm_residual is not None:
+            x, (F, worst) = warm, warm_residual
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        if residual < KCL_TOLERANCE_AMPS:
+        if worst < KCL_TOLERANCE_AMPS:
             return SolveResult(
                 pads={pid: _meter(x[node[i]] if i in node else 0.0, stimuli.get(pid),
                                   contacts.get(pid, GOOD_CONTACT)) for i, pid in enumerate(ids)},
                 vcc_volts=x[rail_node.get("VCC", datum)],
                 gnd_volts=x[rail_node.get("GND", datum)],
                 iterations=iteration,
-                residual=residual,
+                residual=worst,
             )
-        if not math.isfinite(residual):
-            raise NonConvergence("DC solve met a non-finite residual", residual, iteration)
+        if not math.isfinite(worst):
+            raise NonConvergence("DC solve met a non-finite residual", worst, iteration)
         if iteration == MAX_NEWTON_ITERATIONS:
             break
-        dx = _newton_step(F, G, rail_g)
+        dx = _newton_step(F, conductances(x), rail_g)
         for _ in range(MAX_STEP_TRIALS):
             trial = list(map(add, x, dx)) + [0.0]
-            trial_stamp = stamp(trial)
-            if trial_stamp[2] < residual:
+            accepted = residual(trial, worst)
+            if accepted is not None:
                 break
             dx = [0.5 * d for d in dx]  # exact: t*dx for the next power of two
         else:
             break  # stalled: no trial lowers max|F|
         x = trial
-        F, G, residual = trial_stamp
-    raise NonConvergence("DC solve did not converge", residual, iteration)
+        F, worst = accepted
+    raise NonConvergence("DC solve did not converge", worst, iteration)
 
 
 def _newton_step(F: list, G: list, rail_g: list) -> list:

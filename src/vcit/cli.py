@@ -56,6 +56,10 @@ VERDICT_EXIT_CODES = {
 EXIT_CONFIG_ERROR = 1
 EXIT_CHECK_FAILED = 6
 
+# Options whose value is a number or a list of them, and so may start with
+# "-": a reverse current, a window below 0 V.
+NUMBER_OPTIONS = ("--level", "--levels", "--window", "--windows", "--vector", "--threshold")
+
 
 class ConsoleOperator:
     """Live confirm/abort prompts on the terminal."""
@@ -143,6 +147,13 @@ def cmd_selftest(args) -> int:
     return 0 if verdict.passed else EXIT_CHECK_FAILED
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise VcitError(f"bad number: {text!r}") from None
+
+
 def _csv_floats(text: str):
     try:
         values = tuple(float(v) for v in text.split(",") if v != "")
@@ -179,10 +190,11 @@ def _check(args) -> int:
         _require(args, ["file", "ref-file"])
         samples = _csv_floats(Path(args.file).read_text(encoding="utf-8").replace("\n", ","))
         ref_samples = _csv_floats(Path(args.ref_file).read_text(encoding="utf-8").replace("\n", ","))
-        ref = CorrelationRef(reference_samples=ref_samples, dt=1e-3, threshold=args.threshold)
+        threshold = _number(args.threshold)
+        ref = CorrelationRef(reference_samples=ref_samples, dt=1e-3, threshold=threshold)
         score = correlation_score(samples, ref)
         print(f"score: {score!r}")
-        return 0 if score >= args.threshold else EXIT_CHECK_FAILED
+        return 0 if score >= threshold else EXIT_CHECK_FAILED
 
     fixture = _load(args)
     if args.check == "shape":
@@ -196,7 +208,7 @@ def _check(args) -> int:
     if args.check == "single":
         _require(args, ["pad", "level", "window"])
         window = _csv_floats(args.window)
-        check = PadCheck(pad_id=args.pad, mode=args.mode, level=args.level, window=window)
+        check = PadCheck(pad_id=args.pad, mode=args.mode, level=_number(args.level), window=window)
         capture = execute(check.waveform(), fixture.limits, fixture.bench)[0]
         return _print_verdict(single_level_test(capture, check.window))
 
@@ -273,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, bus=False)
     p.add_argument("--pad", help="target pad id (single/diff)")
     p.add_argument("--mode", default="current", choices=["current", "voltage"])
-    p.add_argument("--level", type=float, help="stimulus level (single)")
+    p.add_argument("--level", help="stimulus level (single)")
     p.add_argument("--levels", help="comma-separated stimulus levels (diff)")
     p.add_argument("--window", help="lo,hi window (single)")
     p.add_argument("--windows", help="semicolon-separated lo,hi windows (diff)")
     p.add_argument("--file", help="sample file, one value per line (corr)")
     p.add_argument("--ref-file", help="reference sample file, one value per line (corr)")
-    p.add_argument("--threshold", type=float, default=0.9, help="correlation threshold")
+    p.add_argument("--threshold", default="0.9", help="correlation threshold")
     p.add_argument("--region", help="named fixture region (shape)")
     p.add_argument("--vector", help="comma-separated measurement vector (shape)")
     p.set_defaults(func=cmd_check)
@@ -292,9 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_numbers(argv: list) -> list:
+    """argv with each of NUMBER_OPTIONS joined to a following value that
+    starts with a single "-": argparse reads "--level -1e-3" as an option
+    missing its value, and "--level=-1e-3" as meant."""
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1] in NUMBER_OPTIONS and arg.startswith("-")
+                and not arg.startswith("--")):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except VcitError as exc:

@@ -1,8 +1,10 @@
 """What the benchmark under perfbench/ relies on in vcit: the bindings its
 tracer patches, small runs of its in-process workloads under its own
-checks, its loopback bus cycle, and the needle-log override its session
-workload restates.  perfbench/ is read here, never changed."""
+checks and against its recorded outcome codes, its loopback bus cycle, and
+the needle-log override its session workload restates.  perfbench/ is read
+here, never changed."""
 
+import json
 import random
 import sys
 from dataclasses import replace
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -29,6 +32,22 @@ def test_workload_ops_pass_their_checks(workload):
     for i in range(3):
         op = wl.op(i)
         assert wl.check(op, wl.run(op)) == [], (wl.name, i)
+
+
+@pytest.mark.parametrize("workload", [workloads.SessionMix, workloads.WideBoard])
+def test_first_ops_reproduce_the_record(workload):
+    """Every benchmark run compares the outcome codes (verdict, and trip
+    flags on wide-board) of its first MIN_OPS ops with record.json; a
+    changed verdict or trip flag fails here first."""
+    record = json.loads((PERFBENCH / "record.json").read_text(encoding="utf-8"))
+    wl = workload(0)
+    codes = []
+    for i in range(workloads.MIN_OPS):
+        op = wl.op(i)
+        result = wl.run(op)
+        assert wl.check(op, result) == [], (wl.name, i)
+        codes.append(wl.summary(result))
+    assert codes == record[wl.name]["0"].split()
 
 
 def test_law_counter_sees_the_diode_law():

@@ -39,7 +39,7 @@ from vcit.errors import (
     UnknownPad,
 )
 from vcit import prober
-from vcit.circuit import _solve_network
+from vcit.circuit import MAX_NEWTON_ITERATIONS, MAX_STEP_TRIALS, _newton_step, _solve_network
 from vcit.prober import ProtectionLimits, StimulusWaveform, execute
 
 VT = 0.02585
@@ -207,6 +207,82 @@ def dense_newton(uut, contacts, stimuli, companions, start=None):
                 break
         spent += iteration
     return None
+
+
+def full_trial_newton(uut, contacts, stimuli, companions, start=None):
+    """Test-local reference for bit identity: the solver's start rule and
+    damped step with every pad a node and F and G stamped in full at every
+    point tried, rest included, on the solver's own _newton_step.  Each
+    entry of F and G takes the solver's float operations in its order, so
+    the solver must match it bit for bit.  Returns (pad volts, vcc volts,
+    gnd volts, iterations, residual) or raises NonConvergence."""
+    ids = [pid for pid, _ in uut.pads]
+    n = len(ids)
+    rail_g = [1.0 / ohms for ohms in (uut.vcc_path_ohms, uut.gnd_path_ohms) if ohms > 0.0]
+    rail_node = {}
+    for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)):
+        if ohms > 0.0:
+            rail_node[rail] = n + len(rail_node)
+    size = n + len(rail_g)  # the datum
+    branches = [(i, law, rail_node.get(rail, size), s)
+                for i, (_, pc) in enumerate(uut.pads) for law, rail, s in pc.kind.branches]
+
+    def stamp(x):
+        F = [0.0] * (size + 1)
+        G = [[0.0] * n for _ in range(len(rail_g) + 1)]
+        for a, g in enumerate(rail_g):
+            F[n + a] += x[n + a] * g
+        for i, law, r, s in branches:
+            v = s * (x[i] - x[r])
+            current = s * (law.current(v) + law.leak * v)
+            F[i] += current
+            F[r] -= current
+            G[r - n][i] += law.conductance(v) + law.leak
+        for i, pid in enumerate(ids):
+            F[i] += 1e-12 * x[i]
+            G[-1][i] += 1e-12
+            if pid in companions:
+                g, history = companions[pid]
+                F[i] += g * x[i] - history
+                G[-1][i] += g
+            stim, contact = stimuli.get(pid), contacts.get(pid, GOOD_CONTACT)
+            if stim is not None and stim.mode == "current" and not contact.is_open:
+                F[i] -= stim.level
+            elif stim is not None and stim.mode == "voltage":
+                ohms = stim.source_ohms + contact.effective_ohms
+                g = 1.0 / (ohms if ohms != 0.0 else 1e-9)
+                F[i] -= (stim.level - x[i]) * g
+                G[-1][i] += g
+        del F[size]
+        total = sum(F)
+        return F, G, max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
+
+    x = [0.0] * (size + 1)
+    if start is not None:
+        rails = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
+        warm = [start.get(pid, 0.0) for pid in ids] + [rails[r] for r in rail_node] + [0.0]
+        if stamp(warm)[2] < stamp(x)[2]:
+            x = warm
+    F, G, residual = stamp(x)
+    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+        if residual < KCL_TOLERANCE_AMPS:
+            return (x[:n], x[rail_node.get("VCC", size)], x[rail_node.get("GND", size)], iteration,
+                    residual)
+        if not math.isfinite(residual):
+            raise NonConvergence("DC solve met a non-finite residual", residual, iteration)
+        if iteration == MAX_NEWTON_ITERATIONS:
+            break
+        dx = _newton_step(F, G, rail_g)
+        for _ in range(MAX_STEP_TRIALS):
+            trial = [a + b for a, b in zip(x, dx)] + [0.0]
+            F_trial, G_trial, trial_residual = stamp(trial)
+            if trial_residual < residual:
+                break
+            dx = [0.5 * d for d in dx]
+        else:
+            break
+        x, F, G, residual = trial, F_trial, G_trial, trial_residual
+    raise NonConvergence("DC solve did not converge", residual, iteration)
 
 
 # Signs of current each kind conducts; an open pad conducts none, so it is
@@ -495,6 +571,88 @@ class TestDampedNewton:
             solve_dc(uut, {"p": ContactState(0.0)}, {"p": Stimulus("voltage", level)})
         assert 0 < info.value.iterations <= 20
         assert KCL_TOLERANCE_AMPS <= info.value.residual < math.inf
+
+
+def law_calls(monkeypatch):
+    """Record (law, method) for every call of the diode and resistor laws."""
+    calls = []
+    for cls in (DiodeModel, Resistive):
+        for name in ("current", "conductance"):
+            def counted(law, v, method=getattr(cls, name), name=name):
+                calls.append((law, name))
+                return method(law, v)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestNewtonWork:
+    """A Newton step evaluates each kept branch's conductance once, at the
+    point it steps from, and a rejected trial stops at its first pad whose
+    |F_i| is not below the current max|F|."""
+
+    def esd_board(self):
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("esd", PadCircuit(EsdPair(d, d), 1e-9)),
+                             ("led", PadCircuit(Led(DiodeModel(1e-18, 2.0)), 1e-9)),
+                             ("res", PadCircuit(Resistive(470.0))),
+                             ("idle", PadCircuit(SeriesDiode(d), 1e-9))),
+                       vcc_path_ohms=25.0, gnd_path_ohms=0.0)
+        contacts = {"esd": ContactState(0.1), "led": ContactState(0.1), "res": ContactState(0.1)}
+        stimuli = {"esd": Stimulus("current", 2e-3), "led": Stimulus("voltage", 1.8, 50.0),
+                   "res": Stimulus("current", -1e-3)}
+        return uut, contacts, stimuli  # 4 kept branches: the idle pad's is left out
+
+    @pytest.mark.parametrize("level", [2e-3, -2e-3, 0.0])
+    def test_one_conductance_per_branch_and_step(self, monkeypatch, level):
+        uut, contacts, stimuli = self.esd_board()
+        stimuli["esd"] = Stimulus("current", level)
+        calls = law_calls(monkeypatch)
+        results = [solve_dc(uut, contacts, stimuli)]
+        state = None
+        for _ in range(3):  # from rest, then warm
+            state, result = step_transient(uut, contacts, stimuli, state, 1e-4)
+            results.append(result)
+        assert sum(r.iterations for r in results) > 0
+        assert sum(name == "conductance" for _, name in calls) == 4 * sum(
+            r.iterations for r in results)
+
+    def test_rejected_trial_evaluates_no_later_pad(self, monkeypatch):
+        # From rest the diode's full step is hundreds of megavolts, so many
+        # trials are rejected at the diode pad.  The resistor pad after it is
+        # linear, and every trial the diode passes lowers its |F_i| too: its
+        # law is evaluated only on the accepted trials.
+        resistor = Resistive(100.0)
+        uut = UutModel(pads=(("d", diode_pad()), ("r", PadCircuit(resistor))), vcc_path_ohms=0.0)
+        stimuli = {"d": Stimulus("current", 1e-3), "r": Stimulus("voltage", 0.5, 10.0)}
+        calls = law_calls(monkeypatch)
+        result = solve_dc(uut, {}, stimuli)
+        diode_trials = sum(name == "current" for law, name in calls if law is not resistor)
+        resistor_trials = sum(name == "current" for law, name in calls if law is resistor)
+        assert resistor_trials == result.iterations > 0
+        assert diode_trials > 2 * result.iterations
+
+    @given(networks())
+    @example(bridged_rails())
+    @settings(max_examples=150, deadline=None)
+    def test_every_iterate_matches_full_trial_stamps(self, network):
+        uut, contacts, stimuli, state, dt = network
+        companions = companions_of(uut, state, dt)
+
+        def bits(solve):
+            try:
+                result = solve()
+            except NonConvergence as exc:
+                return f"NonConvergence: {exc} {exc.residual!r}"
+            if isinstance(result, tuple):
+                return repr(result)
+            return repr(([r.pad_volts for r in result.pads.values()], result.vcc_volts,
+                         result.gnd_volts, result.iterations, result.residual))
+
+        # DC and transient, from rest, from a plain mapping and from a
+        # TransientState with its rails.
+        for comps, start in (({}, None), ({}, dict(state)), (companions, None), (companions, state)):
+            assert bits(lambda: _solve_network(uut, contacts, stimuli, comps, start)) == bits(
+                lambda: full_trial_newton(uut, contacts, stimuli, comps, start))
 
 
 @st.composite

@@ -245,9 +245,21 @@ class TestCheck:
             ["corr", "--file", "{ramp}", "--ref-file", "{flat}"],
             ["corr", "--file", "{ramp}", "--ref-file", "{ramp}", "--threshold", "nan"],
             ["corr", "--file", "{ramp}", "--ref-file", "{rounded}"],
+            ["single", "--pad", "p1", "--level", "-x", "--window", "-0.9,-0.4"],
+            ["single", "--pad", "p1", "--level", "-nan", "--window", "-0.9,-0.4"],
+            ["single", "--pad", "p1", "--level", "-1e-3", "--window", "-0.9,-x"],
+            ["single", "--pad", "p1", "--level", "-1e-3", "--window", "-0.4,-0.9"],
+            ["diff", "--pad", "p1", "--levels", "-1e-3,-nan", "--windows", "-0.1,0.1"],
+            ["diff", "--pad", "p1", "--levels", "-1e-3,-2e-3", "--windows", "-inf,0.1"],
+            ["shape", "--region", "unit-box", "--vector", "-a,0"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{ramp}", "--threshold", "-x"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{ramp}", "--threshold", "-2"],
         ],
         ids=["level", "window", "window-reversed", "levels", "windows", "window-count",
-             "vector", "constant-reference", "threshold", "reference-constant-up-to-rounding"],
+             "vector", "constant-reference", "threshold", "reference-constant-up-to-rounding",
+             "negative-level", "negative-level-nan", "negative-window",
+             "negative-window-reversed", "negative-levels", "negative-windows",
+             "negative-vector", "negative-threshold", "negative-threshold-range"],
     )
     def test_bad_input_exit_1_without_verdict(self, tmp_path, capsys, argv):
         files = {"{flat}": write(tmp_path, "flat.txt", "1\n1\n1\n"),
@@ -257,6 +269,37 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "check:" not in captured.out and "score:" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--pad", "p1", "--level", "-1e-3", "--window", "-0.9,-0.4"],
+            ["single", "--pad", "p1", "--level=-1e-3", "--window=-0.9,-0.4"],
+            ["single", "--pad", "p1", "--mode", "voltage", "--level", "-.5", "--window", "-1,0"],
+            ["diff", "--pad", "p1", "--levels", "-1e-3,-2e-3", "--windows", "-0.1,0.1"],
+            ["diff", "--pad", "p1", "--levels", "-1e-3,-2e-3,-3e-3", "--windows", "-0.1,0;-1,1"],
+            ["shape", "--region", "unit-box", "--vector", "-0.5,0.5"],
+            ["corr", "--file", "{ramp}", "--ref-file", "{ramp}", "--threshold", "-0.5"],
+        ],
+        ids=["level-window", "joined", "voltage-level", "levels-windows", "windows-list",
+             "vector", "threshold"],
+    )
+    def test_negative_numbers_as_separate_arguments(self, tmp_path, capsys, argv):
+        files = {"{ramp}": write(tmp_path, "ramp.txt", "0.1\n0.2\n0.3\n")}
+        assert main(["check", *(files.get(a, a) for a in argv)]) in (0, 6)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(("check: ", "score: "))
+
+    def test_reverse_current_reads_as_the_battery_does(self, capsys):
+        fixture = load_default_fixture()
+        check = PadCheck(pad_id="p1", mode="current", level=-1e-3, window=(-0.9, -0.4))
+        battery = run_vcit_battery(fixture.bench, VcitPlan(checks=(check,), limits=fixture.limits))
+        expected = battery.detail["checks"][0]["reading"]
+        assert expected < 0.0  # the pad's GND diode conducts
+        assert main(["check", "single", "--pad", "p1", "--level", "-1e-3",
+                     "--window", "-0.9,-0.4"]) == 0
+        assert f"  reading: {expected}\n" in capsys.readouterr().out
 
 
 class TestBusIntegration:
