@@ -6,8 +6,9 @@ GND rails.  Rails terminate to tester ground through configurable path
 resistances; a path resistance of zero pins the rail at 0 V.  Stimuli are
 applied per pad, through that pad's needle contact resistance.
 
-All solves are damped Newton-Raphson with analytic derivatives and are
-fully deterministic: identical inputs give bit-identical outputs.
+All solves are two-level Newton-Raphson with analytic derivatives: each pad
+is settled alone under the rail voltages, and Newton runs on the <= 2 rails.
+They are fully deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ from .errors import NoPathToRail, NonConvergence, NotPoweredModel, UnknownPad
 OPEN_CONTACT_OHMS = 1e12
 
 KCL_TOLERANCE_AMPS = 1e-9
+# The Newton budget of the rail loop and of each pad's settle.
 MAX_NEWTON_ITERATIONS = 200
-# Trials per Newton step: the full step, then halved until max|F| falls.
-MAX_STEP_TRIALS = 64
+# A node is settled when its Newton step is within VOLTS_TOLERANCE +
+# RELATIVE_TOLERANCE * |x| as well as its |F| under KCL_TOLERANCE_AMPS.
+VOLTS_TOLERANCE = 1e-9
+RELATIVE_TOLERANCE = 1e-9
 # Largest rest conductance Is / nVt of a diode law, in S, many orders above
 # any pad junction.  Near 1e60 S a reverse-biased junction scales the Newton
 # step past what rounding can resolve, and the solve stalls.
@@ -330,6 +334,10 @@ class PadReading:
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
+    """A solve's readings and rail volts; iterations counts the rail (outer)
+    Newton steps, so a board with no rail path takes 0, and residual is the
+    largest |F| over the nodes."""
+
     pads: Mapping[str, PadReading]
     vcc_volts: float
     gnd_volts: float
@@ -352,14 +360,14 @@ class Bench:
 
 
 def _drive_ohms(stim: Stimulus, contact: ContactState) -> float:
-    """Series resistance of a voltage drive: source plus contact, with an
-    ideal source through an ideal contact carried as 1 nOhm."""
-    r = stim.source_ohms + contact.effective_ohms
-    return r if r != 0.0 else 1e-9
+    """Series resistance of a voltage drive: source plus contact.  At 0 the
+    drive pins its pad at the level."""
+    return stim.source_ohms + contact.effective_ohms
 
 
 def _meter(vp: float, stim: Optional[Stimulus], contact: ContactState) -> PadReading:
-    """What the needle-side meter reads for a pad node at vp."""
+    """What the needle-side meter reads for a pad node at vp (a pad pinned
+    by its drive is read by the solve itself)."""
     if stim is None:
         # Floating needle: the meter reads the pad through the contact
         # (no current, no drop); an open contact reads nothing.
@@ -385,29 +393,77 @@ def _plus_zero(v: float) -> bool:
     return v == 0.0 and math.copysign(1.0, v) > 0.0
 
 
+def _junction(law) -> tuple:
+    """(nVt, vcrit, series resistance) of a law for junction limiting; a
+    resistor is never limited."""
+    if isinstance(law, DiodeModel):
+        nvt = law.nvt
+        return nvt, nvt * math.log(nvt / (math.sqrt(2.0) * law.saturation_current)), law.series_resistance
+    return math.inf, math.inf, 0.0
+
+
 def _system(uut: UutModel) -> tuple:
     """What no solve of the model changes: (pad ids, the rails with a path
     resistance, their path conductances, each pad's (law, rail index,
-    polarity) per element, where the datum's rail index is len(rails), and
-    the pads whose every element goes to the datum)."""
+    polarity, nVt, vcrit, series resistance) per element, where the datum's
+    rail index is len(rails), and the pads whose every element goes to the
+    datum)."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
     elements = tuple(
-        tuple((law, rails.index(rail) if rail in rails else len(rails), s)
+        tuple((law, rails.index(rail) if rail in rails else len(rails), s, *_junction(law))
               for law, rail, s in pc.kind.branches)
         for _, pc in uut.pads
     )
-    grounded = frozenset(i for i, pad in enumerate(elements) if all(a == len(rails) for _, a, _ in pad))
+    grounded = frozenset(i for i, pad in enumerate(elements) if all(e[1] == len(rails) for e in pad))
     return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), elements,
             grounded)
 
 
-def _max_abs(F: list) -> float:
-    """max|F|, or a non-finite value when an entry is one: max() can pass
-    over a NaN, the sum cannot."""
-    total = sum(F)
-    return max(map(abs, F), default=0.0) if math.isfinite(total) else abs(total)
+def _settled(x: float, f: float, g: float) -> bool:
+    """|F| under the KCL tolerance and the Newton step |F / G| within
+    VOLTS_TOLERANCE + RELATIVE_TOLERANCE * |x|."""
+    return abs(f) < KCL_TOLERANCE_AMPS and abs(f) <= (VOLTS_TOLERANCE + RELATIVE_TOLERANCE * abs(x)) * g
+
+
+def _bracketed(x: float, step: float, lo: float, hi: float, last: float) -> tuple:
+    """(new x, lo, hi): the root lies on the side of x that the Newton step
+    goes to, so x becomes that end of the sign bracket (lo, hi); then x +
+    step, or the bracket's midpoint when that leaves the bracket or, once
+    both ends are finite, moves more than half the last step.  A step that
+    does not move x leaves it, so the midpoint is only ever taken of a
+    finite bracket."""
+    if step > 0.0:
+        lo = x
+    else:
+        hi = x
+    new = x + step
+    if new != x and (not lo < new < hi or (abs(step) > 0.5 * last and -math.inf < lo and hi < math.inf)):
+        new = 0.5 * lo + 0.5 * hi
+    return new, lo, hi
+
+
+def _limited(x: float, step: float, branches: tuple, y: list) -> float:
+    """The Newton step of a pad node, shortened so that no diode branch's
+    junction voltage jumps forward further than SPICE pnjlim lets it.
+    Behind a series resistance rs the junction moves by the port's change
+    times 1 - rs * conductance, at the junction voltage v - rs * current."""
+    for current, conductance, _, a, s, nvt, vcrit, rs in branches:
+        v = s * (x - y[a])
+        forward = s * step
+        if forward <= 2.0 * nvt:
+            continue
+        scale = 1.0 - rs * conductance(v) if rs else 1.0
+        vd = v - rs * current(v) if rs else v
+        vd_new = vd + forward * scale
+        if vd_new - vd > 2.0 * nvt and vd_new > vcrit:
+            if vd > 0.0:
+                vd_new = vd + nvt * math.log1p((vd_new - vd) / nvt)
+            elif vd_new > nvt:
+                vd_new = nvt * math.log(vd_new / nvt)
+            step = s * (vd_new - vd) / scale
+    return step
 
 
 def _solve_network(
@@ -417,28 +473,37 @@ def _solve_network(
     companions: Mapping[str, tuple],
     start: Optional[Mapping[str, float]] = None,
 ) -> SolveResult:
-    """Damped Newton solve of the star network.  companions maps a pad id
-    to the implicit Euler model (conductance, history current) of its
+    """Two-level Newton solve of the star network.  companions maps a pad
+    id to the implicit Euler model (conductance, history current) of its
     capacitance.
 
-    Nodes 0..n-1 are the pads, then each rail with a path resistance.  A
-    rail without one is tied to the datum node, which comes last and whose
-    equation is dropped, so it stays at 0 V.  A pad with every element to
-    the datum, no stimulus, and a capacitor history and start of exactly
-    +0.0 sits at exactly 0 V; it is left out, which changes no iterate.
+    The nodes are the pads, then each rail with a path resistance.  A rail
+    without one is tied to the datum, which stays at 0 V.  A pad with every
+    element to the datum, no stimulus, and a capacitor history and start of
+    exactly +0.0 sits at exactly 0 V and is left out.  A voltage drive of 0
+    Ohm in all pins its pad at the level: the pad is not solved, and it
+    draws what its branches, GMIN leak and capacitor carry.
 
-    Newton starts at rest (every node at 0 V), or at a start mapping of pad
-    volts (a TransientState also gives the rail volts; a plain mapping
-    leaves the rails at 0 V) when its residual max|F| is smaller than at
-    rest; on a tie the solve is the one from rest, bit for bit.  Each step
-    stamps the conductances G once, at the accepted point, and tries
-    x + t*dx for t = 1, 1/2, 1/4, ...; it takes the first trial whose max|F|
-    is strictly below the current one (a non-finite one never is).  A trial
-    fills F pad by pad and is given up at the first pad whose |F_i| is not
-    below the current max|F|, before any later pad's law is evaluated.  If
-    none of MAX_STEP_TRIALS trials is lower, the solve has stalled and fails
-    as one that runs out of iterations does.  iterations counts the
-    accepted steps.
+    Inner level: given the rail voltages, each pad's KCL F_i(x_i) is
+    strictly increasing (every law is, and GMIN > 0), so each pad is
+    settled alone by Newton, its diode branches junction-limited, inside a
+    sign bracket that it bisects when a step leaves it or, once finite, when
+    a step is more than half the last one.  A pad is settled when _settled
+    holds, or when no step moves it.  Outer level: Newton on the <= 2 rail
+    voltages, the rail part of the Schur step of _newton_step at the
+    settled pads; with one rail that step is bracketed in the same way.
+    Only pads on a rail that moved are settled again.  The solve returns
+    when every node's |F| is under the KCL tolerance and the rail step is
+    within the volts bound.  When the rails are within it but some |F| is
+    not, the pads take their part of the Schur step as well; when no step
+    moves any node, the solve has stalled.  iterations counts the rail
+    iterations.
+
+    Every node starts at the start mapping's pad volts (a TransientState
+    also gives the rail volts; a plain mapping leaves the rails at 0 V), or
+    at rest.  A non-finite residual raises NonConvergence at once; so does
+    a stalled solve, and a pad or the rail loop that runs out of
+    MAX_NEWTON_ITERATIONS.
     """
     for pid in stimuli:
         uut.pad(pid)  # raises UnknownPad
@@ -451,123 +516,132 @@ def _solve_network(
         and _plus_zero(start_volts.get(ids[i], 0.0))
     }
     pads = [i for i in range(len(ids)) if i not in idle]  # the pad index of each pad node
-    node = dict(zip(pads, range(len(pads))))
-    names = [ids[i] for i in pads]
-
-    n = len(names)
-    rail_node = {rail: n + a for a, rail in enumerate(rails)}
-    size = n + len(rail_g)
-    datum = size
-
-    def drive(pid: str) -> tuple:
-        """(level, conductance) of a pad's drive: a voltage drive's level
-        behind 1 / _drive_ohms, or the current a current drive delivers (0
-        through an open needle, or with no drive) behind 0."""
-        stim = stimuli.get(pid)
-        if stim is None:
-            return 0.0, 0.0
-        contact = contacts.get(pid, GOOD_CONTACT)
-        if stim.mode == "current":
-            # Ideal current source in series with the contact delivers the
-            # full level; an open contact delivers nothing.
-            return (0.0 if contact.is_open else stim.level), 0.0
-        return stim.level, 1.0 / _drive_ohms(stim, contact)
+    datum = len(rails)
+    y = [getattr(start, f"{rail.lower()}_volts", 0.0) for rail in rails] + [0.0]  # the datum last
 
     # One entry per pad node: its branches, each carrying s*(law(v) + leak*v)
-    # at v = s*(vp - vr) from the pad into rail node r, its capacitor's
-    # (conductance, history) or None, and its drive.  Each law's methods are
-    # looked up per solve, never cached: they may be patched to count calls.
-    terms = [
-        (tuple((law.current, law.leak, n + a, s) for law, a, s in elements[i]),
-         companions.get(pid), *drive(pid))
-        for i, pid in zip(pads, names)
-    ]
-    branches = [(k, law.conductance, law.leak, a, s)
-                for k, i in enumerate(pads) for law, a, s in elements[i]]
+    # at v = s*(x - y[a]) from the pad into rail a; its conductance to
+    # ground besides them (GMIN, capacitor, drive) and the constant term of
+    # its F; and its pinned level or None.  Each law's methods are looked
+    # up per solve, never cached: they may be patched to count calls.
+    terms = []
+    x = []
+    for i in pads:
+        pid = ids[i]
+        g, history = companions.get(pid, (0.0, 0.0))
+        g += _GMIN
+        constant = -history
+        pinned = None
+        stim = stimuli.get(pid)
+        contact = contacts.get(pid, GOOD_CONTACT)
+        if stim is not None and stim.mode == "current":
+            # An ideal current source delivers its level through a closed needle.
+            constant -= 0.0 if contact.is_open else stim.level
+        elif stim is not None and _drive_ohms(stim, contact) == 0.0:
+            pinned = stim.level
+        elif stim is not None:
+            drive_g = 1.0 / _drive_ohms(stim, contact)
+            g += drive_g
+            constant -= stim.level * drive_g
+        branches = tuple((law.current, law.conductance, law.leak, *element)
+                         for law, *element in elements[i])
+        terms.append((branches, g, constant, pinned))
+        x.append(start_volts.get(pid, 0.0) if pinned is None else pinned)
+    n = len(pads)
+    into = [None] * n  # per pad node: current into each rail, the datum last
+    cond = [None] * n  # per pad node: conductance to each rail; the datum's is all to ground
+    F = [0.0] * n
 
-    def residual(x: list, bound: float) -> Optional[tuple]:
-        """(F, max|F|) at node voltages x, the datum last, if max|F| is below
-        bound; else None, returned as soon as one pad's |F_i| is not."""
-        F = [0.0] * n + [0.0 + x[n + a] * g for a, g in enumerate(rail_g)] + [0.0]
-        for i, (pad_branches, cap, level, drive_g) in enumerate(terms):
-            xi = x[i]
-            f = 0.0
-            for current, leak, r, s in pad_branches:
-                v = s * (xi - x[r])
-                amps = s * (current(v) + leak * v)
-                f += amps
-                F[r] -= amps
-            f += _GMIN * xi
-            if cap is not None:
-                f += cap[0] * xi - cap[1]
-            f -= (level - xi) * drive_g if drive_g else level
-            if not abs(f) < bound:  # a NaN never is
-                return None
-            F[i] = f
-        del F[datum]  # the datum equation is dropped
-        worst = _max_abs(F)
-        return (F, worst) if worst < bound else None
+    def settle(k: int, iteration: int) -> None:
+        """Settle pad node k given the rails y, from x[k]."""
+        branches, g0, constant, pinned = terms[k]
+        xk = x[k]
+        lo, hi, last = -math.inf, math.inf, math.inf
+        for _ in range(MAX_NEWTON_ITERATIONS):
+            amps = [0.0] * (datum + 1)
+            conductances = [0.0] * datum + [g0]
+            for current, conductance, leak, a, s, _, _, _ in branches:
+                v = s * (xk - y[a])
+                amps[a] += s * (current(v) + leak * v)
+                conductances[a] += conductance(v) + leak
+            f = sum(amps) + g0 * xk + constant
+            g = sum(conductances)
+            if not math.isfinite(f):
+                raise NonConvergence("DC solve met a non-finite residual", f, iteration)
+            if pinned is None and not _settled(xk, f, g):
+                new, lo, hi = _bracketed(xk, _limited(xk, -f / g, branches, y), lo, hi, last)
+                if new != xk:
+                    last = abs(new - xk)
+                    xk = new
+                    continue
+            # Settled, pinned, or as settled as a float can be when no step
+            # moves it: the rail loop still holds its |F| to the tolerance.
+            x[k], F[k], into[k], cond[k] = xk, f, amps, conductances
+            return
+        raise NonConvergence("DC solve did not converge", abs(f), iteration)
 
-    def conductances(x: list) -> list:
-        """G at node voltages x: G[a][i] is the conductance from pad i to
-        rail node n + a; the last row, to the datum, also takes every other
-        conductance to ground."""
-        G = [[0.0] * n for _ in range(len(rail_g) + 1)]
-        for i, conductance, leak, a, s in branches:
-            G[a][i] += conductance(s * (x[i] - x[n + a])) + leak
-        ground = G[-1]
-        for i, (_, cap, _, drive_g) in enumerate(terms):
-            ground[i] += _GMIN
-            if cap is not None:
-                ground[i] += cap[0]
-            if drive_g:
-                ground[i] += drive_g
-        return G
-
-    # At rest every law carries exactly 0 A, so F there holds only the rail,
-    # capacitor-history and drive terms: no law is evaluated for it.
-    x = [0.0] * (size + 1)  # node voltages, the datum last
-    F = []
-    for _, cap, level, drive_g in terms:
-        f = 0.0
-        if cap is not None:
-            f += cap[0] * 0.0 - cap[1]
-        f -= level * drive_g if drive_g else level
-        F.append(f)
-    F += [0.0 + 0.0 * g for g in rail_g]
-    worst = _max_abs(F)
-    if start is not None:
-        rail_volts = {"VCC": getattr(start, "vcc_volts", 0.0), "GND": getattr(start, "gnd_volts", 0.0)}
-        warm = [start.get(pid, 0.0) for pid in names] + [rail_volts[r] for r in rails] + [0.0]
-        warm_residual = residual(warm, worst)
-        if warm_residual is not None:
-            x, (F, worst) = warm, warm_residual
+    free = [k for k in range(n) if terms[k][3] is None]
+    pinned_nodes = [k for k in range(n) if terms[k][3] is not None]
+    touches = [{b[3] for b in terms[k][0]} - {datum} for k in range(n)]  # the rails of each pad node
+    stale = range(n)  # the pad nodes to settle before the next rail residual
+    lo, hi, last = -math.inf, math.inf, math.inf  # the one-rail bracket
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        if worst < KCL_TOLERANCE_AMPS:
-            return SolveResult(
-                pads={pid: _meter(x[node[i]] if i in node else 0.0, stimuli.get(pid),
-                                  contacts.get(pid, GOOD_CONTACT)) for i, pid in enumerate(ids)},
-                vcc_volts=x[rail_node.get("VCC", datum)],
-                gnd_volts=x[rail_node.get("GND", datum)],
-                iterations=iteration,
-                residual=worst,
-            )
-        if not math.isfinite(worst):
-            raise NonConvergence("DC solve met a non-finite residual", worst, iteration)
-        if iteration == MAX_NEWTON_ITERATIONS:
+        for k in stale:
+            settle(k, iteration)
+        F_rail = [g * y[a] - sum(into[k][a] for k in range(n)) for a, g in enumerate(rail_g)]
+        if not math.isfinite(sum(F_rail)):
+            raise NonConvergence("DC solve met a non-finite residual", sum(F_rail), iteration)
+        worst = max(map(abs, [F[k] for k in free] + F_rail), default=0.0)
+        # A pinned pad is a known node: its conductance to a rail only adds
+        # to that rail's diagonal.
+        diagonal = [g + sum(cond[k][a] for k in pinned_nodes) for a, g in enumerate(rail_g)]
+        G = [[cond[k][a] for k in free] for a in range(datum + 1)]
+        dx = _newton_step([F[k] for k in free] + F_rail, G, diagonal)
+        step = dx[len(free):]
+        rails_settled = all(abs(dy) <= VOLTS_TOLERANCE + RELATIVE_TOLERANCE * abs(ya)
+                            for dy, ya in zip(step, y))
+        if worst < KCL_TOLERANCE_AMPS and rails_settled:
             break
-        dx = _newton_step(F, conductances(x), rail_g)
-        for _ in range(MAX_STEP_TRIALS):
-            trial = list(map(add, x, dx)) + [0.0]
-            accepted = residual(trial, worst)
-            if accepted is not None:
-                break
-            dx = [0.5 * d for d in dx]  # exact: t*dx for the next power of two
+        if iteration == MAX_NEWTON_ITERATIONS:
+            raise NonConvergence("DC solve did not converge", worst, iteration)
+        old = y[:datum]
+        if datum == 1:
+            y[0], lo, hi = _bracketed(y[0], step[0], lo, hi, last)
+            last = abs(y[0] - old[0])
         else:
-            break  # stalled: no trial lowers max|F|
-        x = trial
-        F, worst = accepted
-    raise NonConvergence("DC solve did not converge", worst, iteration)
+            y[:datum] = [ya + dy for ya, dy in zip(y, step)]
+        moved = {a for a in range(datum) if y[a] != old[a]}
+        stepped = set()
+        if rails_settled:
+            # Some |F| is over the tolerance though the rails are within the
+            # volts bound: each pad stopped within its own bound, and their
+            # residual currents add up on a rail.  Take the pads' part of the
+            # Newton step as well.
+            for k, dp in zip(free, dx):
+                if x[k] + dp != x[k]:
+                    x[k] += dp
+                    stepped.add(k)
+        if not moved and not stepped:  # no step moves a node: the solve has stalled
+            raise NonConvergence("DC solve did not converge", worst, iteration)
+        stale = [k for k in range(n) if touches[k] & moved or k in stepped]
+
+    node = dict(zip(pads, range(n)))
+    readings = {}
+    for i, pid in enumerate(ids):
+        k = node.get(i)
+        if k is not None and terms[k][3] is not None:
+            readings[pid] = PadReading(volts=x[k], amperes=F[k], pad_volts=x[k])
+        else:
+            readings[pid] = _meter(0.0 if k is None else x[k], stimuli.get(pid),
+                                   contacts.get(pid, GOOD_CONTACT))
+    rail_volts = dict(zip(rails, y))
+    return SolveResult(
+        pads=readings,
+        vcc_volts=rail_volts.get("VCC", 0.0),
+        gnd_volts=rail_volts.get("GND", 0.0),
+        iterations=iteration,
+        residual=worst,
+    )
 
 
 def _newton_step(F: list, G: list, rail_g: list) -> list:
@@ -681,10 +755,10 @@ def step_transient(
     pad voltages of the previous step (None: the UUT at rest).
 
     Returns (next_state, SolveResult); next_state is a TransientState.
-    Newton starts from state, rails included, when its residual is smaller
-    than at rest (see _solve_network), so a step under a level that moves
-    the nodes little takes few iterations.  Under constant stimulus the
-    state converges to the solve_dc operating point.
+    The solve starts from state, rails included (see _solve_network), so a
+    step under a level that moves the nodes little takes few law
+    evaluations.  Under constant stimulus the state converges to the
+    solve_dc operating point.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")

@@ -320,7 +320,10 @@ def _join_numbers(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse has printed --help, or a usage error to stderr
+        return 0 if exc.code == 0 else EXIT_CONFIG_ERROR
     try:
         return args.func(args)
     except VcitError as exc:

@@ -179,6 +179,40 @@ class TestCheck:
         main(["check", "single", "--pad", "p2", "--level", "0.002", "--window", "0.0,1.0"])
         assert f"  reading: {expected}\n" in capsys.readouterr().out
 
+    def test_nanoamp_level_reads_the_converged_pad(self, capsys):
+        # 0.5 nA into p1: the pad sits at 0.2796 V, inside the window.
+        assert main(["check", "single", "--pad", "p1", "--level", "5e-10",
+                     "--window", "0.2,0.4"]) == 0
+        assert "  reading: 0.2796" in capsys.readouterr().out
+
+    def test_ideal_voltage_drive_without_contacts(self, tmp_path, capsys):
+        # With no contacts entry each needle is 0 Ohm, so the drive pins p1.
+        doc = json.loads(default_fixture_path().read_text(encoding="utf-8"))
+        del doc["contacts"]
+        fixture = write(tmp_path, "no-contacts.json", json.dumps(doc))
+        assert main(["check", "single", "--fixture", fixture, "--pad", "p1", "--mode", "voltage",
+                     "--level", "0.5", "--window", "0.4,0.6"]) == 0
+        assert "  reading: 0.5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "single", "--pad", "p1", "--mode", "bogus"], "invalid choice"),
+            (["check"], "required"),
+            (["check", "single", "--pad", "p1", "--bogus"], "unrecognized arguments"),
+        ],
+        ids=["bad-choice", "missing-required", "unknown-option"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1  # not 2, the code of a functional UUT fail
+        captured = capsys.readouterr()
+        assert message in captured.err and "usage:" in captured.err
+        assert captured.out == ""
+
+    def test_help_exit_0(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_single_missing_args_exit_1(self, capsys):
         assert main(["check", "single", "--pad", "p1"]) == 1
         assert "requires" in capsys.readouterr().err
