@@ -102,17 +102,19 @@ class _Slot:
 
 
 class ProberFarm:
-    """N probers sharing one simulated bench."""
+    """N probers sharing one simulated bench.  A slot is made on its first
+    SELECT, so a farm costs memory for the probers in use, not for N."""
 
     def __init__(self, bench: Bench, count: int):
         if count < 1:
             raise ValueError("farm needs at least one prober")
         self.bench = bench
-        self.slots = [_Slot() for _ in range(count)]
+        self.count = count
+        self.slots = {}  # index -> _Slot
         self.lock = threading.Lock()
 
     def __len__(self):
-        return len(self.slots)
+        return self.count
 
 
 class _Session:
@@ -140,6 +142,8 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             return _err(ERR_MALFORMED, f"bad index {args[0]!r}")
         if not 0 <= index < len(farm):
             return _err(ERR_OUT_OF_RANGE, f"index {index} outside [0, {len(farm)})")
+        if index not in farm.slots:
+            farm.slots[index] = _Slot()
         session.selected = index
         return BusReply(ok=True)
 
@@ -216,12 +220,10 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             block.extend(format_capture(capture).splitlines())
         return BusReply(ok=True, payload=str(len(slot.captures)), block=tuple(block))
 
-    if verb == "STATUS":
-        if args:
-            return _err(ERR_MALFORMED, "STATUS takes no arguments")
-        return BusReply(ok=True, block=tuple(slot.status_lines(session.selected)))
-
-    return _err(ERR_UNKNOWN_VERB, f"unknown verb {verb!r}")
+    # STATUS: serve_connection has answered every verb outside _VERBS
+    if args:
+        return _err(ERR_MALFORMED, "STATUS takes no arguments")
+    return BusReply(ok=True, block=tuple(slot.status_lines(session.selected)))
 
 
 def _write_reply(wfile, verb: str, reply: BusReply):
@@ -418,8 +420,11 @@ class RemoteProber:
         client_call(BusCommand("TRIG"), self.connection)
         reply = client_call(BusCommand("READ"), self.connection)
         captures = parse_captures(reply.block)
-        want = [(pid, len(samples)) for pid in waveform.target_pads]
-        got = [(c.pad_id, len(c)) for c in captures]
-        if got != want:
-            raise ProtocolError(f"READ reply holds (pad, samples) {got}, expected {want}")
+        want = [(pid, waveform.dt, tuple(waveform.samples)) for pid in waveform.target_pads]
+        if [(c.pad_id, c.dt, c.applied) for c in captures] != want:
+            raise ProtocolError(
+                f"READ reply holds pads {[c.pad_id for c in captures]}, expected "
+                f"{list(waveform.target_pads)}, each with dt {waveform.dt!r} and the "
+                f"{len(waveform.samples)} samples sent"
+            )
         return captures

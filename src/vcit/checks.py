@@ -24,16 +24,10 @@ _UNITY_SNAP = 1e-12
 @dataclass(frozen=True, slots=True)
 class MeasurementVector:
     values: tuple
-    labels: tuple
 
     def __post_init__(self):
-        if len(self.values) != len(self.labels):
-            raise ValueError("values and labels must have the same length")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("measurement values must be finite")
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _finite_number(value, what: str) -> float:
@@ -91,14 +85,11 @@ class HalfSpaceRegion:
 @dataclass(frozen=True, slots=True)
 class CorrelationRef:
     reference_samples: tuple
-    dt: float
     threshold: float
 
     def __post_init__(self):
         if len(self.reference_samples) < 2:
             raise ValueError("reference needs at least 2 samples")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
         if not -1.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [-1, 1]")
         if not all(map(math.isfinite, self.reference_samples)):
@@ -228,8 +219,8 @@ def correlation_test(
     An open input contact leaves the pad at rest, so the consumption trace
     is constant and the score is 0.
     """
-    if not bench.uut.powered or bench.uut.consumption_map is None:
-        raise NotPoweredModel("correlation test needs a powered model with a consumption_map")
+    if not bench.uut.powered:
+        raise NotPoweredModel("correlation test needs a powered model")
     if len(waveform.target_pads) != 1:
         raise ValueError("correlation test drives exactly one input pad")
     if waveform.mode != "voltage":

@@ -782,8 +782,8 @@ def powered_consumption(uut: UutModel, v_input: float) -> float:
     end knots.  Every step is numpy.interp's, so the result is bit for bit
     the one it gives.
     """
-    if not uut.powered or uut.consumption_map is None:
-        raise NotPoweredModel("model is not powered or has no consumption_map")
+    if not uut.powered:
+        raise NotPoweredModel("model is not powered")
     vs = [float(v) for v, _ in uut.consumption_map]
     cs = [float(c) for _, c in uut.consumption_map]
     x = float(v_input)

@@ -191,7 +191,7 @@ def _check(args) -> int:
         samples = _csv_floats(Path(args.file).read_text(encoding="utf-8").replace("\n", ","))
         ref_samples = _csv_floats(Path(args.ref_file).read_text(encoding="utf-8").replace("\n", ","))
         threshold = _number(args.threshold)
-        ref = CorrelationRef(reference_samples=ref_samples, dt=1e-3, threshold=threshold)
+        ref = CorrelationRef(reference_samples=ref_samples, threshold=threshold)
         score = correlation_score(samples, ref)
         print(f"score: {score!r}")
         return 0 if score >= threshold else EXIT_CHECK_FAILED
@@ -202,7 +202,7 @@ def _check(args) -> int:
         if args.region not in fixture.regions:
             raise VcitError(f"fixture has no region named {args.region!r}")
         values = _csv_floats(args.vector)
-        x = MeasurementVector(values=values, labels=tuple(f"m{i}" for i in range(len(values))))
+        x = MeasurementVector(values=values)
         return _print_verdict(shape_test(x, fixture.regions[args.region]))
 
     if args.check == "single":
@@ -212,21 +212,19 @@ def _check(args) -> int:
         capture = execute(check.waveform(), fixture.limits, fixture.bench)[0]
         return _print_verdict(single_level_test(capture, check.window))
 
-    if args.check == "diff":
-        _require(args, ["pad", "levels", "windows"])
-        levels = _csv_floats(args.levels)
-        if len(levels) < 2:
-            raise VcitError("diff needs at least two levels")
-        windows = [_csv_floats(w) for w in args.windows.split(";")]
-        captures = []
-        for level in levels:
-            waveform = StimulusWaveform(
-                mode=args.mode, samples=(level,) * 4, dt=1e-3, target_pads=(args.pad,)
-            )
-            captures.append(execute(waveform, fixture.limits, fixture.bench)[0])
-        return _print_verdict(differential_test(captures, windows))
-
-    raise VcitError(f"unknown check: {args.check!r}")
+    # diff: argparse's choices leave no other check
+    _require(args, ["pad", "levels", "windows"])
+    levels = _csv_floats(args.levels)
+    if len(levels) < 2:
+        raise VcitError("diff needs at least two levels")
+    windows = [_csv_floats(w) for w in args.windows.split(";")]
+    captures = []
+    for level in levels:
+        waveform = StimulusWaveform(
+            mode=args.mode, samples=(level,) * 4, dt=1e-3, target_pads=(args.pad,)
+        )
+        captures.append(execute(waveform, fixture.limits, fixture.bench)[0])
+    return _print_verdict(differential_test(captures, windows))
 
 
 def cmd_serve(args) -> int:

@@ -29,7 +29,7 @@ from .circuit import (
 )
 from .checks import VcitVerdict, closed_window, single_level_test
 from .errors import FixtureError, NonConvergence, OperatorAborted
-from .prober import MAX_WAVEFORM_SAMPLES, CaptureRecord, ProtectionLimits, StimulusWaveform, execute
+from .prober import MAX_WAVEFORM_SAMPLES, ProtectionLimits, StimulusWaveform, execute
 
 # Phases
 IDLE = "Idle"
@@ -313,27 +313,19 @@ class DummyUutSpec:
                     f"outside its band [{lo:g}, {hi:g}]"
                 )
 
-    def pad_capture(self, pad_id: str, contacts: Mapping[str, ContactState]) -> CaptureRecord:
-        """Single-sample capture of the supply-sense reading for one pad."""
+    def band_test(self, pad_id: str, contacts: Mapping[str, ContactState]) -> dict:
+        """pad_id's supply-sense reading on contacts against its band: the
+        pad_id, reading, window and passed of one pad of the self test."""
         result = solve_dc(
             self.uut,
             contacts,
             {pad_id: Stimulus("voltage", self.drive_volts, self.drive_ohms)},
         )
-        reading = result.vcc_volts if "VCC" in self.uut.pad(pad_id).rails() else result.gnd_volts
-        return CaptureRecord(
-            pad_id=pad_id,
-            dt=1e-3,
-            applied=(self.drive_volts,),
-            measured_voltage=(reading,),
-            measured_current=(0.0,),
-        )
-
-    def band_test(self, pad_id: str, contacts: Mapping[str, ContactState]) -> dict:
-        """pad_id's reading on contacts against its band: the pad_id,
-        reading, window and passed of one pad of the self test."""
-        verdict = single_level_test(self.pad_capture(pad_id, contacts), self.bands[pad_id])
-        return {**verdict.detail, "passed": verdict.passed}
+        rail = result.vcc_volts if "VCC" in self.uut.pad(pad_id).rails() else result.gnd_volts
+        reading = rail + 0.0  # a rail at -0.0 reads 0.0
+        lo, hi = self.bands[pad_id]
+        return {"pad_id": pad_id, "reading": reading, "window": (lo, hi),
+                "passed": lo <= reading <= hi}
 
 
 def dummy_self_test(dummy: DummyUutSpec, bench_contacts: Mapping[str, ContactState]) -> VcitVerdict:

@@ -229,7 +229,7 @@ def parse_captures(lines) -> list:
         except ValueError:
             raise ProtocolError(f"bad capture header: {line!r}") from None
         if (
-            not math.isfinite(dt)
+            not 0.0 < dt < math.inf
             or n < 1
             or trip_flag not in ("0", "1")
             or (trip_flag == "1") != (trip_index is not None)

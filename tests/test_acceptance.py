@@ -176,7 +176,7 @@ def test_acceptance_4_region_membership_vs_brute_force():
         x = rng.uniform(-3.0, 3.0, size=dim)
 
         region = HalfSpaceRegion(normals, distances)
-        vec = MeasurementVector(tuple(float(v) for v in x), tuple(f"m{i}" for i in range(dim)))
+        vec = MeasurementVector(tuple(float(v) for v in x))
         got = shape_test(vec, region).passed
         want = all(float(np.dot(normals[:, j], x)) <= distances[j] for j in range(k))
         disagreements += got != want
@@ -196,18 +196,18 @@ def test_acceptance_5_correlation_conventions():
         b = rng.normal(size=n)
         if float(np.var(b)) == 0.0:
             continue
-        ref = CorrelationRef(tuple(float(v) for v in b), 1e-3, 0.0)
+        ref = CorrelationRef(tuple(float(v) for v in b), 0.0)
         score = correlation_score(a, ref)
         assert -1.0 <= score <= 1.0
 
     base = tuple(float(v) for v in rng.normal(size=64))
-    ref = CorrelationRef(base, 1e-3, 0.9)
+    ref = CorrelationRef(base, 0.9)
     assert correlation_score(tuple(3.7 * v + 11.0 for v in base), ref) == 1.0
 
     n = 1000
     sin = [math.sin(2 * math.pi * k / n) for k in range(n)]
     cos = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    assert abs(correlation_score(sin, CorrelationRef(tuple(cos), 1e-3, 0.0))) <= 1e-9
+    assert abs(correlation_score(sin, CorrelationRef(tuple(cos), 0.0))) <= 1e-9
 
     uut = UutModel(
         pads=(("in", PadCircuit(OpenPad())),),
@@ -215,7 +215,7 @@ def test_acceptance_5_correlation_conventions():
         consumption_map=((0.0, 0.0), (2.0, 2e-3)),
     )
     waveform = StimulusWaveform("voltage", (0.0, 0.5, 1.0, 1.5, 2.0), 1e-3, ("in",))
-    ref = CorrelationRef(tuple(1e-3 * v for v in waveform.samples), 1e-3, 0.9)
+    ref = CorrelationRef(tuple(1e-3 * v for v in waveform.samples), 0.9)
     good = correlation_test(Bench(uut, {"in": ContactState(0.1)}), waveform, ref)
     assert good.passed and good.detail["score"] == 1.0
     open_needle = correlation_test(Bench(uut, {"in": ContactState(2e6)}), waveform, ref)
@@ -362,7 +362,7 @@ def test_acceptance_8_wear_monotonicity():
     verdicts = []
     for cycles in cycle_points:
         contacts = {pid: wear_step(c, cycles) for pid, c in base.items()}
-        readings.append(dummy.pad_capture("p1", contacts).measured_voltage[0])
+        readings.append(dummy.band_test("p1", contacts)["reading"])
         verdicts.append(dummy_self_test(dummy, contacts).passed)
 
     for a, b in zip(readings, readings[1:]):

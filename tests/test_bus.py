@@ -4,6 +4,7 @@ vs TCP), error atomicity, and the remote prober port."""
 import io
 import socket
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -170,10 +171,19 @@ class TestLoopback:
             b"WAVEFORM 1 current 0.001 p1\nnan\n.\n",
             b"WAVEFORM 0 current 0.001 p1\n.\n",
             b"WAVEFORM 1.0 current 0.001 p1\n0.001\n.\n",
+            b"WAVEFORM 1 current 0.001\n0.001\n.\n",
+            b"ARM x\n",
+            b"TRIG x\n",
+            b"READ x\n",
+            b"STATUS x\n",
+            b"LIMITS 1\n",
+            b"SELECT a\n",
         ],
         ids=["non-ascii-line", "non-ascii-pad", "non-ascii-sample", "inf-limits", "inf-dt",
              "long-line", "long-waveform-header", "long-sample", "too-many-samples",
-             "dt-not-number", "sample-not-number", "sample-nan", "no-samples", "count-not-int"],
+             "dt-not-number", "sample-not-number", "sample-nan", "no-samples", "count-not-int",
+             "waveform-no-pads", "arm-arg", "trig-arg", "read-arg", "status-arg", "limits-one",
+             "select-not-int"],
     )
     def test_rejected_command_one_ascii_err_state_kept(self, farm, bad):
         good = run_script(ProberFarm(load_default_fixture().bench, 3), self.STAGE + b"STATUS\nQUIT\n")
@@ -234,6 +244,34 @@ class TestLoopback:
         )
         assert run_script(farm, script) == b"OK\nOK\nOK\n"
         assert farm.slots[0].waveform.samples == (0.001,) * MAX_WAVEFORM_SAMPLES
+
+    def test_trig_on_a_missing_pad_keeps_the_slot_armed(self, farm):
+        stage = b"SELECT 0\nLIMITS 2.0 0.05\nWAVEFORM 1 current 0.001 zz\n0.001\n.\nARM\n"
+        before = self.last_block(run_script(farm, stage + b"STATUS\nQUIT\n"))
+        out = run_script(farm, b"SELECT 0\nTRIG\nSTATUS\nQUIT\n")
+        assert out.startswith(b"OK\nERR 500 no such pad: 'zz'\n")
+        after = self.last_block(out)
+        assert after == before
+        assert "armed=1" in after
+
+    def test_farm_makes_a_slot_on_its_first_select(self, bench):
+        tracemalloc.start()
+        try:
+            farm = ProberFarm(bench, 10**6)
+            out = run_script(farm, b"LIST\nSELECT 999999\nSTATUS\nQUIT\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a slot per prober up front would be ~137 MB
+        assert out == (
+            b"OK 1000000\nOK\nOK\n"
+            b"selected=999999\narmed=0\ncaptures=0\nlimits=none\nwaveform=none\n.\nOK\n"
+        )
+        assert list(farm.slots) == [999999]
+
+    def test_farm_needs_a_prober(self, bench):
+        with pytest.raises(ValueError):
+            ProberFarm(bench, 0)
 
     def test_selection_is_per_connection(self, farm):
         # connection A selects 1; a fresh connection still needs SELECT
@@ -322,11 +360,15 @@ class TestClient:
         assert remote == local  # repr round trip preserves every float bit
 
     WAVEFORM = StimulusWaveform("current", (1e-3, 2e-3), 1e-3, ("p1", "p2"))
+    SENT = WAVEFORM.samples
 
     @staticmethod
     def read_reply(*captures) -> bytes:
-        block = "".join(format_capture(CaptureRecord(pid, 1e-3, (0.0,) * n, (0.0,) * n, (0.0,) * n))
-                        for pid, n in captures)
+        """READ reply of captures given as (pad, applied) or (pad, applied, dt)."""
+        block = "".join(
+            format_capture(CaptureRecord(pid, dt, applied, (0.0,) * len(applied), (0.0,) * len(applied)))
+            for pid, applied, dt in ((*c, 1e-3)[:3] for c in captures)
+        )
         return f"OK {len(captures)}\n{block}.\n".encode("ascii")
 
     def scripted_execute(self, read_reply: bytes):
@@ -337,11 +379,19 @@ class TestClient:
         connection = BusConnection(io.BytesIO(replies), io.BytesIO())
         return RemoteProber(connection, ProtectionLimits(2.0, 0.05)).execute(self.WAVEFORM)
 
+    def test_remote_prober_accepts_read_matching_waveform(self):
+        captures = self.scripted_execute(self.read_reply(("p1", self.SENT), ("p2", self.SENT)))
+        assert [(c.pad_id, c.dt, c.applied) for c in captures] == [
+            ("p1", 1e-3, self.SENT), ("p2", 1e-3, self.SENT)
+        ]
+
     @pytest.mark.parametrize(
         "captures",
-        [(), (("zz", 2), ("p2", 2)), (("p1", 1), ("p2", 2)), (("p2", 2), ("p1", 2)),
-         (("p1", 2),), (("p1", 2), ("p2", 2), ("p2", 2))],
-        ids=["empty", "foreign-pad", "short", "swapped", "missing-pad", "extra-capture"],
+        [(), (("zz", SENT), ("p2", SENT)), (("p1", SENT[:1]), ("p2", SENT)),
+         (("p2", SENT), ("p1", SENT)), (("p1", SENT),), (("p1", SENT), ("p2", SENT), ("p2", SENT)),
+         (("p1", SENT), ("p2", (1e-3, 0.0020000000000000005))), (("p1", SENT, 2e-3), ("p2", SENT))],
+        ids=["empty", "foreign-pad", "short", "swapped", "missing-pad", "extra-capture",
+             "other-applied", "other-dt"],
     )
     def test_remote_prober_rejects_read_not_matching_waveform(self, captures):
         with pytest.raises(ProtocolError, match="READ reply"):
@@ -363,8 +413,10 @@ class TestClient:
     @pytest.mark.parametrize(
         "verb, reply",
         [("HELLO", b"OK \xff\n"), ("HELLO", b"OK " + b"x" * 5_000_000 + b"\n"),
-         ("READ", b"OK 1\n" + b"x" * 5_000_000 + b"\n.\n")],
-        ids=["non-ascii", "overlong", "overlong-block-line"],
+         ("READ", b"OK 1\n" + b"x" * 5_000_000 + b"\n.\n"), ("HELLO", b"ERR x\n"),
+         ("HELLO", b"HELLO\n"), ("READ", b"OK 1\ncapture p1 0.001 1 0 -\n")],
+        ids=["non-ascii", "overlong", "overlong-block-line", "err-code-not-int", "neither-ok-nor-err",
+             "eof-mid-reply"],
     )
     def test_reply_framing_errors_are_protocol_errors(self, verb, reply):
         rfile = io.BytesIO(reply)

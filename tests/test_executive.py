@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, UutModel
+from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, Stimulus, UutModel, solve_dc
 from vcit.errors import FixtureError, OperatorAborted, UnknownPad
 from vcit.executive import (
     AWAIT_DUMMY_MOUNT,
@@ -178,8 +178,9 @@ class TestDummyUut:
             lo, hi = p["window"]
             assert (lo, hi) == fixture.dummy.bands[p["pad_id"]]
             assert p["passed"] == (lo <= p["reading"] <= hi)
-            capture = fixture.dummy.pad_capture(p["pad_id"], contacts)
-            assert p["reading"] == capture.measured_voltage[0]
+            drive = Stimulus("voltage", fixture.dummy.drive_volts, fixture.dummy.drive_ohms)
+            result = solve_dc(fixture.dummy.uut, contacts, {p["pad_id"]: drive})
+            assert p["reading"] == result.vcc_volts  # each shipped dummy pad senses VCC
 
 
 def forced_plan(fixture, *, vcit, needles, dummy, functional="fail"):

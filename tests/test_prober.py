@@ -376,6 +376,8 @@ class TestCaptureFormat:
             ["capture p1 0.001 1 1 1", "0 0 0"],
             ["capture p1 0.001 0 0 -"],
             ["capture p1 nan 1 0 -", "0 0 0"],
+            ["capture p1 0.0 1 0 -", "0 0 0"],
+            ["capture p1 -1.0 1 0 -", "0 0 0"],
             ["capture p1 0.001 1 0 -", "0 x 0"],
             ["capture p1 0.001 1 0 -", "0 nan 0"],
             ["capture p1 0.001 1 0 -", "0 0 inf"],
@@ -384,6 +386,7 @@ class TestCaptureFormat:
         ids=[
             "count-short", "flag-2-untripped", "flag-2-index", "tripped-no-index",
             "untripped-index", "index-not-int", "index-past-end", "no-samples", "dt-nan",
+            "dt-zero", "dt-negative",
             "row-not-float", "row-nan", "row-inf", "row-short",
         ],
     )
