@@ -6,8 +6,9 @@ GND rails.  Rails terminate to tester ground through configurable path
 resistances; a path resistance of zero pins the rail at 0 V.  Stimuli are
 applied per pad, through that pad's needle contact resistance.
 
-All solves are two-level Newton-Raphson with analytic derivatives: each pad
-is settled alone under the rail voltages, and Newton runs on the <= 2 rails.
+All solves are two-level Newton-Raphson with analytic derivatives: each class
+of identical pads is settled once under the rail voltages, and Newton runs on
+the <= 2 rails.
 They are fully deterministic: identical inputs give bit-identical outputs.
 """
 
@@ -406,8 +407,9 @@ def _system(uut: UutModel) -> tuple:
     """What no solve of the model changes: (pad ids, the rails with a path
     resistance, their path conductances, each pad's (law, rail index,
     polarity, nVt, vcrit, series resistance) per element, where the datum's
-    rail index is len(rails), and the pads whose every element goes to the
-    datum)."""
+    rail index is len(rails), each pad's branch class, equal for pads whose
+    elements are equal by value, and the pads whose every element goes to
+    the datum)."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
@@ -416,9 +418,11 @@ def _system(uut: UutModel) -> tuple:
               for law, rail, s in pc.kind.branches)
         for _, pc in uut.pads
     )
+    classes = {}
+    branch_class = tuple(classes.setdefault(pad, len(classes)) for pad in elements)
     grounded = frozenset(i for i, pad in enumerate(elements) if all(e[1] == len(rails) for e in pad))
     return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), elements,
-            grounded)
+            branch_class, grounded)
 
 
 def _settled(x: float, f: float, g: float) -> bool:
@@ -477,77 +481,89 @@ def _solve_network(
     id to the implicit Euler model (conductance, history current) of its
     capacitance.
 
-    The nodes are the pads, then each rail with a path resistance.  A rail
-    without one is tied to the datum, which stays at 0 V.  A pad with every
-    element to the datum, no stimulus, and a capacitor history and start of
-    exactly +0.0 sits at exactly 0 V and is left out.  A voltage drive of 0
-    Ohm in all pins its pad at the level: the pad is not solved, and it
-    draws what its branches, GMIN leak and capacitor carry.
+    The nodes are the pad classes, then each rail with a path resistance.
+    A rail without one is tied to the datum, which stays at 0 V.  A pad with
+    every element to the datum, no stimulus, and a capacitor history and
+    start of exactly +0.0 sits at exactly 0 V and is left out.  Every other
+    pad belongs to a class: pads with the same branch class, conductance to
+    ground (GMIN, capacitor, drive), constant term, pinned level and start,
+    the sign of a zero start included, have the same KCL as a function of
+    the rails, so the class is one node, settled once, and each member pad
+    reads it through its own contact.  A class of m pads carries m times its
+    current into each rail and m times its conductance in each rail sum.  A
+    voltage drive of 0 Ohm in all pins its pad at the level: the pad is not
+    solved, and it draws what its branches, GMIN leak and capacitor carry.
 
-    Inner level: given the rail voltages, each pad's KCL F_i(x_i) is
-    strictly increasing (every law is, and GMIN > 0), so each pad is
+    Inner level: given the rail voltages, each class's KCL F_i(x_i) is
+    strictly increasing (every law is, and GMIN > 0), so each class is
     settled alone by Newton, its diode branches junction-limited, inside a
     sign bracket that it bisects when a step leaves it or, once finite, when
-    a step is more than half the last one.  A pad is settled when _settled
+    a step is more than half the last one.  A class is settled when _settled
     holds, or when no step moves it.  Outer level: Newton on the <= 2 rail
     voltages, the rail part of the Schur step of _newton_step at the
-    settled pads; with one rail that step is bracketed in the same way.
-    Only pads on a rail that moved are settled again.  The solve returns
+    settled classes; with one rail that step is bracketed in the same way.
+    Only classes on a rail that moved are settled again.  The solve returns
     when every node's |F| is under the KCL tolerance and the rail step is
     within the volts bound.  When the rails are within it but some |F| is
-    not, the pads take their part of the Schur step as well; when no step
+    not, the classes take their part of the Schur step as well; when no step
     moves any node, the solve has stalled.  iterations counts the rail
     iterations.
 
     Every node starts at the start mapping's pad volts (a TransientState
     also gives the rail volts; a plain mapping leaves the rails at 0 V), or
     at rest.  A non-finite residual raises NonConvergence at once; so does
-    a stalled solve, and a pad or the rail loop that runs out of
+    a stalled solve, and a class or the rail loop that runs out of
     MAX_NEWTON_ITERATIONS.
     """
     for pid in stimuli:
         uut.pad(pid)  # raises UnknownPad
-    ids, rails, rail_g, elements, grounded = uut._system
+    ids, rails, rail_g, elements, branch_class, grounded = uut._system
     start_volts = start or {}
-    idle = {
-        i for i in grounded
-        if ids[i] not in stimuli
-        and _plus_zero(companions.get(ids[i], (0.0, 0.0))[1])
-        and _plus_zero(start_volts.get(ids[i], 0.0))
-    }
-    pads = [i for i in range(len(ids)) if i not in idle]  # the pad index of each pad node
     datum = len(rails)
     y = [getattr(start, f"{rail.lower()}_volts", 0.0) for rail in rails] + [0.0]  # the datum last
 
-    # One entry per pad node: its branches, each carrying s*(law(v) + leak*v)
-    # at v = s*(x - y[a]) from the pad into rail a; its conductance to
-    # ground besides them (GMIN, capacitor, drive) and the constant term of
-    # its F; and its pinned level or None.  Each law's methods are looked
-    # up per solve, never cached: they may be patched to count calls.
+    # One entry per pad node, a class of pads: its branches, each carrying
+    # s*(law(v) + leak*v) at v = s*(x - y[a]) from the pad into rail a; its
+    # conductance to ground besides them (GMIN, capacitor, drive) and the
+    # constant term of its F; and its pinned level or None.  Each law's
+    # methods are looked up per solve, never cached: they may be patched to
+    # count calls.  The sign of a zero constant never reaches F, so only the
+    # start's is in the key.
+    node = {}  # pad index -> its pad node
+    classes = {}  # key -> pad node
     terms = []
     x = []
-    for i in pads:
-        pid = ids[i]
+    m = []  # the pads in each pad node
+    for i, pid in enumerate(ids):
         g, history = companions.get(pid, (0.0, 0.0))
+        x0 = start_volts.get(pid, 0.0)
+        stim = stimuli.get(pid)
+        if stim is None and i in grounded and _plus_zero(history) and _plus_zero(x0):
+            continue  # idle: exactly 0 V
         g += _GMIN
         constant = -history
         pinned = None
-        stim = stimuli.get(pid)
-        contact = contacts.get(pid, GOOD_CONTACT)
-        if stim is not None and stim.mode == "current":
-            # An ideal current source delivers its level through a closed needle.
-            constant -= 0.0 if contact.is_open else stim.level
-        elif stim is not None and _drive_ohms(stim, contact) == 0.0:
-            pinned = stim.level
-        elif stim is not None:
-            drive_g = 1.0 / _drive_ohms(stim, contact)
-            g += drive_g
-            constant -= stim.level * drive_g
-        branches = tuple((law.current, law.conductance, law.leak, *element)
-                         for law, *element in elements[i])
-        terms.append((branches, g, constant, pinned))
-        x.append(start_volts.get(pid, 0.0) if pinned is None else pinned)
-    n = len(pads)
+        if stim is not None:
+            contact = contacts.get(pid, GOOD_CONTACT)
+            if stim.mode == "current":
+                # An ideal current source delivers its level through a closed needle.
+                constant -= 0.0 if contact.is_open else stim.level
+            elif _drive_ohms(stim, contact) == 0.0:
+                pinned = x0 = stim.level
+            else:
+                drive_g = 1.0 / _drive_ohms(stim, contact)
+                g += drive_g
+                constant -= stim.level * drive_g
+        key = (branch_class[i], g, constant, pinned, x0, math.copysign(1.0, x0))
+        k = node[i] = classes.setdefault(key, len(terms))
+        if k == len(terms):
+            branches = tuple((law.current, law.conductance, law.leak, *element)
+                             for law, *element in elements[i])
+            terms.append((branches, g, constant, pinned))
+            x.append(x0)
+            m.append(0)
+        m[k] += 1
+    n = len(terms)
     into = [None] * n  # per pad node: current into each rail, the datum last
     cond = [None] * n  # per pad node: conductance to each rail; the datum's is all to ground
     F = [0.0] * n
@@ -581,6 +597,7 @@ def _solve_network(
         raise NonConvergence("DC solve did not converge", abs(f), iteration)
 
     free = [k for k in range(n) if terms[k][3] is None]
+    free_m = [m[k] for k in free]
     pinned_nodes = [k for k in range(n) if terms[k][3] is not None]
     touches = [{b[3] for b in terms[k][0]} - {datum} for k in range(n)]  # the rails of each pad node
     stale = range(n)  # the pad nodes to settle before the next rail residual
@@ -588,15 +605,15 @@ def _solve_network(
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
         for k in stale:
             settle(k, iteration)
-        F_rail = [g * y[a] - sum(into[k][a] for k in range(n)) for a, g in enumerate(rail_g)]
+        F_rail = [g * y[a] - sum(m[k] * into[k][a] for k in range(n)) for a, g in enumerate(rail_g)]
         if not math.isfinite(sum(F_rail)):
             raise NonConvergence("DC solve met a non-finite residual", sum(F_rail), iteration)
         worst = max(map(abs, [F[k] for k in free] + F_rail), default=0.0)
         # A pinned pad is a known node: its conductance to a rail only adds
         # to that rail's diagonal.
-        diagonal = [g + sum(cond[k][a] for k in pinned_nodes) for a, g in enumerate(rail_g)]
+        diagonal = [g + sum(m[k] * cond[k][a] for k in pinned_nodes) for a, g in enumerate(rail_g)]
         G = [[cond[k][a] for k in free] for a in range(datum + 1)]
-        dx = _newton_step([F[k] for k in free] + F_rail, G, diagonal)
+        dx = _newton_step([F[k] for k in free] + F_rail, G, diagonal, free_m)
         step = dx[len(free):]
         rails_settled = all(abs(dy) <= VOLTS_TOLERANCE + RELATIVE_TOLERANCE * abs(ya)
                             for dy, ya in zip(step, y))
@@ -625,15 +642,23 @@ def _solve_network(
             raise NonConvergence("DC solve did not converge", worst, iteration)
         stale = [k for k in range(n) if touches[k] & moved or k in stepped]
 
-    node = dict(zip(pads, range(n)))
-    readings = {}
-    for i, pid in enumerate(ids):
-        k = node.get(i)
-        if k is not None and terms[k][3] is not None:
+    # Readings are frozen, so pads that read alike share one: every idle pad
+    # reads rest, and the closed floating needles of a pad node read alike.
+    rest = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
+    readings = dict.fromkeys(ids, rest)
+    floating = {}  # pad node -> what its closed floating needles read
+    for i, k in node.items():
+        pid = ids[i]
+        stim = stimuli.get(pid)
+        contact = contacts.get(pid, GOOD_CONTACT)
+        if terms[k][3] is not None:
             readings[pid] = PadReading(volts=x[k], amperes=F[k], pad_volts=x[k])
+        elif stim is None and not contact.is_open:
+            if k not in floating:
+                floating[k] = _meter(x[k], None, contact)
+            readings[pid] = floating[k]
         else:
-            readings[pid] = _meter(0.0 if k is None else x[k], stimuli.get(pid),
-                                   contacts.get(pid, GOOD_CONTACT))
+            readings[pid] = _meter(x[k], stim, contact)
     rail_volts = dict(zip(rails, y))
     return SolveResult(
         pads=readings,
@@ -644,31 +669,38 @@ def _solve_network(
     )
 
 
-def _newton_step(F: list, G: list, rail_g: list) -> list:
+def _newton_step(F: list, G: list, rail_g: list, m: list) -> list:
     """The dx solving J dx = -F, in O(n) and without forming J.
+
+    Pad node i stands for m[i] identical pads, whose rows and columns of J
+    are equal, so they take one step: J is that of the system in which each
+    pad node is repeated m[i] times, and dx holds one entry per pad node,
+    then one per rail.
 
     Pads couple only through the <= 2 rails, so J is an arrowhead: a
     diagonal pad block D, a diagonal rail block R (no branch joins two
     rails) and the pad-rail couplings J[i, n+a] = -c_ai = -G[a][i].  Pad i's
     diagonal is d_i = e_i + sum_a c_ai, with e_i = G[-1][i] its conductance
-    to ground; rail a's is g_a + sum_i c_ai, with g_a = rail_g[a] its
+    to ground; rail a's is g_a + sum_i m_i c_ai, with g_a = rail_g[a] its
     termination.  Eliminating the pads leaves the rail system S y = b with
     the Schur complement S = R - C^T D^-1 C and b = -F_r - C^T D^-1 F_p,
-    which is solved in closed form; then dp_i = (-F_i + sum_a c_ai y_a) / d_i.
+    each pad's term counted m_i times, which is solved in closed form; then
+    dp_i = (-F_i + sum_a c_ai y_a) / d_i.
 
-    Written out, S_aa = A_a + q and S_ab = -q, with A_a = g_a + sum_i c_ai
-    e_i / d_i and q = sum_i c_0i c_1i / d_i (0 with one rail).  So S is
-    formed from sums of positive terms, without the cancellation of
+    Written out, S_aa = A_a + q and S_ab = -q, with A_a = g_a + sum_i m_i
+    c_ai e_i / d_i and q = sum_i m_i c_0i c_1i / d_i (0 with one rail).  So
+    S is formed from sums of positive terms, without the cancellation of
     R - C^T D^-1 C, and is strictly diagonally dominant, S_aa - |S_ab| =
     A_a >= g_a > 0.  No pivoting is needed: every divisor below, d_i >= GMIN,
     S_00 and the pivot A_1 + q A_0 / S_00 of the second rail, is positive.
+    With every m_i = 1 each term is the unweighted one, bit for bit.
     """
     *coupling, ground = G
     n = len(ground)
     d = ground
     for c in coupling:
         d = list(map(add, d, c))
-    scaled = [list(map(truediv, c, d)) for c in coupling]  # rows of C^T D^-1
+    scaled = [list(map(truediv, map(mul, m, c), d)) for c in coupling]  # rows of C^T D^-1, weighted
     b = [-F[n + a] - sum(map(mul, w, F)) for a, w in enumerate(scaled)]
     A = [g + sum(map(mul, w, ground)) for g, w in zip(rail_g, scaled)]
     if len(A) == 2:

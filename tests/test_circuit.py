@@ -284,7 +284,7 @@ def bridged_rails():
         vcc_path_ohms=25.0,
         gnd_path_ohms=200.0,
     )
-    return uut, {}, {"r": Stimulus("voltage", 2.0, 1.0)}, {"r": 0.0, "e": 0.0}, 1e-3
+    return uut, {}, {"r": Stimulus("voltage", 2.0, 1.0)}, {"r": 0.0, "e": 0.0}, 1e-3, {}
 
 
 # The reference solver: nested bisection, sharing no step, start or
@@ -446,17 +446,22 @@ def reference_networks(draw):
     """A bench for the reference solver: every pad kind, 1 to 8 pads, 1 or
     2 rail paths, needles of 0 Ohm to 1 kOhm or open, current levels of
     either sign from 1 pA to the 50 mA limit, voltage drives from a 0 Ohm
-    source or more, capacitance or none, and a previous transient state:
-    (uut, contacts, stimuli, state, dt)."""
+    source or more, capacitance or none, and a previous transient state.
+    A pad is sometimes repeated: the same circuit, capacitance, stimulus and
+    state, on a needle of its own, equal to the pad's when it is driven.
+    (uut, contacts, stimuli, state, dt, copies), where copies maps each
+    repeat's id to the id of the pad it repeats."""
     d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)), VT,
                    draw(st.sampled_from([0.0, 2.0])))
-    pads, contacts, stimuli, state = [], {}, {}, {}
+    needle = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.just(2e6))
+    pads, contacts, stimuli, state, copies = [], {}, {}, {}, {}
     for i in range(draw(st.integers(1, 8))):
         pid = f"p{i}"
         kind = draw(st.sampled_from(sorted(CONDUCTS)))
         capacitance = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6)))
-        pads.append((pid, PadCircuit(kind_circuit(draw, kind, d), capacitance)))
-        contacts[pid] = ContactState(draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.just(2e6))))
+        circuit = PadCircuit(kind_circuit(draw, kind, d), capacitance)
+        pads.append((pid, circuit))
+        contacts[pid] = ContactState(draw(needle))
         mode = draw(st.sampled_from(("current", "voltage", None)))
         if mode == "current":
             amps = 10.0 ** draw(st.floats(-12.0, math.log10(0.05)))
@@ -465,6 +470,14 @@ def reference_networks(draw):
             stimuli[pid] = Stimulus(mode, draw(st.floats(-2.0, 2.0)),
                                     draw(st.one_of(st.just(0.0), st.floats(0.1, 1000.0))))
         state[pid] = draw(st.floats(-1.0, 1.0))
+        for j in range(draw(st.sampled_from((0, 0, 1, 3)))):
+            copy = f"{pid}.{j}"
+            copies[copy] = pid
+            pads.append((copy, circuit))
+            contacts[copy] = ContactState(contacts[pid].resistance if mode else draw(needle))
+            if mode:
+                stimuli[copy] = stimuli[pid]
+            state[copy] = state[pid]
     vcc, gnd = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     uut = UutModel(
         pads=tuple(pads),
@@ -472,7 +485,26 @@ def reference_networks(draw):
         gnd_path_ohms=draw(st.floats(1.0, 20.0)) if gnd else 0.0,
     )
     state = TransientState(state, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-    return uut, contacts, stimuli, state, draw(st.floats(1e-6, 1e-3))
+    return uut, contacts, stimuli, state, draw(st.floats(1e-6, 1e-3)), copies
+
+
+def moved(kind, ulps):
+    """The pad kind with each law's saturation current, or a resistor's
+    ohms, moved ulps up: equal to the kind but for rounding."""
+    def law(old):
+        field_name = "ohms" if isinstance(old, Resistive) else "saturation_current"
+        value = getattr(old, field_name)
+        for _ in range(ulps):
+            value = math.nextafter(value, math.inf)
+        return replace(old, **{field_name: value})
+
+    if isinstance(kind, EsdPair):
+        return EsdPair(law(kind.to_vcc), law(kind.to_gnd))
+    if isinstance(kind, (SeriesDiode, Led)):
+        return replace(kind, diode=law(kind.diode))
+    if isinstance(kind, Resistive):
+        return law(kind)
+    return kind
 
 
 class TestSolveDc:
@@ -585,21 +617,29 @@ class TestNewtonStep:
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_reference(self, n, n_rails, data):
         # An arrowhead Jacobian: pad diagonals, rail diagonals, pad-rail
-        # couplings -c_ai, as the solver's conductances make it.
+        # couplings -c_ai, as the solver's conductances make it.  Pad node i
+        # stands for m[i] identical pads, each a row and column of its own.
         conductance = st.floats(1e-6, 10.0)
         coupling = [[data.draw(st.one_of(st.just(0.0), conductance)) for _ in range(n)]
                     for _ in range(n_rails)]
         ground = [data.draw(conductance) for _ in range(n)]
         rail_g = [data.draw(st.floats(1e-3, 10.0)) for _ in range(n_rails)]
         F = [data.draw(st.floats(-1.0, 1.0)) for _ in range(n + n_rails)]
-        J = np.diag(ground + rail_g)
+        m = [data.draw(st.integers(1, 4)) for _ in range(n)]
+        copies = [i for i in range(n) for _ in range(m[i])]  # the pad node of each row
+        size = len(copies)
+        J = np.diag([ground[i] for i in copies] + rail_g)
         for a, c in enumerate(coupling):
-            for i, ci in enumerate(c):
-                J[i, i] += ci
-                J[n + a, n + a] += ci
-                J[i, n + a] = J[n + a, i] = -ci
-        step = _newton_step(F, coupling + [ground], rail_g)
-        np.testing.assert_allclose(step, np.linalg.solve(J, -np.array(F)), rtol=1e-9, atol=1e-9)
+            for row, i in enumerate(copies):
+                J[row, row] += c[i]
+                J[size + a, size + a] += c[i]
+                J[row, size + a] = J[size + a, row] = -c[i]
+        dense = np.linalg.solve(J, -np.array([F[i] for i in copies] + F[n:]))
+        step = _newton_step(F, coupling + [ground], rail_g, m)
+        np.testing.assert_allclose(step, [dense[copies.index(i)] for i in range(n)] + list(dense[size:]),
+                                   rtol=1e-9, atol=1e-9)
+        # Every copy takes the one step of its node.
+        np.testing.assert_allclose(dense[:size], [step[i] for i in copies], rtol=1e-9, atol=1e-9)
 
     def test_no_dense_linear_solve(self, monkeypatch):
         def refuse(*args):
@@ -630,11 +670,18 @@ class TestReferenceSolver:
     @example(bridged_rails())
     @settings(max_examples=100, deadline=None)
     def test_volts_match_nested_bisection(self, network):
-        uut, contacts, stimuli, state, dt = network
+        uut, contacts, stimuli, state, dt, copies = network
         dc = solve_dc(uut, contacts, stimuli)
         companions = companions_of(uut, state, dt)
         transient = step_transient(uut, contacts, stimuli, state, dt)[1]
-        for result, comps in ((dc, {}), (transient, companions)):
+        # The same board with each copy's laws moved a different number of
+        # ulps, so that no copy shares a node with another pad.
+        apart = replace(uut, pads=tuple(
+            (pid, replace(pc, kind=moved(pc.kind, int(pid.split(".")[1]) + 1)) if pid in copies else pc)
+            for pid, pc in uut.pads))
+        apart_dc = solve_dc(apart, contacts, stimuli)
+        apart_transient = step_transient(apart, contacts, stimuli, state, dt)[1]
+        for result, comps, separate in ((dc, {}, apart_dc), (transient, companions, apart_transient)):
             pad_volts, rail_volts = reference_solve(uut, contacts, stimuli, comps)
             got = {pid: result[pid].pad_volts for pid in pad_volts}
             got.update((rail, result.vcc_volts if rail == "VCC" else result.gnd_volts)
@@ -642,6 +689,17 @@ class TestReferenceSolver:
             for node, volts in {**pad_volts, **rail_volts}.items():
                 assert abs(got[node] - volts) <= 1e-6 + 1e-6 * abs(volts), node
             assert kcl_residual(uut, contacts, stimuli, result, comps) < 1e-9
+            # A copy reads its pad's node bit for bit, through its own needle.
+            for copy, pid in copies.items():
+                assert repr(result[copy].pad_volts) == repr(result[pid].pad_volts), copy
+                if contacts[copy] == contacts[pid]:
+                    assert repr(result[copy]) == repr(result[pid]), copy
+            # and agrees with the copy that does not share it to 1 nV, or to
+            # 1e-9 of the volts where 1 nV is below a float's spacing.
+            for node, volts in {**got, "VCC": result.vcc_volts, "GND": result.gnd_volts}.items():
+                other = separate[node].pad_volts if node in pad_volts else getattr(
+                    separate, f"{node.lower()}_volts")
+                assert abs(volts - other) <= 1e-9 + 1e-9 * abs(volts), node
         assert repr(solve_dc(uut, contacts, stimuli)) == repr(dc)  # bit-identical
 
 
@@ -771,6 +829,37 @@ class TestNewtonWork:
         # Two branches, each evaluated in every settle: one per rail value.
         settles = sum(law is floating and name == "current" for law, name in calls) / 2
         assert settles > result.iterations >= 2
+
+    def test_repeated_pads_settle_once(self, monkeypatch):
+        # 1 mA into one pad of 3, 30 or 300 ESD pairs alike: the undriven
+        # pads are one node, so the board's size costs no law evaluations.
+        calls = law_calls(monkeypatch)
+        counts = []
+        for n in (3, 30, 300):
+            esd = EsdPair(DiodeModel(1e-14), DiodeModel(1e-14))
+            uut = UutModel(tuple((f"p{i}", PadCircuit(esd)) for i in range(n)))
+            contacts = {f"p{i}": ContactState(0.1) for i in range(n)}
+            stimuli = {"p0": Stimulus("current", 1e-3)}
+            del calls[:]
+            result = solve_dc(uut, contacts, stimuli)
+            counts.append(sum(name == "current" for _, name in calls))
+            assert kcl_residual(uut, contacts, stimuli, result) < 1e-9
+            assert len({repr(result[f"p{i}"]) for i in range(1, n)}) == 1
+        assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("level", [0.9, 1.0])
+    def test_pinned_copies_take_the_rail_steps_of_one(self, level):
+        # n ideally driven ESD pads alike on a VCC path of 50 / n Ohm: the
+        # rail's KCL is n times that of one pad on 50 Ohm, so with the
+        # pinned conductance counted n times the rail takes the same steps.
+        d = DiodeModel(1e-14)
+        results = []
+        for n in (1, 3, 30):
+            uut = UutModel(tuple((f"p{i}", PadCircuit(EsdPair(d, d))) for i in range(n)),
+                           vcc_path_ohms=50.0 / n)
+            results.append(solve_dc(uut, {}, {f"p{i}": Stimulus("voltage", level) for i in range(n)}))
+        assert len({r.iterations for r in results}) == 1
+        assert [r.vcc_volts for r in results] == pytest.approx([results[0].vcc_volts] * 3, abs=1e-9)
 
 
 @st.composite
@@ -1140,6 +1229,15 @@ class TestIdlePads:
         assert result.iterations == iterations == 0
         assert repr(result["p"]) == repr(PadReading(-0.0, 0.0, -0.0))
         assert math.copysign(1.0, pad_volts["p"]) == -1.0
+
+    def test_zero_starts_of_either_sign_are_two_nodes(self):
+        # Two ESD pads alike on a VCC path, at rest: no step moves either,
+        # so each keeps the sign of its start.
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("m", PadCircuit(EsdPair(d, d))), ("p", PadCircuit(EsdPair(d, d)))))
+        result = step_transient(uut, {}, {}, {"m": -0.0, "p": 0.0}, 1e-3)[1]
+        assert repr(result["m"]) == repr(PadReading(-0.0, 0.0, -0.0))
+        assert repr(result["p"]) == repr(PadReading(0.0, 0.0, 0.0))
 
 
 class TestPoweredConsumption:
