@@ -47,6 +47,7 @@ ERR_EXECUTION = 500
 MAX_LINE_BYTES = 4096
 
 _BLOCK_VERBS = ("READ", "STATUS")
+_NO_ARGS = ("ARM", "TRIG", "READ", "STATUS")
 _VERBS = ("HELLO", "LIST", "SELECT", "WAVEFORM", "LIMITS", "ARM", "TRIG", "READ", "STATUS", "QUIT")
 
 
@@ -66,10 +67,13 @@ class BusCommand:
 
 @dataclass(frozen=True, slots=True)
 class BusReply:
-    ok: bool
     payload: str = ""
     block: tuple = ()
-    code: Optional[int] = None
+    code: Optional[int] = None  # an ERR reply's code
+
+    @property
+    def ok(self) -> bool:
+        return self.code is None
 
 
 class _Slot:
@@ -113,9 +117,6 @@ class ProberFarm:
         self.slots = {}  # index -> _Slot
         self.lock = threading.Lock()
 
-    def __len__(self):
-        return self.count
-
 
 class _Session:
     def __init__(self):
@@ -123,16 +124,16 @@ class _Session:
 
 
 def _err(code: int, message: str) -> BusReply:
-    return BusReply(ok=False, payload=message, code=code)
+    return BusReply(payload=message, code=code)
 
 
 def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload) -> BusReply:
     if verb == "HELLO":
-        return BusReply(ok=True, payload=PROTOCOL_VERSION)
+        return BusReply(payload=PROTOCOL_VERSION)
     if verb == "LIST":
-        return BusReply(ok=True, payload=str(len(farm)))
+        return BusReply(payload=str(farm.count))
     if verb == "QUIT":
-        return BusReply(ok=True)
+        return BusReply()
     if verb == "SELECT":
         if len(args) != 1:
             return _err(ERR_MALFORMED, "SELECT takes one index")
@@ -140,15 +141,17 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             index = int(args[0])
         except ValueError:
             return _err(ERR_MALFORMED, f"bad index {args[0]!r}")
-        if not 0 <= index < len(farm):
-            return _err(ERR_OUT_OF_RANGE, f"index {index} outside [0, {len(farm)})")
+        if not 0 <= index < farm.count:
+            return _err(ERR_OUT_OF_RANGE, f"index {index} outside [0, {farm.count})")
         if index not in farm.slots:
             farm.slots[index] = _Slot()
         session.selected = index
-        return BusReply(ok=True)
+        return BusReply()
 
     if session.selected is None:
         return _err(ERR_SEQUENCE, f"{verb} requires a prior SELECT")
+    if verb in _NO_ARGS and args:
+        return _err(ERR_MALFORMED, f"{verb} takes no arguments")
     slot = farm.slots[session.selected]
 
     if verb == "WAVEFORM":
@@ -176,7 +179,7 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
         slot.raw_samples = tuple(payload)
         slot.raw_header = " ".join(args)
         slot.armed = False
-        return BusReply(ok=True)
+        return BusReply()
 
     if verb == "LIMITS":
         if len(args) != 2:
@@ -187,19 +190,15 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             return _err(ERR_MALFORMED, str(exc))
         slot.limits = limits
         slot.armed = False
-        return BusReply(ok=True)
+        return BusReply()
 
     if verb == "ARM":
-        if args:
-            return _err(ERR_MALFORMED, "ARM takes no arguments")
         if slot.waveform is None or slot.limits is None:
             return _err(ERR_SEQUENCE, "ARM requires a staged waveform and limits")
         slot.armed = True
-        return BusReply(ok=True)
+        return BusReply()
 
     if verb == "TRIG":
-        if args:
-            return _err(ERR_MALFORMED, "TRIG takes no arguments")
         if not slot.armed:
             return _err(ERR_SEQUENCE, "TRIG requires a prior ARM")
         try:
@@ -208,22 +207,18 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
             return _err(ERR_EXECUTION, str(exc))
         slot.captures = tuple(captures)
         slot.armed = False
-        return BusReply(ok=True, payload=str(len(captures)))
+        return BusReply(payload=str(len(captures)))
 
     if verb == "READ":
-        if args:
-            return _err(ERR_MALFORMED, "READ takes no arguments")
         if slot.captures is None:
             return _err(ERR_SEQUENCE, "READ requires a prior TRIG")
         block = []
         for capture in slot.captures:
             block.extend(format_capture(capture).splitlines())
-        return BusReply(ok=True, payload=str(len(slot.captures)), block=tuple(block))
+        return BusReply(payload=str(len(slot.captures)), block=tuple(block))
 
     # STATUS: serve_connection has answered every verb outside _VERBS
-    if args:
-        return _err(ERR_MALFORMED, "STATUS takes no arguments")
-    return BusReply(ok=True, block=tuple(slot.status_lines(session.selected)))
+    return BusReply(block=tuple(slot.status_lines(session.selected)))
 
 
 def _write_reply(wfile, verb: str, reply: BusReply):
@@ -326,11 +321,6 @@ class _BusHandler(socketserver.StreamRequestHandler):
         serve_connection(self.server.farm, self.rfile, self.wfile)
 
 
-def serve(farm: ProberFarm, address) -> BusServer:
-    """Bind a stream-socket server for the farm; caller runs serve_forever()."""
-    return BusServer(address, farm)
-
-
 # --- client side ------------------------------------------------------------
 
 class BusConnection:
@@ -393,7 +383,7 @@ def client_call(command: BusCommand, connection: BusConnection) -> BusReply:
             if line == ".":
                 break
             block.append(line)
-    return BusReply(ok=True, payload=payload, block=tuple(block))
+    return BusReply(payload=payload, block=tuple(block))
 
 
 class RemoteProber:
@@ -402,8 +392,6 @@ class RemoteProber:
 
     def __init__(self, connection: BusConnection, limits: ProtectionLimits, index: int = 0):
         self.connection = connection
-        self.limits = limits
-        self.index = index
         client_call(BusCommand("SELECT", (str(index),)), connection)
         client_call(
             BusCommand("LIMITS", (repr(limits.max_abs_voltage), repr(limits.max_abs_current))),

@@ -502,7 +502,7 @@ def _solve_network(
     holds, or when no step moves it.  Outer level: Newton on the <= 2 rail
     voltages, the rail part of the Schur step of _newton_step at the
     settled classes; with one rail that step is bracketed in the same way.
-    Only classes on a rail that moved are settled again.  The solve returns
+    Every class is settled again after each rail step.  The solve returns
     when every node's |F| is under the KCL tolerance and the rail step is
     within the volts bound.  When the rails are within it but some |F| is
     not, the classes take their part of the Schur step as well; when no step
@@ -599,11 +599,9 @@ def _solve_network(
     free = [k for k in range(n) if terms[k][3] is None]
     free_m = [m[k] for k in free]
     pinned_nodes = [k for k in range(n) if terms[k][3] is not None]
-    touches = [{b[3] for b in terms[k][0]} - {datum} for k in range(n)]  # the rails of each pad node
-    stale = range(n)  # the pad nodes to settle before the next rail residual
     lo, hi, last = -math.inf, math.inf, math.inf  # the one-rail bracket
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        for k in stale:
+        for k in range(n):
             settle(k, iteration)
         F_rail = [g * y[a] - sum(m[k] * into[k][a] for k in range(n)) for a, g in enumerate(rail_g)]
         if not math.isfinite(sum(F_rail)):
@@ -627,8 +625,7 @@ def _solve_network(
             last = abs(y[0] - old[0])
         else:
             y[:datum] = [ya + dy for ya, dy in zip(y, step)]
-        moved = {a for a in range(datum) if y[a] != old[a]}
-        stepped = set()
+        stepped = False
         if rails_settled:
             # Some |F| is over the tolerance though the rails are within the
             # volts bound: each pad stopped within its own bound, and their
@@ -637,10 +634,9 @@ def _solve_network(
             for k, dp in zip(free, dx):
                 if x[k] + dp != x[k]:
                     x[k] += dp
-                    stepped.add(k)
-        if not moved and not stepped:  # no step moves a node: the solve has stalled
+                    stepped = True
+        if y[:datum] == old and not stepped:  # no step moves a node: the solve has stalled
             raise NonConvergence("DC solve did not converge", worst, iteration)
-        stale = [k for k in range(n) if touches[k] & moved or k in stepped]
 
     # Readings are frozen, so pads that read alike share one: every idle pad
     # reads rest, and the closed floating needles of a pad node read alike.

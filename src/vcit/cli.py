@@ -235,7 +235,7 @@ def cmd_serve(args) -> int:
     host, port = _parse_bus(address)
     farm = busmod.ProberFarm(fixture.bench, args.probers)
     try:
-        server = busmod.serve(farm, (host, port))
+        server = busmod.BusServer((host, port), farm)
     except OSError as exc:
         print(f"error: cannot bind {address}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -47,7 +47,7 @@ class OperatorAborted(VcitError):
 
 
 class FixtureError(VcitError):
-    """Fixture or scenario file failed to parse or validate."""
+    """Fixture, scenario or session-log input failed to parse or validate."""
 
 
 class BusError(VcitError):
@@ -56,7 +56,6 @@ class BusError(VcitError):
     def __init__(self, code: int, message: str):
         super().__init__(f"ERR {code} {message}")
         self.code = code
-        self.reason = message
 
 
 class ProtocolError(VcitError):

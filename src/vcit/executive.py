@@ -75,8 +75,17 @@ class SessionEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "SessionEvent":
-        d = json.loads(line)
-        return cls(index=d["index"], phase=d["phase"], action=d["action"], outcome=d["outcome"])
+        """The event of one to_json line; FixtureError unless it is an object
+        of exactly to_json's keys, with an int index >= 0 and str values."""
+        try:
+            d = json.loads(line)
+        except (ValueError, RecursionError):
+            raise FixtureError(f"bad session event: {line[:80]!r}") from None
+        if (not isinstance(d, dict) or d.keys() != {"index", "phase", "action", "outcome"}
+                or type(d["index"]) is not int or d["index"] < 0
+                or not all(isinstance(d[key], str) for key in ("phase", "action", "outcome"))):
+            raise FixtureError(f"bad session event: {line[:80]!r}")
+        return cls(**d)
 
 
 @functools.lru_cache(maxsize=256)

@@ -64,7 +64,6 @@ class CaptureRecord:
     applied: tuple
     measured_voltage: tuple
     measured_current: tuple
-    protection_tripped: bool = False
     trip_index: Optional[int] = None
 
     def __post_init__(self):
@@ -73,8 +72,10 @@ class CaptureRecord:
             raise ValueError("capture must have at least one sample")
         if len(self.measured_voltage) != n or len(self.measured_current) != n:
             raise ValueError("capture series must share one length")
-        if self.protection_tripped != (self.trip_index is not None):
-            raise ValueError("protection_tripped iff trip_index present")
+
+    @property
+    def protection_tripped(self) -> bool:
+        return self.trip_index is not None
 
     def __len__(self):
         return len(self.applied)
@@ -169,7 +170,6 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     # equals the clamp level exactly.
     captures = []
     for pid in waveform.target_pads:
-        trip = trips.get(pid)
         captures.append(
             CaptureRecord(
                 pad_id=pid,
@@ -177,8 +177,7 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
                 applied=tuple(waveform.samples),
                 measured_voltage=tuple(r[pid].volts for r in results),
                 measured_current=tuple(r[pid].amperes for r in results),
-                protection_tripped=trip is not None,
-                trip_index=trip,
+                trip_index=trips.get(pid),
             )
         )
     return captures
@@ -249,8 +248,6 @@ def parse_captures(lines) -> list:
                 raise ProtocolError(f"bad capture row: {ln!r}")
             values.append(row)
         applied, volts, amps = zip(*values)
-        captures.append(
-            CaptureRecord(pad_id, dt, applied, volts, amps, trip_index is not None, trip_index)
-        )
+        captures.append(CaptureRecord(pad_id, dt, applied, volts, amps, trip_index))
         start += 1 + n
     return captures

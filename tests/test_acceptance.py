@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from vcit.bus import ProberFarm, run_script, serve
+from vcit.bus import BusServer, ProberFarm, run_script
 from vcit.checks import (
     CorrelationRef,
     HalfSpaceRegion,
@@ -293,7 +293,7 @@ def test_acceptance_7_protocol_conformance():
 
     def over_tcp(script):
         farm = ProberFarm(load_default_fixture().bench, 3)
-        server = serve(farm, ("127.0.0.1", 0))
+        server = BusServer(("127.0.0.1", 0), farm)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

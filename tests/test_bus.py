@@ -20,11 +20,11 @@ from vcit.bus import (
     PROTOCOL_VERSION,
     BusCommand,
     BusConnection,
+    BusServer,
     ProberFarm,
     RemoteProber,
     client_call,
     run_script,
-    serve,
 )
 from vcit.errors import BusError, ProtocolError
 from vcit.fixture import load_default_fixture
@@ -109,7 +109,9 @@ class TestLoopback:
         assert out.startswith(f"ERR {ERR_MALFORMED} ".encode())
 
     def test_commands_before_select_sequenced(self, farm):
-        for verb in (b"ARM", b"TRIG", b"READ", b"STATUS", b"LIMITS 1 1"):
+        # A SELECT is asked for first, even of a command with stray arguments.
+        for verb in (b"ARM", b"TRIG", b"READ", b"STATUS", b"LIMITS 1 1", b"ARM x", b"TRIG x",
+                     b"READ x", b"STATUS x"):
             out = run_script(farm, verb + b"\nQUIT\n")
             assert out.startswith(f"ERR {ERR_SEQUENCE} ".encode()), verb
 
@@ -286,7 +288,7 @@ class TestLoopback:
 
 class TestTcpTransport:
     def run_over_tcp(self, farm, script: bytes) -> bytes:
-        server = serve(farm, ("127.0.0.1", 0))
+        server = BusServer(("127.0.0.1", 0), farm)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -323,7 +325,7 @@ class TestTcpTransport:
 
 class TestClient:
     def client_pair(self, farm):
-        server = serve(farm, ("127.0.0.1", 0))
+        server = BusServer(("127.0.0.1", 0), farm)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address

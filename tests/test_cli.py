@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import vcit
-from vcit.bus import ProberFarm, serve
+from vcit.bus import BusServer, ProberFarm
 from vcit.cli import main
 from vcit.executive import (
     NTF_ACTIONS,
@@ -339,7 +339,7 @@ class TestCheck:
 class TestBusIntegration:
     def serve_farm(self):
         farm = ProberFarm(load_default_fixture().bench, 2)
-        server = serve(farm, ("127.0.0.1", 0))
+        server = BusServer(("127.0.0.1", 0), farm)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         return server

@@ -2,6 +2,7 @@
 functional-failure diagnosis branches, and log replay."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -53,6 +54,7 @@ def bench_with_open(fixture, pad_id):
 
 FRESH = NeedleLog(last_replacement_cycle=100, current_cycle=100, window_cycles=500)
 STALE = NeedleLog(last_replacement_cycle=0, current_cycle=900, window_cycles=500)
+EVENTS = st.builds(SessionEvent, st.integers(0, 2**63), st.text(), st.text(), st.text())
 
 
 class TestNeedleLog:
@@ -307,6 +309,45 @@ class TestSession:
         restored = [SessionEvent.from_json(ln) for ln in lines]
         assert restored == events
         assert replay_verdict(restored) == NTF_DETECTED
+
+    @given(EVENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_event_json_round_trip_property(self, event):
+        assert SessionEvent.from_json(event.to_json()) == event
+
+    @given(EVENTS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_event_json_raises(self, event, data):
+        line = event.to_json()
+        d = json.loads(line)
+        key = data.draw(st.sampled_from(sorted(d)))
+        wrong = st.sampled_from([-1, True, 1.0, "0", None, []]) if key == "index" else st.sampled_from(
+            [0, False, None, [], {}])
+        mutated = data.draw(st.sampled_from([
+            line[:data.draw(st.integers(0, len(line) - 1))],  # cut short
+            json.dumps({k: v for k, v in d.items() if k != key}),  # a key missing
+            json.dumps({**d, "extra": ""}),  # a key too many
+            json.dumps({**d, key: data.draw(wrong)}),  # a value of the wrong type or sign
+            json.dumps(list(d.values())),  # not an object
+        ]))
+        with pytest.raises(FixtureError):
+            SessionEvent.from_json(mutated)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["", "not json", "[]", "{}", "null", "1", "[" * 100000,
+         '{"index": "x", "phase": 1, "action": null, "outcome": []}',
+         '{"index": true, "phase": "p", "action": "a", "outcome": "o"}',
+         '{"index": 1.0, "phase": "p", "action": "a", "outcome": "o"}',
+         '{"index": -1, "phase": "p", "action": "a", "outcome": "o"}',
+         '{"index": 0, "phase": "p", "action": "a"}',
+         '{"index": 0, "phase": "p", "action": "a", "outcome": "o", "extra": ""}'],
+        ids=["empty", "not-json", "array", "empty-object", "null", "number", "deep", "wrong-types",
+             "index-bool", "index-float", "index-negative", "key-missing", "key-extra"],
+    )
+    def test_malformed_event_line_raises(self, line):
+        with pytest.raises(FixtureError):
+            SessionEvent.from_json(line)
 
     def test_unknown_failed_pad_rejected_before_the_log(self, fixture):
         # Filtering the battery by a pad the UUT lacks would leave no checks,

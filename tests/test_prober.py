@@ -202,7 +202,6 @@ def per_sample_reference(waveform, limits, bench):
                 applied=waveform.samples,
                 measured_voltage=tuple(c.measured_voltage[0] for c in pieces),
                 measured_current=tuple(c.measured_current[0] for c in pieces),
-                protection_tripped=trip is not None,
                 trip_index=trip,
             )
         )
@@ -323,7 +322,7 @@ class TestRepeatedSamples:
         CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)),
         PadCheck("p1", "current", 1e-3, (0.3, 1.0)),
         VcitVerdict(True, {}),
-        BusReply(True),
+        BusReply(),
     ],
     ids=lambda value: type(value).__name__,
 )
@@ -355,7 +354,6 @@ class TestCaptureFormat:
             applied=(1e-3, 2e-3),
             measured_voltage=(0.6548400711592981, 0.672),
             measured_current=(1e-3, 2e-3),
-            protection_tripped=True,
             trip_index=1,
         )
         assert parse_captures(format_capture(c).splitlines()) == [c]
@@ -425,15 +423,15 @@ class TestCaptureFormat:
         for pad_id, dt, rows, trip in specs:
             trip_index = trip if 0 <= trip < len(rows) else None
             applied, volts, amps = zip(*rows)
-            captures.append(CaptureRecord(pad_id, dt, applied, volts, amps,
-                                          trip_index is not None, trip_index))
+            captures.append(CaptureRecord(pad_id, dt, applied, volts, amps, trip_index))
         text = "".join(format_capture(c) for c in captures)
         parsed = parse_captures(text.splitlines())
         assert parsed == captures
         assert "".join(format_capture(c) for c in parsed) == text  # repr keeps every bit
 
     def test_invariant_tripped_iff_index(self):
-        with pytest.raises(ValueError):
+        # The trip is stored once, as its index; the flag is read from it.
+        assert not CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)).protection_tripped
+        assert CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), trip_index=0).protection_tripped
+        with pytest.raises(TypeError):
             CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), protection_tripped=True)
-        with pytest.raises(ValueError):
-            CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), trip_index=0)
