@@ -15,10 +15,11 @@ They are fully deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from operator import add, mul, truediv
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import NoPathToRail, NonConvergence, NotPoweredModel, UnknownPad
 
@@ -337,7 +338,9 @@ class PadReading:
 class SolveResult:
     """A solve's readings and rail volts; iterations counts the rail (outer)
     Newton steps, so a board with no rail path takes 0, and residual is the
-    largest |F| over the nodes."""
+    largest |F| over the nodes.  A solve gives pads as a mapping over every
+    pad in the model's pad order that reads each pad without a stimulus
+    only when one is first read (see _Readings)."""
 
     pads: Mapping[str, PadReading]
     vcc_volts: float
@@ -404,25 +407,82 @@ def _junction(law) -> tuple:
 
 
 def _system(uut: UutModel) -> tuple:
-    """What no solve of the model changes: (pad ids, the rails with a path
-    resistance, their path conductances, each pad's (law, rail index,
-    polarity, nVt, vcrit, series resistance) per element, where the datum's
-    rail index is len(rails), each pad's branch class, equal for pads whose
-    elements are equal by value, and the pads whose every element goes to
-    the datum)."""
+    """What no solve of the model changes: (pad ids; pad id -> (pad index,
+    group); the path conductances of the rails with a path resistance and
+    the names of their TransientState attributes; the rail indices of VCC
+    and GND; each pad's (law, (rail index, polarity, nVt, vcrit, series
+    resistance)) per element; each group's (branch class, capacitance,
+    grounded, member ids in pad order); the largest capacitance; the
+    partition at rest).
+
+    The rails with a path resistance come first, and the datum's rail
+    index is their number.  A group holds the pads of one branch class,
+    equal for pads whose elements are equal by value, and one capacitance;
+    grounded means that its every element goes to the datum.  A partition
+    cuts the groups into parts of pads that start at the same volts, the
+    sign of a zero included: a part is (first pad index, group, member ids,
+    start volts, None).  It is held as (the parts in order of their first
+    pad, group -> its resting part), where a resting part is one of a
+    grounded group at +0.0; such a part is idle unless a pad of it is
+    stimulated."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
     elements = tuple(
-        tuple((law, rails.index(rail) if rail in rails else len(rails), s, *_junction(law))
+        tuple((law, (rails.index(rail) if rail in rails else len(rails), s, *_junction(law)))
               for law, rail, s in pc.kind.branches)
         for _, pc in uut.pads
     )
-    classes = {}
-    branch_class = tuple(classes.setdefault(pad, len(classes)) for pad in elements)
-    grounded = frozenset(i for i, pad in enumerate(elements) if all(e[1] == len(rails) for e in pad))
-    return (tuple(pid for pid, _ in uut.pads), rails, tuple(1.0 / ohms for _, ohms in paths), elements,
-            branch_class, grounded)
+    classes, numbers, groups, where = {}, {}, [], {}
+    for i, ((pid, pc), pad) in enumerate(zip(uut.pads, elements)):
+        s = numbers.setdefault((pad, pc.shunt_capacitance), len(numbers))
+        if s == len(groups):
+            groups.append((classes.setdefault(pad, len(classes)), pc.shunt_capacitance,
+                           all(e[0] == len(rails) for _, e in pad), []))
+        groups[s][3].append(pid)
+        where[pid] = (i, s)
+    groups = tuple((bc, c, grounded, tuple(ids)) for bc, c, grounded, ids in groups)
+    # At rest each group is one part, and a grounded group's part is resting.
+    rest = [(where[ids[0]][0], s, frozenset(ids), 0.0, None) for s, (_, _, _, ids) in enumerate(groups)]
+    return (tuple(pid for pid, _ in uut.pads), where, tuple(1.0 / ohms for _, ohms in paths),
+            tuple(f"{rail.lower()}_volts" for rail in rails),
+            tuple(rails.index(rail) if rail in rails else len(rails) for rail in ("VCC", "GND")),
+            elements, groups, max((c for _, c, _, _ in groups), default=0.0),
+            (tuple(part for part in rest if not groups[part[1]][2]),
+             {part[1]: part for part in rest if groups[part[1]][2]}))
+
+
+def _partition(where: dict, groups: tuple, state: Mapping[str, float]) -> tuple:
+    """The partition (see _system) of the pads by group and by their volts
+    in state, 0.0 when not given."""
+    found = {}  # (group, volts, sign) -> (first pad index, member ids)
+    for pid, (i, s) in where.items():
+        v = state.get(pid, 0.0)
+        found.setdefault((s, v, math.copysign(1.0, v)), (i, []))[1].append(pid)
+    parts, resting = [], {}
+    for (s, v, _), (i, ids) in found.items():
+        part = (i, s, frozenset(ids), v, None)
+        if groups[s][2] and _plus_zero(v) and type(v) is float:
+            resting[s] = part
+        else:
+            parts.append(part)
+    return tuple(parts), resting
+
+
+def _cut(part: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple, order: tuple) -> list:
+    """The pieces of part, in order of their first pad: each of its
+    stimulated pads as a part of its own that names its pad last, its
+    members a 1-tuple, and the rest of part, if any; order is its group's
+    member ids."""
+    first, s, members, v, _ = part
+    pieces = [(where[pid][0], s, (pid,), v, pid) for pid in members.intersection(stimuli)]
+    if len(pieces) < len(members):
+        left = members.difference(stimuli)
+        if ids[first] not in left:
+            first = where[next(filter(left.__contains__, order))][0]
+        pieces.append((first, s, left, v, None))
+    pieces.sort()
+    return pieces
 
 
 def _settled(x: float, f: float, g: float) -> bool:
@@ -474,12 +534,16 @@ def _solve_network(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
-    companions: Mapping[str, tuple],
-    start: Optional[Mapping[str, float]] = None,
+    dt: Optional[float] = None,
+    state: Optional[Mapping[str, float]] = None,
+    at_rest: bool = False,
 ) -> SolveResult:
-    """Two-level Newton solve of the star network.  companions maps a pad
-    id to the implicit Euler model (conductance, history current) of its
-    capacitance.
+    """Two-level Newton solve of the star network from state, the pad volts
+    the solve starts at (None: at rest).  With a time step dt, each pad's
+    capacitance C is an implicit Euler companion: a conductance C/dt to
+    ground and a history current C/dt times the pad's volts in state.
+    at_rest starts every node at 0 V whatever the state: the start that a
+    warm start must agree with.
 
     The nodes are the pad classes, then each rail with a path resistance.
     A rail without one is tied to the datum, which stays at 0 V.  A pad with
@@ -493,6 +557,12 @@ def _solve_network(
     current into each rail and m times its conductance in each rail sum.  A
     voltage drive of 0 Ohm in all pins its pad at the level: the pad is not
     solved, and it draws what its branches, GMIN leak and capacitor carry.
+
+    The classes are found part by part, not pad by pad (see _system): the
+    pads of one part without a stimulus share their class.  So a stimulated
+    pad is cut out of its part, and each part and stimulated pad gives one
+    class key, in order of its first pad; a TransientState carries the
+    partition its step ended on, and any other state is partitioned anew.
 
     Inner level: given the rail voltages, each class's KCL F_i(x_i) is
     strictly increasing (every law is, and GMIN > 0), so each class is
@@ -509,18 +579,50 @@ def _solve_network(
     moves any node, the solve has stalled.  iterations counts the rail
     iterations.
 
-    Every node starts at the start mapping's pad volts (a TransientState
-    also gives the rail volts; a plain mapping leaves the rails at 0 V), or
-    at rest.  A non-finite residual raises NonConvergence at once; so does
-    a stalled solve, and a class or the rail loop that runs out of
-    MAX_NEWTON_ITERATIONS.
+    A TransientState also starts the rails at its rail volts; any other
+    state leaves them at 0 V.  A non-finite residual raises NonConvergence
+    at once; so does a stalled solve, and a class or the rail loop that runs
+    out of MAX_NEWTON_ITERATIONS.
     """
-    for pid in stimuli:
-        uut.pad(pid)  # raises UnknownPad
-    ids, rails, rail_g, elements, branch_class, grounded = uut._system
-    start_volts = start or {}
-    datum = len(rails)
-    y = [getattr(start, f"{rail.lower()}_volts", 0.0) for rail in rails] + [0.0]  # the datum last
+    system = uut._system
+    ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, partition = system
+    try:
+        driven = {where[pid][1] for pid in stimuli}  # the groups of the stimulated pads
+    except KeyError:
+        for pid in stimuli:
+            uut.pad(pid)  # raises UnknownPad
+        raise
+    warm = isinstance(state, TransientState)
+    if warm and state._partition is not None and state._partition[0] is system:
+        partition = state._partition[1]
+    elif state:
+        partition = _partition(where, groups, state)
+    parts, resting = partition
+    # With every C/dt finite, a resting part without a stimulus is idle.
+    calm = dt is None or most_c / dt < math.inf
+    datum = len(rail_g)
+    y = [getattr(state, attr) for attr in rail_attrs] if warm and not at_rest else [0.0] * datum
+    y.append(0.0)  # the datum
+
+    # Each stimulated pad is cut out of its part, to be a part of its own.
+    if driven or not calm:
+        parts = list(parts)
+        for s in driven:
+            part = resting.get(s)
+            if part is not None and not part[2].isdisjoint(stimuli):
+                resting = dict(resting)
+                for piece in _cut(part, stimuli, where, ids, groups[s][3]):
+                    if piece[4] is None:
+                        resting[s] = piece
+                    else:
+                        insort(parts, piece)
+                if part is resting[s]:
+                    del resting[s]
+        if not calm:
+            # Some C/dt overflows, so a resting part may not be idle.
+            for part in resting.values():
+                insort(parts, part)
+            resting = {}
 
     # One entry per pad node, a class of pads: its branches, each carrying
     # s*(law(v) + leak*v) at v = s*(x - y[a]) from the pad into rail a; its
@@ -529,21 +631,37 @@ def _solve_network(
     # methods are looked up per solve, never cached: they may be patched to
     # count calls.  The sign of a zero constant never reaches F, so only the
     # start's is in the key.
-    node = {}  # pad index -> its pad node
+    solved = []  # (part, its pad node or None when idle)
+    metered = []  # (stimulated pad, its stimulus, its contact, its pad node)
     classes = {}  # key -> pad node
     terms = []
     x = []
     m = []  # the pads in each pad node
-    for i, pid in enumerate(ids):
-        g, history = companions.get(pid, (0.0, 0.0))
-        x0 = start_volts.get(pid, 0.0)
-        stim = stimuli.get(pid)
-        if stim is None and i in grounded and _plus_zero(history) and _plus_zero(x0):
+    free = []  # the pad nodes to solve for
+    pinned_nodes = []
+    for part in parts:
+        first, s, members, v, pid = part
+        if pid is None and s in driven and not members.isdisjoint(stimuli):
+            # The pieces after the first go into the parts still to come.
+            part, *pieces = _cut(part, stimuli, where, ids, groups[s][3])
+            for piece in pieces:
+                insort(parts, piece)
+            first, s, members, v, pid = part
+        bc, c, grounded, _ = groups[s]
+        if dt is not None and c > 0.0:
+            g = c / dt
+            history = g * v
+        else:
+            g = history = 0.0
+        x0 = 0.0 if at_rest else v
+        if pid is None and grounded and _plus_zero(history) and _plus_zero(x0):
+            solved.append((part, None))
             continue  # idle: exactly 0 V
         g += _GMIN
         constant = -history
         pinned = None
-        if stim is not None:
+        if pid is not None:
+            stim = stimuli[pid]
             contact = contacts.get(pid, GOOD_CONTACT)
             if stim.mode == "current":
                 # An ideal current source delivers its level through a closed needle.
@@ -554,15 +672,19 @@ def _solve_network(
                 drive_g = 1.0 / _drive_ohms(stim, contact)
                 g += drive_g
                 constant -= stim.level * drive_g
-        key = (branch_class[i], g, constant, pinned, x0, math.copysign(1.0, x0))
-        k = node[i] = classes.setdefault(key, len(terms))
+        key = (bc, g, constant, pinned, x0, math.copysign(1.0, x0))
+        k = classes.setdefault(key, len(terms))
         if k == len(terms):
-            branches = tuple((law.current, law.conductance, law.leak, *element)
-                             for law, *element in elements[i])
+            branches = tuple([(law.current, law.conductance, law.leak) + element
+                              for law, element in elements[first]])
             terms.append((branches, g, constant, pinned))
             x.append(x0)
             m.append(0)
-        m[k] += 1
+            (free if pinned is None else pinned_nodes).append(k)
+        m[k] += len(members)
+        solved.append((part, k))
+        if pid is not None:
+            metered.append((pid, stim, contact, k))
     n = len(terms)
     into = [None] * n  # per pad node: current into each rail, the datum last
     cond = [None] * n  # per pad node: conductance to each rail; the datum's is all to ground
@@ -596,9 +718,7 @@ def _solve_network(
             return
         raise NonConvergence("DC solve did not converge", abs(f), iteration)
 
-    free = [k for k in range(n) if terms[k][3] is None]
     free_m = [m[k] for k in free]
-    pinned_nodes = [k for k in range(n) if terms[k][3] is not None]
     lo, hi, last = -math.inf, math.inf, math.inf  # the one-rail bracket
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
         for k in range(n):
@@ -638,28 +758,17 @@ def _solve_network(
         if y[:datum] == old and not stepped:  # no step moves a node: the solve has stalled
             raise NonConvergence("DC solve did not converge", worst, iteration)
 
-    # Readings are frozen, so pads that read alike share one: every idle pad
-    # reads rest, and the closed floating needles of a pad node read alike.
-    rest = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
-    readings = dict.fromkeys(ids, rest)
-    floating = {}  # pad node -> what its closed floating needles read
-    for i, k in node.items():
-        pid = ids[i]
-        stim = stimuli.get(pid)
-        contact = contacts.get(pid, GOOD_CONTACT)
+    # The stimulated pads are read now, every other pad when one is read.
+    readings = {}
+    for pid, stim, contact, k in metered:
         if terms[k][3] is not None:
             readings[pid] = PadReading(volts=x[k], amperes=F[k], pad_volts=x[k])
-        elif stim is None and not contact.is_open:
-            if k not in floating:
-                floating[k] = _meter(x[k], None, contact)
-            readings[pid] = floating[k]
         else:
             readings[pid] = _meter(x[k], stim, contact)
-    rail_volts = dict(zip(rails, y))
     return SolveResult(
-        pads=readings,
-        vcc_volts=rail_volts.get("VCC", 0.0),
-        gnd_volts=rail_volts.get("GND", 0.0),
+        pads=_Readings(system, contacts, solved, resting, x, readings),
+        vcc_volts=y[vcc_at],
+        gnd_volts=y[gnd_at],
         iterations=iteration,
         residual=worst,
     )
@@ -723,7 +832,7 @@ def solve_dc(
     (with the final residual, or at once with the first non-finite one) or
     UnknownPad.
     """
-    return _solve_network(uut, contacts, stimuli, {})
+    return _solve_network(uut, contacts, stimuli)
 
 
 def solve_rail_sense(
@@ -762,14 +871,103 @@ def solve_rail_sense(
 class TransientState(dict):
     """The node voltages a transient step ends at: pad id -> pad volts, with
     the two rail voltages beside the mapping, never under a pad key (a pad
-    id may be any string).  A rail pinned at ground reads 0.0."""
+    id may be any string).  A rail pinned at ground reads 0.0.
 
-    __slots__ = ("vcc_volts", "gnd_volts")
+    A state that step_transient returns also carries the partition of the
+    pads (see _system) that its step ended on, so the next step from it
+    cuts no part anew; a state built by hand, or changed after it was
+    returned, carries none and is partitioned from its pad volts."""
+
+    __slots__ = ("vcc_volts", "gnd_volts", "_partition")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
         super().__init__(pad_volts)
         self.vcc_volts = vcc_volts
         self.gnd_volts = gnd_volts
+        self._partition = None  # (the model's system, its partition) or None
+
+
+def _forgetting(method):
+    """A dict mutator that also drops the partition the state carried."""
+
+    def mutate(self, *args, **kwargs):
+        self._partition = None
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = method.__name__
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
+    setattr(TransientState, _name, _forgetting(getattr(dict, _name)))
+del _name
+
+_REST = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
+
+
+class _Readings(Mapping):
+    """SolveResult.pads of a solve: pad id -> PadReading over every pad, in
+    the model's pad order.  The solve reads its stimulated pads; every other
+    pad is read from its node and the solve's contacts the first time any
+    of them is.  An idle pad reads rest, and the closed floating needles of
+    a pad node share one reading."""
+
+    __slots__ = ("_system", "_contacts", "_solved", "_resting", "_x", "_readings", "_whole")
+
+    def __init__(self, system: tuple, contacts: Mapping[str, ContactState], solved: list,
+                 resting: dict, x: list, readings: dict):
+        self._system = system
+        self._contacts = contacts
+        self._solved = solved  # (part, its pad node or None when idle)
+        self._resting = resting  # group -> its resting part, every pad idle
+        self._x = x
+        self._readings = readings
+        self._whole = False
+
+    def _every(self) -> dict:
+        """Every pad's reading, made once."""
+        if not self._whole:
+            readings = dict.fromkeys(self._system[0], _REST)
+            for (_, _, members, _, pid), k in self._solved:
+                if k is not None and pid is None:
+                    floating = _meter(self._x[k], None, GOOD_CONTACT)
+                    for member in members:
+                        contact = self._contacts.get(member, GOOD_CONTACT)
+                        readings[member] = _meter(self._x[k], None, contact) if contact.is_open else floating
+            readings.update(self._readings)
+            self._readings = readings
+            self._whole = True
+        return self._readings
+
+    def __getitem__(self, pad_id: str) -> PadReading:
+        reading = self._readings.get(pad_id)
+        return self._every()[pad_id] if reading is None else reading
+
+    def __iter__(self):
+        return iter(self._system[0])
+
+    def __len__(self) -> int:
+        return len(self._system[0])
+
+    def __contains__(self, pad_id) -> bool:
+        return pad_id in self._system[1]
+
+    def __repr__(self) -> str:
+        return repr(self._every())
+
+    def _state(self, vcc_volts: float, gnd_volts: float) -> TransientState:
+        """The TransientState the solve ends at, carrying its partition: its
+        pads' volts at their nodes, and every idle pad at 0.0."""
+        volts = dict.fromkeys(self._system[0], 0.0)
+        parts = []
+        for (first, s, members, _, pid), k in self._solved:
+            v = 0.0 if k is None else self._x[k]
+            if k is not None:
+                volts.update(dict.fromkeys(members, v))
+            parts.append((first, s, members if pid is None else frozenset(members), v, None))
+        state = TransientState(volts, vcc_volts, gnd_volts)
+        state._partition = (self._system, (tuple(parts), self._resting))
+        return state
 
 
 def step_transient(
@@ -790,17 +988,8 @@ def step_transient(
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    history = state or {}
-    companions = {}
-    for pid, pc in uut.pads:
-        if pc.shunt_capacitance > 0.0:
-            g = pc.shunt_capacitance / dt
-            companions[pid] = (g, g * history.get(pid, 0.0))
-    result = _solve_network(uut, contacts, stimuli, companions, state)
-    next_state = TransientState(
-        {pid: r.pad_volts for pid, r in result.pads.items()}, result.vcc_volts, result.gnd_volts
-    )
-    return next_state, result
+    result = _solve_network(uut, contacts, stimuli, dt, state)
+    return result.pads._state(result.vcc_volts, result.gnd_volts), result
 
 
 def powered_consumption(uut: UutModel, v_input: float) -> float:

@@ -72,6 +72,11 @@ class CaptureRecord:
             raise ValueError("capture must have at least one sample")
         if len(self.measured_voltage) != n or len(self.measured_current) != n:
             raise ValueError("capture series must share one length")
+        if self.trip_index is not None:
+            if type(self.trip_index) is not int:
+                raise TypeError("trip_index must be an int or None")
+            if not 0 <= self.trip_index < n:
+                raise ValueError("trip_index must index a sample")
 
     @property
     def protection_tripped(self) -> bool:

@@ -839,7 +839,7 @@ class TestNewtonWork:
         dc = solve_dc(uut, contacts, stimuli)
         start = TransientState({pid: r.pad_volts for pid, r in dc.pads.items()},
                                dc.vcc_volts, dc.gnd_volts)
-        again = _solve_network(uut, contacts, stimuli, {}, start)
+        again = _solve_network(uut, contacts, stimuli, None, start)
         assert again.iterations == 0
         assert repr(again.pads) == repr(dc.pads)
         assert repr((again.vcc_volts, again.gnd_volts)) == repr((dc.vcc_volts, dc.gnd_volts))
@@ -1023,7 +1023,7 @@ class TestTransient:
 def cold_step(uut, contacts, stimuli, state, dt):
     """step_transient with Newton started at rest whatever the state: the
     reference a warm start must agree with."""
-    result = _solve_network(uut, contacts, stimuli, companions_of(uut, state or {}, dt))
+    result = _solve_network(uut, contacts, stimuli, dt, state, at_rest=True)
     return {pid: r.pad_volts for pid, r in result.pads.items()}, result
 
 
@@ -1125,14 +1125,13 @@ class TestWarmStart:
     def test_constant_level_starts_warm(self, monkeypatch):
         state, _ = step_transient(*self.esd_step(1e-3, None))
         uut, contacts, stimuli, _, dt = self.esd_step(1e-3, state)
-        companions = companions_of(uut, state, dt)
         calls = law_calls(monkeypatch)
         counts = []
         # From the state, rails included; from its pad volts alone, the
         # rails at 0 V; and from rest.
-        for start in (state, dict(state), None):
+        for start, at_rest in ((state, False), (dict(state), False), (state, True)):
             del calls[:]
-            _solve_network(uut, contacts, stimuli, companions, start)
+            _solve_network(uut, contacts, stimuli, dt, start, at_rest)
             counts.append(len(calls))
         warm, pads_warm, cold = counts
         assert warm < pads_warm and warm < cold
@@ -1252,6 +1251,154 @@ class TestIdlePads:
         result = step_transient(uut, {}, {}, {"m": -0.0, "p": 0.0}, 1e-3)[1]
         assert repr(result["m"]) == repr(PadReading(-0.0, 0.0, -0.0))
         assert repr(result["p"]) == repr(PadReading(0.0, 0.0, 0.0))
+
+
+@st.composite
+def stepped_boards(draw):
+    """A board whose pads repeat a few circuits (every kind, with or without
+    capacitance, grounded where GND is pinned), good, worn, open or absent
+    contacts, a start (None, or built by hand with some pads at -0.0), and
+    a run of steps, each with its own stimuli and dt, so that pads become
+    driven and undriven: (uut, contacts, start, steps)."""
+    d = DiodeModel(1e-14)
+    circuits = {"esd": EsdPair(d, d), "diode": SeriesDiode(d), "diode-": SeriesDiode(d, polarity=-1),
+                "led": Led(DiodeModel(1e-18, 2.0)), "res": Resistive(draw(st.sampled_from([100.0, 470.0]))),
+                "open": OpenPad()}
+    kinds = [draw(st.sampled_from(sorted(CONDUCTS))) for _ in range(draw(st.integers(2, 8)))]
+    pads = tuple((f"p{i}", PadCircuit(circuits[kind], draw(st.sampled_from([0.0, 0.0, 1e-9, 2e-9]))))
+                 for i, kind in enumerate(kinds))
+    uut = UutModel(pads, vcc_path_ohms=draw(st.sampled_from([0.0, 25.0])),
+                   gnd_path_ohms=draw(st.sampled_from([0.0, 0.0, 5.0])))
+    contacts = {pid: ContactState(draw(st.sampled_from([0.1, 10.0, 2e6])))
+                for pid, _ in pads if draw(st.booleans())}
+    start = None
+    if draw(st.booleans()):
+        start = TransientState({pid: draw(st.sampled_from([0.0, -0.0, 0.25, -0.5]))
+                                for pid, _ in pads if draw(st.booleans())},
+                               draw(st.sampled_from([0.0, 0.1])), draw(st.sampled_from([0.0, -0.0, 0.05])))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        stimuli = {}
+        for i in draw(st.lists(st.integers(0, len(pads) - 1), max_size=3, unique=True)):
+            modes = ("current", "voltage") if CONDUCTS[kinds[i]] else ("voltage",)
+            if draw(st.sampled_from(modes)) == "current":
+                level = draw(st.sampled_from(CONDUCTS[kinds[i]])) * draw(st.sampled_from([1e-3, 2e-4, 0.0]))
+                stimuli[f"p{i}"] = Stimulus("current", level)
+            else:
+                stimuli[f"p{i}"] = Stimulus("voltage", draw(st.sampled_from([0.5, -0.3, 0.0])),
+                                            draw(st.sampled_from([0.0, 100.0])))
+        steps.append((stimuli, draw(st.sampled_from([1e-4, 1e-3]))))
+    return uut, contacts, start, steps
+
+
+def step_outcome(uut, contacts, stimuli, state, dt):
+    """repr of (pad volts, rail volts, result) of a step, or of its error."""
+    try:
+        after, result = step_transient(uut, contacts, stimuli, state, dt)
+    except NonConvergence as exc:
+        return None, f"NonConvergence: {exc}"
+    return after, repr((dict(after), after.vcc_volts, after.gnd_volts, result))
+
+
+class TestCarriedPartition:
+    """A step's TransientState carries the partition of the pads it ended
+    on; a step from it must read what the same step from a state that
+    carries none reads, bit for bit."""
+
+    @given(stepped_boards())
+    @settings(max_examples=150, deadline=None)
+    def test_steps_from_a_carried_partition_match_a_fresh_one(self, board):
+        uut, contacts, state, steps = board
+        for stimuli, dt in steps:
+            plain = (TransientState({}, 0.0, 0.0) if state is None
+                     else TransientState(dict(state), state.vcc_volts, state.gnd_volts))
+            state, carried = step_outcome(uut, contacts, stimuli, state, dt)
+            assert carried == step_outcome(uut, contacts, stimuli, plain, dt)[1]
+            if state is None:
+                return
+
+    def test_a_changed_state_carries_no_partition(self):
+        d = DiodeModel(1e-14)
+        uut = UutModel(tuple((f"p{i}", PadCircuit(EsdPair(d, d), 1e-9)) for i in range(4)))
+        stimuli = {"p0": Stimulus("current", 1e-3)}
+        state, _ = step_transient(uut, {}, stimuli, None, 1e-4)
+        for change in (lambda s: s.__setitem__("p2", 0.3), lambda s: s.update(p3=-0.2),
+                       lambda s: s.pop("p1"), lambda s: s.setdefault("p9", 0.1)):
+            changed = TransientState(state, state.vcc_volts, state.gnd_volts)
+            changed._partition = state._partition
+            change(changed)
+            plain = TransientState(dict(changed), changed.vcc_volts, changed.gnd_volts)
+            assert step_outcome(uut, {}, stimuli, changed, 1e-4)[1] == step_outcome(
+                uut, {}, stimuli, plain, 1e-4)[1]
+
+    def test_contacts_are_read_for_the_driven_pads_alone(self, monkeypatch):
+        # One driven pad among n ESD pads alike and n idle grounded pads, all
+        # with contacts: the step reads as many contacts on 16 pads as on
+        # 1024, from rest and from the state it carries.
+        reads = []
+        is_open = ContactState.is_open.fget
+        monkeypatch.setattr(ContactState, "is_open", property(lambda c: reads.append(c) or is_open(c)))
+        d = DiodeModel(1e-14)
+        counts = []
+        for n in (16, 1024):
+            pads = tuple((f"e{i}", PadCircuit(EsdPair(d, d))) for i in range(n)) + tuple(
+                (f"g{i}", PadCircuit(Resistive(100.0))) for i in range(n))
+            uut = UutModel(pads, vcc_path_ohms=25.0)
+            contacts = {pid: ContactState(0.1) for pid, _ in pads}
+            stimuli = {"e3": Stimulus("current", 1e-3)}
+            state = None
+            for _ in range(2):
+                del reads[:]
+                state, result = step_transient(uut, contacts, stimuli, state, 1e-4)
+                counts.append(len(reads))
+            assert result["e3"].volts > 0.5 and result["e0"].pad_volts == state["e0"] > 0.0
+        assert counts[:2] == counts[2:]
+
+
+class TestReadings:
+    """SolveResult.pads is a mapping over every pad in the model's order;
+    the readings of the pads without a stimulus are made when first read."""
+
+    def solved(self):
+        d = DiodeModel(1e-14)
+        pads = (("g", PadCircuit(Resistive(100.0))), ("b", PadCircuit(EsdPair(d, d))),
+                ("a", PadCircuit(EsdPair(d, d))), ("o", PadCircuit(EsdPair(d, d))))
+        uut = UutModel(pads, vcc_path_ohms=25.0)
+        contacts = {"o": ContactState(2e6)}
+        return uut, contacts, solve_dc(uut, contacts, {"a": Stimulus("current", 1e-3)})
+
+    def test_order_length_and_membership(self):
+        _, _, result = self.solved()
+        assert list(result.pads) == ["g", "b", "a", "o"] == list(result.pads.keys())
+        assert len(result.pads) == 4
+        assert "b" in result.pads and "x" not in result.pads
+
+    def test_unknown_pad_raises_key_error(self):
+        _, _, result = self.solved()
+        with pytest.raises(KeyError):
+            result.pads["x"]
+        with pytest.raises(KeyError):
+            result["x"]
+        assert result.pads.get("x") is None
+
+    def test_reads_as_a_plain_dict(self):
+        uut, contacts, result = self.solved()
+        plain = {pid: result[pid] for pid in result.pads}
+        assert result.pads == plain and plain == result.pads
+        assert repr(result.pads) == repr(plain)
+        assert list(result.pads.values()) == list(plain.values())
+        assert list(result.pads.items()) == list(plain.items())
+        assert repr(result) == repr(replace(result, pads=plain))
+        assert result.pads != {**plain, "g": PadReading(1.0, 0.0, 1.0)}
+        # The idle pad reads rest, the floating needle its node, the open one 0 V.
+        assert repr(plain["g"]) == repr(PadReading(0.0, 0.0, 0.0))
+        assert plain["b"].volts == plain["b"].pad_volts == plain["o"].pad_volts > 0.0
+        assert plain["o"].volts == 0.0
+
+    def test_first_read_of_an_undriven_pad_matches_every_order(self):
+        uut, contacts, result = self.solved()
+        again = solve_dc(uut, contacts, {"a": Stimulus("current", 1e-3)})
+        assert [result[pid] for pid in ("o", "a", "b")] == [again[pid] for pid in ("b", "a", "o")][::-1]
 
 
 class TestPoweredConsumption:

@@ -429,6 +429,34 @@ class TestCaptureFormat:
         assert parsed == captures
         assert "".join(format_capture(c) for c in parsed) == text  # repr keeps every bit
 
+    @given(
+        st.text("abcxyz019_-", min_size=1, max_size=6),
+        st.floats(min_value=1e-9, max_value=1.0),
+        st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                 min_size=1, max_size=5),
+        st.one_of(st.none(), st.integers(min_value=-10, max_value=10)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_built_records_round_trip(self, pad_id, dt, rows, trip_index):
+        # Whatever the constructor accepts, parse_captures reads back.
+        applied, volts, amps = zip(*rows)
+        try:
+            record = CaptureRecord(pad_id, dt, applied, volts, amps, trip_index)
+        except ValueError:
+            assert not 0 <= trip_index < len(rows)
+            return
+        assert parse_captures(format_capture(record).splitlines()) == [record]
+
+    @pytest.mark.parametrize("trip_index", [-1, 1, 5], ids=["negative", "one-past-end", "far-past-end"])
+    def test_trip_index_out_of_range_raises(self, trip_index):
+        with pytest.raises(ValueError, match="trip_index"):
+            CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), trip_index=trip_index)
+
+    @pytest.mark.parametrize("trip_index", [True, 0.0, "0"], ids=["bool", "float", "str"])
+    def test_trip_index_not_an_int_raises(self, trip_index):
+        with pytest.raises(TypeError, match="trip_index"):
+            CaptureRecord("p1", 1e-3, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), trip_index=trip_index)
+
     def test_invariant_tripped_iff_index(self):
         # The trip is stored once, as its index; the flag is read from it.
         assert not CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,)).protection_tripped
