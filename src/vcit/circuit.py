@@ -442,14 +442,10 @@ def _system(uut: UutModel) -> tuple:
         groups[s][3].append(pid)
         where[pid] = (i, s)
     groups = tuple((bc, c, grounded, tuple(ids)) for bc, c, grounded, ids in groups)
-    # At rest each group is one part, and a grounded group's part is resting.
-    rest = [(where[ids[0]][0], s, frozenset(ids), 0.0, None) for s, (_, _, _, ids) in enumerate(groups)]
     return (tuple(pid for pid, _ in uut.pads), where, tuple(1.0 / ohms for _, ohms in paths),
             tuple(f"{rail.lower()}_volts" for rail in rails),
             tuple(rails.index(rail) if rail in rails else len(rails) for rail in ("VCC", "GND")),
-            elements, groups, max((c for _, c, _, _ in groups), default=0.0),
-            (tuple(part for part in rest if not groups[part[1]][2]),
-             {part[1]: part for part in rest if groups[part[1]][2]}))
+            elements, groups, max((c for _, c, _, _ in groups), default=0.0), _partition(where, groups, {}))
 
 
 def _partition(where: dict, groups: tuple, state: Mapping[str, float]) -> tuple:
