@@ -600,25 +600,15 @@ def _solve_network(
     y = [getattr(state, attr) for attr in rail_attrs] if warm and not at_rest else [0.0] * datum
     y.append(0.0)  # the datum
 
-    # Each stimulated pad is cut out of its part, to be a part of its own.
     if driven or not calm:
+        # A resting part of a stimulated group is cut like any other part
+        # (its rest stays idle); with some C/dt overflowing, none is idle.
         parts = list(parts)
-        for s in driven:
-            part = resting.get(s)
-            if part is not None and not part[2].isdisjoint(stimuli):
-                resting = dict(resting)
-                for piece in _cut(part, stimuli, where, ids, groups[s][3]):
-                    if piece[4] is None:
-                        resting[s] = piece
-                    else:
-                        insort(parts, piece)
-                if part is resting[s]:
-                    del resting[s]
-        if not calm:
-            # Some C/dt overflows, so a resting part may not be idle.
-            for part in resting.values():
-                insort(parts, part)
-            resting = {}
+        moved = resting.keys() if not calm else driven.intersection(resting)
+        if moved:
+            resting = dict(resting)
+            for s in moved:
+                insort(parts, resting.pop(s))
 
     # One entry per pad node, a class of pads: its branches, each carrying
     # s*(law(v) + leak*v) at v = s*(x - y[a]) from the pad into rail a; its
@@ -762,7 +752,7 @@ def _solve_network(
         else:
             readings[pid] = _meter(x[k], stim, contact)
     return SolveResult(
-        pads=_Readings(system, contacts, solved, resting, x, readings),
+        pads=_Readings(system, dict(contacts), solved, resting, x, readings),
         vcc_volts=y[vcc_at],
         gnd_volts=y[gnd_at],
         iterations=iteration,
@@ -904,14 +894,14 @@ _REST = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
 class _Readings(Mapping):
     """SolveResult.pads of a solve: pad id -> PadReading over every pad, in
     the model's pad order.  The solve reads its stimulated pads; every other
-    pad is read from its node and the solve's contacts the first time any
-    of them is.  An idle pad reads rest, and the closed floating needles of
-    a pad node share one reading."""
+    pad is read from its node and a copy of the solve's contacts the first
+    time any of them is.  An idle pad reads rest, and the closed floating
+    needles of a pad node share one reading."""
 
     __slots__ = ("_system", "_contacts", "_solved", "_resting", "_x", "_readings", "_whole")
 
-    def __init__(self, system: tuple, contacts: Mapping[str, ContactState], solved: list,
-                 resting: dict, x: list, readings: dict):
+    def __init__(self, system: tuple, contacts: dict, solved: list, resting: dict, x: list,
+                 readings: dict):
         self._system = system
         self._contacts = contacts
         self._solved = solved  # (part, its pad node or None when idle)

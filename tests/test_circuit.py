@@ -1292,17 +1292,19 @@ def stepped_boards(draw):
 
 
 def step_outcome(uut, contacts, stimuli, state, dt):
-    """repr of (pad volts, rail volts, result) of a step, or of its error."""
+    """(state, result, repr of (pad volts, rail volts, result)) of a step,
+    or (None, None, repr of its error)."""
     try:
         after, result = step_transient(uut, contacts, stimuli, state, dt)
     except NonConvergence as exc:
-        return None, f"NonConvergence: {exc}"
-    return after, repr((dict(after), after.vcc_volts, after.gnd_volts, result))
+        return None, None, f"NonConvergence: {exc}"
+    return after, result, repr((dict(after), after.vcc_volts, after.gnd_volts, result))
 
 
 class TestCarriedPartition:
     """A step's TransientState carries the partition of the pads it ended
-    on; a step from it must read what the same step from a state that
+    on.  Over runs of steps in which pads become driven and undriven, a step
+    from it must hold KCL and read what the same step from a state that
     carries none reads, bit for bit."""
 
     @given(stepped_boards())
@@ -1312,10 +1314,11 @@ class TestCarriedPartition:
         for stimuli, dt in steps:
             plain = (TransientState({}, 0.0, 0.0) if state is None
                      else TransientState(dict(state), state.vcc_volts, state.gnd_volts))
-            state, carried = step_outcome(uut, contacts, stimuli, state, dt)
-            assert carried == step_outcome(uut, contacts, stimuli, plain, dt)[1]
+            state, result, carried = step_outcome(uut, contacts, stimuli, state, dt)
+            assert carried == step_outcome(uut, contacts, stimuli, plain, dt)[2]
             if state is None:
                 return
+            assert kcl_residual(uut, contacts, stimuli, result, companions_of(uut, plain, dt)) < 1e-9
 
     def test_a_changed_state_carries_no_partition(self):
         d = DiodeModel(1e-14)
@@ -1328,8 +1331,8 @@ class TestCarriedPartition:
             changed._partition = state._partition
             change(changed)
             plain = TransientState(dict(changed), changed.vcc_volts, changed.gnd_volts)
-            assert step_outcome(uut, {}, stimuli, changed, 1e-4)[1] == step_outcome(
-                uut, {}, stimuli, plain, 1e-4)[1]
+            assert step_outcome(uut, {}, stimuli, changed, 1e-4)[2] == step_outcome(
+                uut, {}, stimuli, plain, 1e-4)[2]
 
     def test_contacts_are_read_for_the_driven_pads_alone(self, monkeypatch):
         # One driven pad among n ESD pads alike and n idle grounded pads, all
@@ -1394,6 +1397,16 @@ class TestReadings:
         assert repr(plain["g"]) == repr(PadReading(0.0, 0.0, 0.0))
         assert plain["b"].volts == plain["b"].pad_volts == plain["o"].pad_volts > 0.0
         assert plain["o"].volts == 0.0
+
+    def test_readings_keep_the_contacts_of_their_solve(self):
+        # Needles changed after the solve do not change what it read: "o"
+        # stays open at 0 V and "b" floating at its node.
+        uut, contacts, result = self.solved()
+        before = self.solved()[2]
+        contacts["o"], contacts["b"] = ContactState(0.1), ContactState(2e6)
+        assert repr(result.pads) == repr(before.pads)
+        after = solve_dc(uut, contacts, {"a": Stimulus("current", 1e-3)})
+        assert after["o"].volts > 0.0 and after["b"].volts == 0.0
 
     def test_first_read_of_an_undriven_pad_matches_every_order(self):
         uut, contacts, result = self.solved()
