@@ -413,7 +413,7 @@ def _system(uut: UutModel) -> tuple:
     and GND; each pad's (law, (rail index, polarity, nVt, vcrit, series
     resistance)) per element; each group's (branch class, capacitance,
     grounded, member ids in pad order); the largest capacitance; the
-    partition at rest).
+    partition at rest, the start of a solve without a TransientState).
 
     The rails with a path resistance come first, and the datum's rail
     index is their number.  A group holds the pads of one branch class,
@@ -448,12 +448,12 @@ def _system(uut: UutModel) -> tuple:
             elements, groups, max((c for _, c, _, _ in groups), default=0.0), _partition(where, groups, {}))
 
 
-def _partition(where: dict, groups: tuple, state: Mapping[str, float]) -> tuple:
-    """The partition (see _system) of the pads by group and by their volts
-    in state, 0.0 when not given."""
+def _partition(where: dict, groups: tuple, volts: Mapping[str, float]) -> tuple:
+    """The partition (see _system) of the pads by group and by their volts,
+    0.0 when not given."""
     found = {}  # (group, volts, sign) -> (first pad index, member ids)
     for pid, (i, s) in where.items():
-        v = state.get(pid, 0.0)
+        v = volts.get(pid, 0.0)
         found.setdefault((s, v, math.copysign(1.0, v)), (i, []))[1].append(pid)
     parts, resting = [], {}
     for (s, v, _), (i, ids) in found.items():
@@ -531,10 +531,10 @@ def _solve_network(
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
     dt: Optional[float] = None,
-    state: Optional[Mapping[str, float]] = None,
+    state: Optional[TransientState] = None,
     at_rest: bool = False,
 ) -> SolveResult:
-    """Two-level Newton solve of the star network from state, the pad volts
+    """Two-level Newton solve of the star network from state, the node volts
     the solve starts at (None: at rest).  With a time step dt, each pad's
     capacitance C is an implicit Euler companion: a conductance C/dt to
     ground and a history current C/dt times the pad's volts in state.
@@ -557,8 +557,9 @@ def _solve_network(
     The classes are found part by part, not pad by pad (see _system): the
     pads of one part without a stimulus share their class.  So a stimulated
     pad is cut out of its part, and each part and stimulated pad gives one
-    class key, in order of its first pad; a TransientState carries the
-    partition its step ended on, and any other state is partitioned anew.
+    class key, in order of its first pad.  The parts are those of the
+    state's partition for the model (see TransientState), or of the
+    partition at rest when there is no state.
 
     Inner level: given the rail voltages, each class's KCL F_i(x_i) is
     strictly increasing (every law is, and GMIN > 0), so each class is
@@ -575,10 +576,10 @@ def _solve_network(
     moves any node, the solve has stalled.  iterations counts the rail
     iterations.
 
-    A TransientState also starts the rails at its rail volts; any other
-    state leaves them at 0 V.  A non-finite residual raises NonConvergence
-    at once; so does a stalled solve, and a class or the rail loop that runs
-    out of MAX_NEWTON_ITERATIONS.
+    A state also starts the rails at its rail volts, and no state at 0 V.
+    A non-finite residual raises NonConvergence at once; so does a stalled
+    solve, and a class or the rail loop that runs out of
+    MAX_NEWTON_ITERATIONS.
     """
     system = uut._system
     ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, partition = system
@@ -588,16 +589,11 @@ def _solve_network(
         for pid in stimuli:
             uut.pad(pid)  # raises UnknownPad
         raise
-    warm = isinstance(state, TransientState)
-    if warm and state._partition is not None and state._partition[0] is system:
-        partition = state._partition[1]
-    elif state:
-        partition = _partition(where, groups, state)
-    parts, resting = partition
+    parts, resting = partition if state is None else state._partition_of(system)
     # With every C/dt finite, a resting part without a stimulus is idle.
     calm = dt is None or most_c / dt < math.inf
     datum = len(rail_g)
-    y = [getattr(state, attr) for attr in rail_attrs] if warm and not at_rest else [0.0] * datum
+    y = [0.0] * datum if state is None or at_rest else [getattr(state, attr) for attr in rail_attrs]
     y.append(0.0)  # the datum
 
     if driven or not calm:
@@ -854,39 +850,44 @@ def solve_rail_sense(
     return result.vcc_volts if sense_rail == "VCC" else result.gnd_volts
 
 
-class TransientState(dict):
-    """The node voltages a transient step ends at: pad id -> pad volts, with
-    the two rail voltages beside the mapping, never under a pad key (a pad
-    id may be any string).  A rail pinned at ground reads 0.0.
+class TransientState(Mapping):
+    """The node voltages a transient step ends at: a read-only mapping of
+    pad id -> pad volts, with the two rail voltages beside it, never under a
+    pad key (a pad id may be any string).  A rail pinned at ground reads 0.0.
 
-    A state that step_transient returns also carries the partition of the
-    pads (see _system) that its step ended on, so the next step from it
-    cuts no part anew; a state built by hand, or changed after it was
-    returned, carries none and is partitioned from its pad volts."""
+    The pad volts are copied in and never change, so a state makes the
+    partition of its pads (see _system) once per model: one that
+    step_transient returns holds the partition its step ended on."""
 
-    __slots__ = ("vcc_volts", "gnd_volts", "_partition")
+    __slots__ = ("_volts", "vcc_volts", "gnd_volts", "_partitions")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
-        super().__init__(pad_volts)
+        self._volts = dict(pad_volts)
         self.vcc_volts = vcc_volts
         self.gnd_volts = gnd_volts
-        self._partition = None  # (the model's system, its partition) or None
+        self._partitions = {}  # id of a model's system -> (that system, its partition)
 
+    def __getitem__(self, pad_id: str) -> float:
+        return self._volts[pad_id]
 
-def _forgetting(method):
-    """A dict mutator that also drops the partition the state carried."""
+    def __iter__(self):
+        return iter(self._volts)
 
-    def mutate(self, *args, **kwargs):
-        self._partition = None
-        return method(self, *args, **kwargs)
+    def __len__(self) -> int:
+        return len(self._volts)
 
-    mutate.__name__ = method.__name__
-    return mutate
+    def __repr__(self) -> str:
+        return f"TransientState({self._volts!r}, {self.vcc_volts!r}, {self.gnd_volts!r})"
 
+    def _partition_of(self, system: tuple) -> tuple:
+        """The partition of the pads for the model whose _system this is,
+        made when first asked for."""
+        made = self._partitions.get(id(system))
+        if made is None:
+            where, groups = system[1], system[6]  # see _system
+            made = self._partitions[id(system)] = (system, _partition(where, groups, self._volts))
+        return made[1]
 
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
-    setattr(TransientState, _name, _forgetting(getattr(dict, _name)))
-del _name
 
 _REST = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
 
@@ -952,7 +953,7 @@ class _Readings(Mapping):
                 volts.update(dict.fromkeys(members, v))
             parts.append((first, s, members if pid is None else frozenset(members), v, None))
         state = TransientState(volts, vcc_volts, gnd_volts)
-        state._partition = (self._system, (tuple(parts), self._resting))
+        state._partitions[id(self._system)] = (self._system, (tuple(parts), self._resting))
         return state
 
 
@@ -960,18 +961,21 @@ def step_transient(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
-    state: Optional[Mapping[str, float]],
+    state: Optional[TransientState],
     dt: float,
 ) -> tuple:
     """One implicit-Euler step of the pad shunt capacitances from state, the
-    pad voltages of the previous step (None: the UUT at rest).
+    TransientState of the previous step (None: the UUT at rest); any other
+    start raises TypeError.
 
-    Returns (next_state, SolveResult); next_state is a TransientState.
-    The solve starts from state, rails included (see _solve_network), so a
-    step under a level that moves the nodes little takes few law
-    evaluations.  Under constant stimulus the state converges to the
-    solve_dc operating point.
+    Returns (next_state, SolveResult); next_state is a TransientState that
+    holds the partition of the pads its step ended on.  The solve starts
+    from state, rails included (see _solve_network), so a step under a level
+    that moves the nodes little takes few law evaluations.  Under constant
+    stimulus the state converges to the solve_dc operating point.
     """
+    if not (state is None or isinstance(state, TransientState)):
+        raise TypeError(f"state must be a TransientState or None, got {type(state).__name__}")
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     result = _solve_network(uut, contacts, stimuli, dt, state)

@@ -72,6 +72,10 @@ class CaptureRecord:
             raise ValueError("capture must have at least one sample")
         if len(self.measured_voltage) != n or len(self.measured_current) != n:
             raise ValueError("capture series must share one length")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not all(map(math.isfinite, (*self.applied, *self.measured_voltage, *self.measured_current))):
+            raise ValueError("capture samples must be finite")
         if self.trip_index is not None:
             if type(self.trip_index) is not int:
                 raise TypeError("trip_index must be an int or None")
@@ -196,21 +200,12 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
 #   <applied> <voltage> <current>        (n lines)
 
 def format_capture(capture: CaptureRecord) -> str:
+    if capture.pad_id.split() != [capture.pad_id]:
+        raise ValueError(f"a capture's pad id must be one word to format, got {capture.pad_id!r}")
     trip = "-" if capture.trip_index is None else str(capture.trip_index)
-    head = " ".join(
-        [
-            "capture",
-            capture.pad_id,
-            repr(capture.dt),
-            str(len(capture)),
-            "1" if capture.protection_tripped else "0",
-            trip,
-        ]
-    )
-    rows = [
-        f"{a!r} {v!r} {i!r}"
-        for a, v, i in zip(capture.applied, capture.measured_voltage, capture.measured_current)
-    ]
+    head = f"capture {capture.pad_id} {capture.dt!r} {len(capture)} {int(capture.protection_tripped)} {trip}"
+    rows = [f"{a!r} {v!r} {i!r}"
+            for a, v, i in zip(capture.applied, capture.measured_voltage, capture.measured_current)]
     return "\n".join([head] + rows) + "\n"
 
 

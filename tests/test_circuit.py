@@ -1,6 +1,7 @@
 """DC/transient solver tests against closed-form and analytic oracles."""
 
 import math
+from collections.abc import Mapping
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -284,7 +285,8 @@ def bridged_rails():
         vcc_path_ohms=25.0,
         gnd_path_ohms=200.0,
     )
-    return uut, {}, {"r": Stimulus("voltage", 2.0, 1.0)}, {"r": 0.0, "e": 0.0}, 1e-3, {}
+    return (uut, {}, {"r": Stimulus("voltage", 2.0, 1.0)}, TransientState({"r": 0.0, "e": 0.0}, 0.0, 0.0),
+            1e-3, {})
 
 
 # The reference solver: nested bisection, sharing no step, start or
@@ -1024,7 +1026,7 @@ def cold_step(uut, contacts, stimuli, state, dt):
     """step_transient with Newton started at rest whatever the state: the
     reference a warm start must agree with."""
     result = _solve_network(uut, contacts, stimuli, dt, state, at_rest=True)
-    return {pid: r.pad_volts for pid, r in result.pads.items()}, result
+    return TransientState({pid: r.pad_volts for pid, r in result.pads.items()}, 0.0, 0.0), result
 
 
 @st.composite
@@ -1129,7 +1131,7 @@ class TestWarmStart:
         counts = []
         # From the state, rails included; from its pad volts alone, the
         # rails at 0 V; and from rest.
-        for start, at_rest in ((state, False), (dict(state), False), (state, True)):
+        for start, at_rest in ((state, False), (TransientState(state, 0.0, 0.0), False), (state, True)):
             del calls[:]
             _solve_network(uut, contacts, stimuli, dt, start, at_rest)
             counts.append(len(calls))
@@ -1153,7 +1155,7 @@ class TestWarmStart:
         state = None
         for _ in range(3):
             state, result = step_transient(uut, contacts, stimuli, state, 1e-4)
-            assert isinstance(state, dict) and set(state) == {"VCC", "gnd_volts"}
+            assert isinstance(state, Mapping) and set(state) == {"VCC", "gnd_volts"}
             for pid in state:
                 assert state.get(pid) == result[pid].pad_volts
             assert (state.vcc_volts, state.gnd_volts) == (result.vcc_volts, result.gnd_volts)
@@ -1230,12 +1232,12 @@ class TestIdlePads:
             assert kcl_residual(uut, {}, {}, result, companions_of(uut, charged, dt)) < 1e-9
 
     def test_negative_zero_start_keeps_its_sign(self):
-        # A plain mapping starts the idle pad p at -0.0 and q at its solution,
+        # A state built by hand starts the idle pad p at -0.0 and q at its solution,
         # so Newton takes no step and p reads the -0.0 it started at, as the
         # full system does.
         uut = UutModel(pads=(("q", PadCircuit(Resistive(100.0), 1e-9)), ("p", diode_pad())))
         stimuli = {"q": Stimulus("current", 1e-3)}
-        start = {"q": solve_dc(uut, {}, stimuli)["q"].pad_volts, "p": -0.0}
+        start = TransientState({"q": solve_dc(uut, {}, stimuli)["q"].pad_volts, "p": -0.0}, 0.0, 0.0)
         result = step_transient(uut, {}, stimuli, start, 1e-3)[1]
         iterations, pad_volts, _, _ = dense_newton(uut, {}, stimuli, companions_of(uut, start, 1e-3),
                                                    start)
@@ -1248,7 +1250,7 @@ class TestIdlePads:
         # so each keeps the sign of its start.
         d = DiodeModel(1e-14)
         uut = UutModel(pads=(("m", PadCircuit(EsdPair(d, d))), ("p", PadCircuit(EsdPair(d, d)))))
-        result = step_transient(uut, {}, {}, {"m": -0.0, "p": 0.0}, 1e-3)[1]
+        result = step_transient(uut, {}, {}, TransientState({"m": -0.0, "p": 0.0}, 0.0, 0.0), 1e-3)[1]
         assert repr(result["m"]) == repr(PadReading(-0.0, 0.0, -0.0))
         assert repr(result["p"]) == repr(PadReading(0.0, 0.0, 0.0))
 
@@ -1302,10 +1304,10 @@ def step_outcome(uut, contacts, stimuli, state, dt):
 
 
 class TestCarriedPartition:
-    """A step's TransientState carries the partition of the pads it ended
-    on.  Over runs of steps in which pads become driven and undriven, a step
-    from it must hold KCL and read what the same step from a state that
-    carries none reads, bit for bit."""
+    """A step's TransientState holds the partition of the pads it ended on.
+    Over runs of steps in which pads become driven and undriven, a step from
+    it must hold KCL and read what the same step from a copy built by hand,
+    partitioned anew, reads, bit for bit."""
 
     @given(stepped_boards())
     @settings(max_examples=150, deadline=None)
@@ -1320,19 +1322,41 @@ class TestCarriedPartition:
                 return
             assert kcl_residual(uut, contacts, stimuli, result, companions_of(uut, plain, dt)) < 1e-9
 
-    def test_a_changed_state_carries_no_partition(self):
+    def test_a_returned_state_cannot_change(self):
         d = DiodeModel(1e-14)
         uut = UutModel(tuple((f"p{i}", PadCircuit(EsdPair(d, d), 1e-9)) for i in range(4)))
-        stimuli = {"p0": Stimulus("current", 1e-3)}
-        state, _ = step_transient(uut, {}, stimuli, None, 1e-4)
-        for change in (lambda s: s.__setitem__("p2", 0.3), lambda s: s.update(p3=-0.2),
-                       lambda s: s.pop("p1"), lambda s: s.setdefault("p9", 0.1)):
-            changed = TransientState(state, state.vcc_volts, state.gnd_volts)
-            changed._partition = state._partition
-            change(changed)
-            plain = TransientState(dict(changed), changed.vcc_volts, changed.gnd_volts)
-            assert step_outcome(uut, {}, stimuli, changed, 1e-4)[2] == step_outcome(
-                uut, {}, stimuli, plain, 1e-4)[2]
+        state, _ = step_transient(uut, {}, {"p0": Stimulus("current", 1e-3)}, None, 1e-4)
+        before = dict(state)
+        with pytest.raises(TypeError):
+            state["p2"] = 0.3
+        with pytest.raises(TypeError):
+            del state["p1"]
+        for name in ("update", "pop", "setdefault", "clear", "popitem"):
+            assert not hasattr(state, name), name
+        assert dict(state) == before
+
+    def test_a_plain_mapping_start_is_refused(self):
+        uut = UutModel((("p", PadCircuit(Resistive(100.0), 1e-9)),))
+        with pytest.raises(TypeError, match="TransientState"):
+            step_transient(uut, {}, {}, {"p": 0.0}, 1e-4)
+
+    @given(stepped_boards(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_state_used_with_two_models_reads_as_a_fresh_copy(self, board, data):
+        # One state built by hand, stepped alternately on a board and on the
+        # same board with an idle pad inserted: each model gets its own
+        # partition of it.
+        uut, contacts, start, steps = board
+        pads = list(uut.pads)
+        pads.insert(data.draw(st.integers(0, len(pads))), ("idle", PadCircuit(OpenPad())))
+        wide = UutModel(tuple(pads), uut.vcc_path_ohms, uut.gnd_path_ohms)
+        state = TransientState({}, 0.0, 0.0) if start is None else start
+        for k in range(6):
+            stimuli, dt = steps[k % len(steps)]
+            model = (uut, wide)[k % 2]
+            fresh = TransientState(dict(state), state.vcc_volts, state.gnd_volts)
+            assert step_outcome(model, contacts, stimuli, state, dt)[2] == step_outcome(
+                model, contacts, stimuli, fresh, dt)[2]
 
     def test_contacts_are_read_for_the_driven_pads_alone(self, monkeypatch):
         # One driven pad among n ESD pads alike and n idle grounded pads, all

@@ -5,7 +5,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcit import prober
@@ -430,22 +430,34 @@ class TestCaptureFormat:
         assert "".join(format_capture(c) for c in parsed) == text  # repr keeps every bit
 
     @given(
-        st.text("abcxyz019_-", min_size=1, max_size=6),
-        st.floats(min_value=1e-9, max_value=1.0),
-        st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+        st.one_of(st.text("abcxyz019_-", min_size=1, max_size=6),
+                  st.text("ab \t\n\r\x0b\x0c\x1c\x85\u2028", max_size=4)),
+        st.one_of(st.floats(min_value=1e-9, max_value=1.0),
+                  st.sampled_from([0.0, -0.0, -1e-3, math.inf, -math.inf, math.nan])),
+        st.lists(st.tuples(*[st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                       st.sampled_from([math.inf, -math.inf, math.nan]))] * 3),
                  min_size=1, max_size=5),
         st.one_of(st.none(), st.integers(min_value=-10, max_value=10)),
     )
-    @settings(max_examples=200, deadline=None)
+    @example("p1", 0.0, [(0.0, 0.0, 0.0)], None)
+    @example("p1", math.inf, [(0.0, 0.0, 0.0)], None)
+    @example("p1", 1e-3, [(0.0, math.nan, 0.0)], None)
+    @example("p 1", 1e-3, [(0.0, 0.0, 0.0)], None)
+    @example("", 1e-3, [(0.0, 0.0, 0.0)], None)
+    @settings(max_examples=300, deadline=None)
     def test_built_records_round_trip(self, pad_id, dt, rows, trip_index):
-        # Whatever the constructor accepts, parse_captures reads back.
+        # What the constructor and format_capture accept, parse_captures
+        # reads back; the rest raises ValueError.
         applied, volts, amps = zip(*rows)
         try:
             record = CaptureRecord(pad_id, dt, applied, volts, amps, trip_index)
+            text = format_capture(record)
         except ValueError:
-            assert not 0 <= trip_index < len(rows)
+            good_index = trip_index is None or 0 <= trip_index < len(rows)
+            finite = all(map(math.isfinite, (dt, *applied, *volts, *amps)))
+            assert not (good_index and finite and dt > 0.0 and pad_id.split() == [pad_id])
             return
-        assert parse_captures(format_capture(record).splitlines()) == [record]
+        assert parse_captures(text.splitlines()) == [record]
 
     @pytest.mark.parametrize("trip_index", [-1, 1, 5], ids=["negative", "one-past-end", "far-past-end"])
     def test_trip_index_out_of_range_raises(self, trip_index):
