@@ -393,8 +393,10 @@ def _meter(vp: float, stim: Optional[Stimulus], contact: ContactState) -> PadRea
     )
 
 
-def _plus_zero(v: float) -> bool:
-    return v == 0.0 and math.copysign(1.0, v) > 0.0
+def _idle(group: tuple, v: float) -> bool:
+    """Whether a pad of group (see _system) that starts at v is idle: the
+    group is grounded and v is exactly +0.0, whatever its number type."""
+    return group[2] and v == 0.0 and math.copysign(1.0, v) > 0.0
 
 
 def _junction(law) -> tuple:
@@ -418,13 +420,12 @@ def _system(uut: UutModel) -> tuple:
     The rails with a path resistance come first, and the datum's rail
     index is their number.  A group holds the pads of one branch class,
     equal for pads whose elements are equal by value, and one capacitance;
-    grounded means that its every element goes to the datum.  A partition
-    cuts the groups into parts of pads that start at the same volts, the
-    sign of a zero included: a part is (first pad index, group, member ids,
-    start volts, None).  It is held as (the parts in order of their first
-    pad, group -> its resting part), where a resting part is one of a
-    grounded group at +0.0; such a part is idle unless a pad of it is
-    stimulated."""
+    grounded means that its every element goes to the datum.  A pad of a
+    grounded group that starts at exactly +0.0 is idle: it is in no part.
+    A partition cuts the other pads of each group into parts of pads that
+    start at the same volts, the sign of a zero included: a part is (first
+    pad index, group, member ids, start volts, None), and a partition is
+    the tuple of its parts in order of their first pad."""
     paths = [(rail, ohms) for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms))
              if ohms > 0.0]
     rails = tuple(rail for rail, _ in paths)
@@ -450,19 +451,13 @@ def _system(uut: UutModel) -> tuple:
 
 def _partition(where: dict, groups: tuple, volts: Mapping[str, float]) -> tuple:
     """The partition (see _system) of the pads by group and by their volts,
-    0.0 when not given."""
+    0.0 when not given; the idle pads are left out."""
     found = {}  # (group, volts, sign) -> (first pad index, member ids)
     for pid, (i, s) in where.items():
         v = volts.get(pid, 0.0)
-        found.setdefault((s, v, math.copysign(1.0, v)), (i, []))[1].append(pid)
-    parts, resting = [], {}
-    for (s, v, _), (i, ids) in found.items():
-        part = (i, s, frozenset(ids), v, None)
-        if groups[s][2] and _plus_zero(v) and type(v) is float:
-            resting[s] = part
-        else:
-            parts.append(part)
-    return tuple(parts), resting
+        if not _idle(groups[s], v):
+            found.setdefault((s, v, math.copysign(1.0, v)), (i, []))[1].append(pid)
+    return tuple((i, s, frozenset(ids), v, None) for (s, v, _), (i, ids) in found.items())
 
 
 def _cut(part: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple, order: tuple) -> list:
@@ -542,24 +537,25 @@ def _solve_network(
     warm start must agree with.
 
     The nodes are the pad classes, then each rail with a path resistance.
-    A rail without one is tied to the datum, which stays at 0 V.  A pad with
-    every element to the datum, no stimulus, and a capacitor history and
-    start of exactly +0.0 sits at exactly 0 V and is left out.  Every other
-    pad belongs to a class: pads with the same branch class, conductance to
-    ground (GMIN, capacitor, drive), constant term, pinned level and start,
-    the sign of a zero start included, have the same KCL as a function of
-    the rails, so the class is one node, settled once, and each member pad
-    reads it through its own contact.  A class of m pads carries m times its
-    current into each rail and m times its conductance in each rail sum.  A
-    voltage drive of 0 Ohm in all pins its pad at the level: the pad is not
-    solved, and it draws what its branches, GMIN leak and capacitor carry.
+    A rail without one is tied to the datum, which stays at 0 V.  An idle
+    pad (see _system) without a stimulus sits at exactly 0 V and is left
+    out.  Every other pad belongs to a class: pads with the same branch
+    class, conductance to ground (GMIN, capacitor, drive), constant term,
+    pinned level and start, the sign of a zero start included, have the
+    same KCL as a function of the rails, so the class is one node, settled
+    once, and each member pad reads it through its own contact.  A class of
+    m pads carries m times its current into each rail and m times its
+    conductance in each rail sum.  A voltage drive of 0 Ohm in all pins its
+    pad at the level: the pad is not solved, and it draws what its
+    branches, GMIN leak and capacitor carry.
 
     The classes are found part by part, not pad by pad (see _system): the
     pads of one part without a stimulus share their class.  So a stimulated
-    pad is cut out of its part, and each part and stimulated pad gives one
-    class key, in order of its first pad.  The parts are those of the
-    state's partition for the model (see TransientState), or of the
-    partition at rest when there is no state.
+    pad is cut out of its part, a stimulated idle pad is a part of its own
+    at its start, and each part and stimulated pad gives one class key, in
+    order of its first pad.  The parts are those of the state's partition
+    for the model (see TransientState), or of the partition at rest when
+    there is no state.
 
     Inner level: given the rail voltages, each class's KCL F_i(x_i) is
     strictly increasing (every law is, and GMIN > 0), so each class is
@@ -577,34 +573,31 @@ def _solve_network(
     iterations.
 
     A state also starts the rails at its rail volts, and no state at 0 V.
-    A non-finite residual raises NonConvergence at once; so does a stalled
-    solve, and a class or the rail loop that runs out of
-    MAX_NEWTON_ITERATIONS.
+    A non-finite residual raises NonConvergence at once.  So does a C/dt
+    that overflows, before any settle, with the nan residual of its
+    companion inf * 0 or inf * v; and so do a stalled solve and a class or
+    the rail loop that runs out of MAX_NEWTON_ITERATIONS.
     """
     system = uut._system
-    ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, partition = system
+    ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, rest = system
     try:
         driven = {where[pid][1] for pid in stimuli}  # the groups of the stimulated pads
     except KeyError:
         for pid in stimuli:
             uut.pad(pid)  # raises UnknownPad
         raise
-    parts, resting = partition if state is None else state._partition_of(system)
-    # With every C/dt finite, a resting part without a stimulus is idle.
-    calm = dt is None or most_c / dt < math.inf
+    if dt is not None and not most_c / dt < math.inf:
+        raise NonConvergence("DC solve met a non-finite residual", math.nan, 0)
+    parts, volts = (rest, {}) if state is None else (state._partition_of(system), state._volts)
     datum = len(rail_g)
     y = [0.0] * datum if state is None or at_rest else [getattr(state, attr) for attr in rail_attrs]
     y.append(0.0)  # the datum
 
-    if driven or not calm:
-        # A resting part of a stimulated group is cut like any other part
-        # (its rest stays idle); with some C/dt overflowing, none is idle.
-        parts = list(parts)
-        moved = resting.keys() if not calm else driven.intersection(resting)
-        if moved:
-            resting = dict(resting)
-            for s in moved:
-                insort(parts, resting.pop(s))
+    if driven:
+        # A stimulated idle pad is a part of its own at its start.
+        idle = [(where[pid][0], where[pid][1], (pid,), volts.get(pid, 0.0), pid) for pid in stimuli
+                if _idle(groups[where[pid][1]], volts.get(pid, 0.0))]
+        parts = sorted([*parts, *idle]) if idle else list(parts)
 
     # One entry per pad node, a class of pads: its branches, each carrying
     # s*(law(v) + leak*v) at v = s*(x - y[a]) from the pad into rail a; its
@@ -613,7 +606,7 @@ def _solve_network(
     # methods are looked up per solve, never cached: they may be patched to
     # count calls.  The sign of a zero constant never reaches F, so only the
     # start's is in the key.
-    solved = []  # (part, its pad node or None when idle)
+    solved = []  # (part, its pad node)
     metered = []  # (stimulated pad, its stimulus, its contact, its pad node)
     classes = {}  # key -> pad node
     terms = []
@@ -629,16 +622,13 @@ def _solve_network(
             for piece in pieces:
                 insort(parts, piece)
             first, s, members, v, pid = part
-        bc, c, grounded, _ = groups[s]
+        bc, c, _, _ = groups[s]
         if dt is not None and c > 0.0:
             g = c / dt
             history = g * v
         else:
             g = history = 0.0
         x0 = 0.0 if at_rest else v
-        if pid is None and grounded and _plus_zero(history) and _plus_zero(x0):
-            solved.append((part, None))
-            continue  # idle: exactly 0 V
         g += _GMIN
         constant = -history
         pinned = None
@@ -748,7 +738,7 @@ def _solve_network(
         else:
             readings[pid] = _meter(x[k], stim, contact)
     return SolveResult(
-        pads=_Readings(system, dict(contacts), solved, resting, x, readings),
+        pads=_Readings(system, dict(contacts), solved, x, readings),
         vcc_volts=y[vcc_at],
         gnd_volts=y[gnd_at],
         iterations=iteration,
@@ -852,20 +842,24 @@ def solve_rail_sense(
 
 class TransientState(Mapping):
     """The node voltages a transient step ends at: a read-only mapping of
-    pad id -> pad volts, with the two rail voltages beside it, never under a
-    pad key (a pad id may be any string).  A rail pinned at ground reads 0.0.
+    pad id -> pad volts, with the two read-only rail voltages beside it,
+    never under a pad key (a pad id may be any string).  A rail pinned at
+    ground reads 0.0.
 
-    The pad volts are copied in and never change, so a state makes the
-    partition of its pads (see _system) once per model: one that
-    step_transient returns holds the partition its step ended on."""
+    The volts are copied in and never change, so a state holds the
+    partition of its pads (see _system) for the last model it was used
+    with: one that step_transient returns holds the partition its step
+    ended on, and a state used with another model is partitioned anew."""
 
-    __slots__ = ("_volts", "vcc_volts", "gnd_volts", "_partitions")
+    __slots__ = ("_volts", "_rails", "_parts")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
         self._volts = dict(pad_volts)
-        self.vcc_volts = vcc_volts
-        self.gnd_volts = gnd_volts
-        self._partitions = {}  # id of a model's system -> (that system, its partition)
+        self._rails = (vcc_volts, gnd_volts)
+        self._parts = None  # (a model's _system, the partition for it)
+
+    vcc_volts = property(lambda self: self._rails[0])
+    gnd_volts = property(lambda self: self._rails[1])
 
     def __getitem__(self, pad_id: str) -> float:
         return self._volts[pad_id]
@@ -880,12 +874,11 @@ class TransientState(Mapping):
         return f"TransientState({self._volts!r}, {self.vcc_volts!r}, {self.gnd_volts!r})"
 
     def _partition_of(self, system: tuple) -> tuple:
-        """The partition of the pads for the model whose _system this is,
-        made when first asked for."""
-        made = self._partitions.get(id(system))
-        if made is None:
+        """The partition of the pads for the model whose _system this is."""
+        made = self._parts
+        if made is None or made[0] is not system:
             where, groups = system[1], system[6]  # see _system
-            made = self._partitions[id(system)] = (system, _partition(where, groups, self._volts))
+            made = self._parts = (system, _partition(where, groups, self._volts))
         return made[1]
 
 
@@ -896,17 +889,15 @@ class _Readings(Mapping):
     """SolveResult.pads of a solve: pad id -> PadReading over every pad, in
     the model's pad order.  The solve reads its stimulated pads; every other
     pad is read from its node and a copy of the solve's contacts the first
-    time any of them is.  An idle pad reads rest, and the closed floating
-    needles of a pad node share one reading."""
+    time any of them is.  A pad in no part of the solve is idle and reads
+    rest, and the closed floating needles of a pad node share one reading."""
 
-    __slots__ = ("_system", "_contacts", "_solved", "_resting", "_x", "_readings", "_whole")
+    __slots__ = ("_system", "_contacts", "_solved", "_x", "_readings", "_whole")
 
-    def __init__(self, system: tuple, contacts: dict, solved: list, resting: dict, x: list,
-                 readings: dict):
+    def __init__(self, system: tuple, contacts: dict, solved: list, x: list, readings: dict):
         self._system = system
         self._contacts = contacts
-        self._solved = solved  # (part, its pad node or None when idle)
-        self._resting = resting  # group -> its resting part, every pad idle
+        self._solved = solved  # (part, its pad node)
         self._x = x
         self._readings = readings
         self._whole = False
@@ -916,7 +907,7 @@ class _Readings(Mapping):
         if not self._whole:
             readings = dict.fromkeys(self._system[0], _REST)
             for (_, _, members, _, pid), k in self._solved:
-                if k is not None and pid is None:
+                if pid is None:
                     floating = _meter(self._x[k], None, GOOD_CONTACT)
                     for member in members:
                         contact = self._contacts.get(member, GOOD_CONTACT)
@@ -944,16 +935,19 @@ class _Readings(Mapping):
 
     def _state(self, vcc_volts: float, gnd_volts: float) -> TransientState:
         """The TransientState the solve ends at, carrying its partition: its
-        pads' volts at their nodes, and every idle pad at 0.0."""
+        parts' pads at the volts of their nodes, every other pad at 0.0.  A
+        part that ends at exactly +0.0 in a grounded group is idle and left
+        out of the partition."""
+        groups = self._system[6]  # see _system
         volts = dict.fromkeys(self._system[0], 0.0)
         parts = []
         for (first, s, members, _, pid), k in self._solved:
-            v = 0.0 if k is None else self._x[k]
-            if k is not None:
-                volts.update(dict.fromkeys(members, v))
-            parts.append((first, s, members if pid is None else frozenset(members), v, None))
+            v = self._x[k]
+            volts.update(dict.fromkeys(members, v))
+            if not _idle(groups[s], v):
+                parts.append((first, s, members if pid is None else frozenset(members), v, None))
         state = TransientState(volts, vcc_volts, gnd_volts)
-        state._partitions[id(self._system)] = (self._system, (tuple(parts), self._resting))
+        state._parts = (self._system, tuple(parts))
         return state
 
 

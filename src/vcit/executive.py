@@ -197,6 +197,8 @@ class RailSenseCheck:
     def __post_init__(self):
         if not self.pads:
             raise ValueError("a rail-sense check needs at least one pad")
+        if len(set(self.pads)) != len(self.pads):
+            raise ValueError("a rail-sense check names each pad once")
         if not math.isfinite(self.amperes):
             raise ValueError(f"amperes must be finite, got {self.amperes!r}")
         closed_window(self.band, "band")

@@ -711,12 +711,19 @@ class TestNonFinite:
     # The companion of 1 nF over dt = 5e-324 s is C/dt = inf.
     TINY_DT = 5e-324
 
-    @pytest.mark.parametrize("cap_first", [True, False], ids=["nan-first", "nan-last"])
-    def test_step_transient_fails_at_once(self, cap_first):
+    @pytest.mark.parametrize("cap_first, warm", [(True, False), (False, False), (True, True), (False, True)],
+                             ids=["nan-first", "nan-last", "nan-first-warm", "nan-last-warm"])
+    def test_step_transient_fails_at_once(self, cap_first, warm):
         pads = [("c", PadCircuit(OpenPad(), 1e-9)), ("r", PadCircuit(Resistive(100.0)))]
         uut = UutModel(pads=tuple(pads if cap_first else pads[::-1]))
+        stimuli = {"r": Stimulus("current", 1e-3)}
+        state = None
+        if warm:
+            # From an ordinary step's end: c charged to 1 V, r at 0.1 V.
+            state, _ = step_transient(uut, {}, {**stimuli, "c": Stimulus("current", 1e-6)}, None, 1e-3)
+            assert 0.0 not in state.values()
         with pytest.raises(NonConvergence) as info:
-            step_transient(uut, {}, {"r": Stimulus("current", 1e-3)}, None, self.TINY_DT)
+            step_transient(uut, {}, stimuli, state, self.TINY_DT)
         assert info.value.iterations == 0
         assert math.isnan(info.value.residual)
 
@@ -1245,6 +1252,18 @@ class TestIdlePads:
         assert repr(result["p"]) == repr(PadReading(-0.0, 0.0, -0.0))
         assert math.copysign(1.0, pad_volts["p"]) == -1.0
 
+    def test_an_int_zero_start_is_idle(self, monkeypatch):
+        # A start of exactly +0.0 is idle whatever its number type: the
+        # undriven grounded pad g reads rest in floats, and only the driven
+        # pad's law is called.
+        uut = UutModel(pads=(("g", PadCircuit(Resistive(100.0), 1e-9)), ("p", diode_pad())))
+        calls = law_calls(monkeypatch)
+        state, result = step_transient(uut, {}, {"p": Stimulus("current", 1e-3)},
+                                       TransientState({"g": 0, "p": 0.0}, 0.0, 0.0), 1e-3)
+        assert repr(result["g"]) == repr(PadReading(volts=0.0, amperes=0.0, pad_volts=0.0))
+        assert repr(state["g"]) == "0.0"
+        assert calls and all(isinstance(law, DiodeModel) for law, _ in calls)
+
     def test_zero_starts_of_either_sign_are_two_nodes(self):
         # Two ESD pads alike on a VCC path, at rest: no step moves either,
         # so each keeps the sign of its start.
@@ -1333,7 +1352,11 @@ class TestCarriedPartition:
             del state["p1"]
         for name in ("update", "pop", "setdefault", "clear", "popitem"):
             assert not hasattr(state, name), name
-        assert dict(state) == before
+        rails = (state.vcc_volts, state.gnd_volts)
+        for rail in ("vcc_volts", "gnd_volts"):
+            with pytest.raises(AttributeError):
+                setattr(state, rail, 5.0)
+        assert dict(state) == before and (state.vcc_volts, state.gnd_volts) == rails
 
     def test_a_plain_mapping_start_is_refused(self):
         uut = UutModel((("p", PadCircuit(Resistive(100.0), 1e-9)),))
@@ -1344,8 +1367,8 @@ class TestCarriedPartition:
     @settings(max_examples=100, deadline=None)
     def test_a_state_used_with_two_models_reads_as_a_fresh_copy(self, board, data):
         # One state built by hand, stepped alternately on a board and on the
-        # same board with an idle pad inserted: each model gets its own
-        # partition of it.
+        # same board with an idle pad inserted: each model partitions it
+        # anew.
         uut, contacts, start, steps = board
         pads = list(uut.pads)
         pads.insert(data.draw(st.integers(0, len(pads))), ("idle", PadCircuit(OpenPad())))

@@ -251,12 +251,15 @@ class TestValidation:
         with pytest.raises(FixtureError, match=rf"^{re.escape(where)}: expected two finite numbers"):
             load_fixture(json.dumps(doc))
 
-    def test_rail_sense_needs_a_pad(self):
+    @pytest.mark.parametrize("pads, why", [([], "at least one pad"),
+                                           (["p1", "p2", "p3", "p1"], "each pad once")],
+                             ids=["empty", "repeated"])
+    def test_rail_sense_needs_a_pad(self, pads, why):
         # An empty group injects nothing and reads 0 V, so every session
-        # would end in a fixture fault.
+        # would end in a fixture fault; a repeated pad would inject once.
         doc = default_doc()
-        doc["setup_plan"][0]["pads"] = []
-        with pytest.raises(FixtureError, match=r"setup_plan\[0\]: bad check: .*at least one pad"):
+        doc["setup_plan"][0]["pads"] = pads
+        with pytest.raises(FixtureError, match=rf"setup_plan\[0\]: bad check: .*{why}"):
             load_fixture(json.dumps(doc))
 
     def test_rail_sense_pad_needs_element_to_rail(self):
