@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from operator import add, mul, truediv
 from typing import Optional, Union
 
@@ -46,6 +47,10 @@ _GMIN = 1e-12
 # Exponent cap for the diode law; beyond it the law continues linearly in the
 # exponent so evaluations stay finite while the solver walks back.
 _EXP_CAP = 80.0
+
+# The most DC solves from rest a model keeps (see _solve_network); a full
+# memo is cleared.
+DC_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,6 +324,9 @@ class Stimulus:
             raise ValueError("stimulus level must be finite")
         if not 0.0 <= self.source_ohms < math.inf:
             raise ValueError("source_ohms must be finite and >= 0")
+        # Stored as floats, so that a level of 1 reads and solves as 1.0 does.
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "source_ohms", float(self.source_ohms))
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +423,8 @@ def _system(uut: UutModel) -> tuple:
     and GND; each pad's (law, (rail index, polarity, nVt, vcrit, series
     resistance)) per element; each group's (branch class, capacitance,
     grounded, member ids in pad order); the largest capacitance; the
-    partition at rest, the start of a solve without a TransientState).
+    partition at rest, the start of a solve without a TransientState; the
+    memo of DC solves from rest, the one part that solves fill).
 
     The rails with a path resistance come first, and the datum's rail
     index is their number.  A group holds the pads of one branch class,
@@ -446,7 +455,8 @@ def _system(uut: UutModel) -> tuple:
     return (tuple(pid for pid, _ in uut.pads), where, tuple(1.0 / ohms for _, ohms in paths),
             tuple(f"{rail.lower()}_volts" for rail in rails),
             tuple(rails.index(rail) if rail in rails else len(rails) for rail in ("VCC", "GND")),
-            elements, groups, max((c for _, c, _, _ in groups), default=0.0), _partition(where, groups, {}))
+            elements, groups, max((c for _, c, _, _ in groups), default=0.0), _partition(where, groups, {}),
+            {})
 
 
 def _partition(where: dict, groups: tuple, volts: Mapping[str, float]) -> tuple:
@@ -572,6 +582,16 @@ def _solve_network(
     moves any node, the solve has stalled.  iterations counts the rail
     iterations.
 
+    A DC solve from rest (no dt, no state) reads of each stimulated pad only
+    its id, mode and level, the sign of a zero included, and whether its
+    needle is open under a current drive or the drive's series resistance
+    under a voltage drive.  So the model's memo (see _system) keeps each
+    such solve under those, in the stimuli's order, and a solve that
+    repeats one skips both levels: it meters the stimulated pads through
+    its own contacts and reports the iterations and residual of the solve
+    it repeats.  The memo holds at most DC_MEMO_SIZE solves and is cleared
+    when full; a solve that raises is not kept.
+
     A state also starts the rails at its rail volts, and no state at 0 V.
     A non-finite residual raises NonConvergence at once.  So does a C/dt
     that overflows, before any settle, with the nan residual of its
@@ -579,7 +599,17 @@ def _solve_network(
     the rail loop that runs out of MAX_NEWTON_ITERATIONS.
     """
     system = uut._system
-    ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, rest = system
+    ids, where, rail_g, rail_attrs, (vcc_at, gnd_at), elements, groups, most_c, rest, memo = system
+    problem = None
+    if state is None and dt is None:
+        # All that the class loop reads of a stimulated pad.
+        problem = tuple([(pid, stim.mode, stim.level, math.copysign(1.0, stim.level),
+                          contacts.get(pid, GOOD_CONTACT).is_open if stim.mode == "current"
+                          else _drive_ohms(stim, contacts.get(pid, GOOD_CONTACT)))
+                         for pid, stim in stimuli.items()])
+        solve = memo.get(problem)
+        if solve is not None:
+            return _result(system, contacts, stimuli, solve)
     try:
         driven = {where[pid][1] for pid in stimuli}  # the groups of the stimulated pads
     except KeyError:
@@ -607,7 +637,7 @@ def _solve_network(
     # count calls.  The sign of a zero constant never reaches F, so only the
     # start's is in the key.
     solved = []  # (part, its pad node)
-    metered = []  # (stimulated pad, its stimulus, its contact, its pad node)
+    metered = []  # (stimulated pad, its pad node, whether it is pinned)
     classes = {}  # key -> pad node
     terms = []
     x = []
@@ -656,7 +686,7 @@ def _solve_network(
         m[k] += len(members)
         solved.append((part, k))
         if pid is not None:
-            metered.append((pid, stim, contact, k))
+            metered.append((pid, k, pinned is not None))
     n = len(terms)
     into = [None] * n  # per pad node: current into each rail, the datum last
     cond = [None] * n  # per pad node: conductance to each rail; the datum's is all to ground
@@ -730,19 +760,35 @@ def _solve_network(
         if y[:datum] == old and not stepped:  # no step moves a node: the solve has stalled
             raise NonConvergence("DC solve did not converge", worst, iteration)
 
-    # The stimulated pads are read now, every other pad when one is read.
+    solve = (metered, solved, x, F, y[vcc_at], y[gnd_at], iteration, worst)
+    if problem is not None:
+        # Threads that store at once may each go one past the bound before
+        # the next store clears it; no stored solve is ever wrong.
+        if len(memo) >= DC_MEMO_SIZE:
+            memo.clear()
+        memo[problem] = solve
+    return _result(system, contacts, stimuli, solve)
+
+
+def _result(system: tuple, contacts: Mapping[str, ContactState], stimuli: Mapping[str, Stimulus],
+            solve: tuple) -> SolveResult:
+    """The SolveResult of a solve of _solve_network, (metered pads, solved
+    parts, node volts, node F values, VCC volts, GND volts, iterations,
+    residual), read through contacts: the stimulated pads now, every other
+    pad when one is read (see _Readings).  A pinned pad reads its node."""
+    metered, solved, x, F, vcc_volts, gnd_volts, iterations, residual = solve
     readings = {}
-    for pid, stim, contact, k in metered:
-        if terms[k][3] is not None:
+    for pid, k, pinned in metered:
+        if pinned:
             readings[pid] = PadReading(volts=x[k], amperes=F[k], pad_volts=x[k])
         else:
-            readings[pid] = _meter(x[k], stim, contact)
+            readings[pid] = _meter(x[k], stimuli[pid], contacts.get(pid, GOOD_CONTACT))
     return SolveResult(
         pads=_Readings(system, dict(contacts), solved, x, readings),
-        vcc_volts=y[vcc_at],
-        gnd_volts=y[gnd_at],
-        iterations=iteration,
-        residual=worst,
+        vcc_volts=vcc_volts,
+        gnd_volts=gnd_volts,
+        iterations=iterations,
+        residual=residual,
     )
 
 
@@ -846,16 +892,17 @@ class TransientState(Mapping):
     never under a pad key (a pad id may be any string).  A rail pinned at
     ground reads 0.0.
 
-    The volts are copied in and never change, so a state holds the
-    partition of its pads (see _system) for the last model it was used
+    The volts are copied in as floats and never change, so a state holds
+    the partition of its pads (see _system) for the last model it was used
     with: one that step_transient returns holds the partition its step
-    ended on, and a state used with another model is partitioned anew."""
+    ended on, and a state used with another model is partitioned anew.  A
+    volt that is not a real number raises TypeError naming its pad or rail."""
 
     __slots__ = ("_volts", "_rails", "_parts")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
-        self._volts = dict(pad_volts)
-        self._rails = (vcc_volts, gnd_volts)
+        self._volts = {pid: _real(v, f"pad {pid!r}") for pid, v in pad_volts.items()}
+        self._rails = (_real(vcc_volts, "vcc_volts"), _real(gnd_volts, "gnd_volts"))
         self._parts = None  # (a model's _system, the partition for it)
 
     vcc_volts = property(lambda self: self._rails[0])
@@ -880,6 +927,13 @@ class TransientState(Mapping):
             where, groups = system[1], system[6]  # see _system
             made = self._parts = (system, _partition(where, groups, self._volts))
         return made[1]
+
+
+def _real(v, name: str) -> float:
+    """v as a float, or TypeError naming it when v is not a real number."""
+    if not isinstance(v, Real):
+        raise TypeError(f"{name}: volts must be a real number, not {type(v).__name__}")
+    return float(v)
 
 
 _REST = PadReading(volts=0.0, amperes=0.0, pad_volts=0.0)
@@ -946,7 +1000,9 @@ class _Readings(Mapping):
             volts.update(dict.fromkeys(members, v))
             if not _idle(groups[s], v):
                 parts.append((first, s, members if pid is None else frozenset(members), v, None))
-        state = TransientState(volts, vcc_volts, gnd_volts)
+        # The solve's volts are floats already: nothing to check or copy.
+        state = TransientState.__new__(TransientState)
+        state._volts, state._rails = volts, (vcc_volts, gnd_volts)
         state._parts = (self._system, tuple(parts))
         return state
 

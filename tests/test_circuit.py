@@ -1,6 +1,8 @@
 """DC/transient solver tests against closed-form and analytic oracles."""
 
 import math
+import sys
+import threading
 from collections.abc import Mapping
 from dataclasses import replace
 from unittest.mock import patch
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcit.circuit import (
+    DC_MEMO_SIZE,
     GOOD_CONTACT,
     Bench,
     ContactState,
@@ -40,6 +43,7 @@ from vcit.errors import (
 )
 from vcit import prober
 from vcit.circuit import _newton_step, _solve_network
+from vcit.fixture import load_default_fixture
 from vcit.prober import ProtectionLimits, StimulusWaveform, execute
 
 VT = 0.02585
@@ -1363,6 +1367,30 @@ class TestCarriedPartition:
         with pytest.raises(TypeError, match="TransientState"):
             step_transient(uut, {}, {}, {"p": 0.0}, 1e-4)
 
+    def test_a_start_is_read_as_floats(self):
+        state = TransientState({"c": 0, "e": True, "n": np.float32(0.25)}, 1, np.int64(0))
+        assert repr(state) == "TransientState({'c': 0.0, 'e': 1.0, 'n': 0.25}, 1.0, 0.0)"
+        # An int start reads as a float start: undriven, and behind 0 A.
+        d = DiodeModel(1e-14)
+        uut = UutModel((("c", PadCircuit(Resistive(100.0), 1e-9)), ("e", PadCircuit(EsdPair(d, d)))))
+        for start in ({"c": 0, "e": 0}, {"c": 0.0, "e": 0.0}):
+            after, result = step_transient(uut, {}, {"c": Stimulus("current", 0)},
+                                           TransientState(start, 0, 0), 1e-3)
+            assert repr((dict(after), result)) == repr((
+                {"c": 0.0, "e": 0.0},
+                replace(result, pads={"c": PadReading(0.0, 0.0, 0.0), "e": PadReading(0.0, 0.0, 0.0)})))
+
+    @pytest.mark.parametrize("pad_volts, rails, name", [
+        ({"p": "0.5"}, (0.0, 0.0), "pad 'p'"),
+        ({"p": 0.0, "q": None}, (0.0, 0.0), "pad 'q'"),
+        ({"p": 1j}, (0.0, 0.0), "pad 'p'"),
+        ({}, ("0", 0.0), "vcc_volts"),
+        ({"p": 0.0}, (0.0, [0.0]), "gnd_volts"),
+    ])
+    def test_a_start_that_is_not_a_number_is_refused(self, pad_volts, rails, name):
+        with pytest.raises(TypeError, match=f"^{name}: volts must be a real number"):
+            TransientState(pad_volts, *rails)
+
     @given(stepped_boards(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_a_state_used_with_two_models_reads_as_a_fresh_copy(self, board, data):
@@ -1459,6 +1487,169 @@ class TestReadings:
         uut, contacts, result = self.solved()
         again = solve_dc(uut, contacts, {"a": Stimulus("current", 1e-3)})
         assert [result[pid] for pid in ("o", "a", "b")] == [again[pid] for pid in ("b", "a", "o")][::-1]
+
+
+def memo_of(uut):
+    """The model's memo of DC solves from rest, the last entry of its system."""
+    return uut._system[-1]
+
+
+@st.composite
+def memo_benches(draw):
+    """A random board (every pad kind, some pads alike), stimuli (current
+    and voltage drives, 0 Ohm pins among them, levels of +-0.0 and ints)
+    and two sets of good, worn, open or 0 Ohm needles, the second worn
+    again, opened or closed at some pads: (uut, stimuli, contacts, other)."""
+    d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)), VT,
+                   draw(st.sampled_from([0.0, 2.0])))
+    needle = st.one_of(st.none(), st.sampled_from([0.0, 0.1, 2e6]), st.floats(1e-3, 1e3))
+    pads, stimuli, contacts, other = [], {}, {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        pid = f"p{i}"
+        kind = draw(st.sampled_from(sorted(CONDUCTS)))
+        pads.append((pid, PadCircuit(kind_circuit(draw, kind, d),
+                                     draw(st.sampled_from([0.0, 0.0, 1e-9])))))
+        first = draw(needle)
+        second = draw(st.sampled_from(["same", "flipped", "new"]))
+        if second == "same":
+            second = first
+        elif second == "flipped":
+            second = 0.1 if first == 2e6 else 2e6
+        else:
+            second = draw(needle)
+        for needles, ohms in ((contacts, first), (other, second)):
+            if ohms is not None:
+                needles[pid] = ContactState(ohms)
+        mode = draw(st.sampled_from(("current", "voltage", None) if CONDUCTS[kind]
+                                    else ("voltage", None)))
+        if mode == "current":
+            level = draw(st.sampled_from([0, 0.0, -0.0, None, None, None]))
+            if level is None:
+                level = draw(st.sampled_from(CONDUCTS[kind])) * draw(st.floats(1e-5, 5e-3))
+            stimuli[pid] = Stimulus(mode, level)
+        elif mode == "voltage":
+            stimuli[pid] = Stimulus(mode, draw(st.one_of(st.sampled_from([0, 1, -1, 0.0, -0.0]),
+                                                         st.floats(-2.0, 2.0))),
+                                    draw(st.one_of(st.sampled_from([0, 0.0]), st.floats(1.0, 1000.0))))
+    uut = UutModel(
+        pads=tuple(pads),
+        vcc_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 50.0))),
+        gnd_path_ohms=draw(st.one_of(st.just(0.0), st.floats(1.0, 20.0))),
+    )
+    return uut, stimuli, contacts, other
+
+
+class TestDcMemo:
+    """A model keeps its DC solves from rest under what the class loop reads
+    of each stimulated pad.  A solve that repeats one reads, repr for repr,
+    what the same solve on a fresh copy of the model reads."""
+
+    @given(memo_benches())
+    @settings(max_examples=150, deadline=None)
+    def test_a_memoized_solve_reads_as_a_fresh_one(self, bench):
+        uut, stimuli, contacts, other = bench
+        for order in ((contacts, other, contacts), (other, contacts, other)):
+            model = replace(uut)
+            for needles in order:
+                assert outcome(lambda: solve_dc(model, needles, stimuli)) == outcome(
+                    lambda: solve_dc(replace(uut), needles, stimuli))
+
+    def test_a_repeated_solve_calls_no_law(self, monkeypatch):
+        # A worn needle under a current drive adds I*R to the meter and
+        # leaves the node problem as it was.
+        uut = esd_uut()
+        stimuli = {"p1": Stimulus("current", 1e-3)}
+        worn = {"p1": ContactState(5.0), "p2": ContactState(2e6)}
+        calls = law_calls(monkeypatch)
+        first = solve_dc(uut, {"p1": ContactState(0.1)}, stimuli)
+        assert calls
+        del calls[:]
+        again = solve_dc(uut, worn, stimuli)
+        assert calls == []
+        fresh = solve_dc(replace(uut), worn, stimuli)
+        assert repr(again) == repr(fresh) != repr(first)
+        assert again.iterations == first.iterations > 0
+
+    def test_an_int_level_solves_as_its_float(self):
+        stim = Stimulus("voltage", 1, 0)
+        assert repr(stim) == "Stimulus(mode='voltage', level=1.0, source_ohms=0.0)"
+        uut = load_default_fixture().bench.uut
+        ints = solve_dc(uut, {}, {"p1": stim})
+        floats = solve_dc(uut, {}, {"p1": Stimulus("voltage", 1.0)})
+        fresh = solve_dc(replace(uut), {}, {"p1": Stimulus("voltage", 1.0)})
+        assert repr(ints) == repr(floats) == repr(fresh)
+        assert repr(ints["p1"].volts) == repr(ints["p1"].pad_volts) == "1.0"
+
+    def test_zeros_of_either_sign_are_two_problems(self):
+        # A pad pinned at -0.0 reads -0.0, and one pinned at +0.0 reads +0.0.
+        uut = esd_uut()
+        for levels in ((-0.0, 0.0), (0.0, -0.0)):
+            for level in levels:
+                stimuli = {"p1": Stimulus("voltage", level), "p2": Stimulus("current", level)}
+                assert repr(solve_dc(uut, {}, stimuli)) == repr(solve_dc(replace(uut), {}, stimuli))
+
+    def test_transient_steps_neither_read_nor_fill_the_memo(self, monkeypatch):
+        uut = esd_uut()
+        stimuli = {"p1": Stimulus("current", 1e-3)}
+        step_transient(uut, {}, stimuli, None, 1e-4)
+        assert memo_of(uut) == {}
+        solve_dc(uut, {}, stimuli)
+        kept = list(memo_of(uut).items())
+        calls = law_calls(monkeypatch)
+        step_transient(uut, {}, stimuli, None, 1e-4)
+        assert calls
+        assert list(memo_of(uut).items()) == kept
+
+    def test_a_solve_that_raises_is_not_kept(self, monkeypatch):
+        uut = UutModel(pads=(("p", diode_pad()),))
+        stimuli = {"p": Stimulus("voltage", 1e308, 1e-300)}  # the drive's current overflows
+        calls = law_calls(monkeypatch)
+        for _ in range(2):
+            del calls[:]
+            with pytest.raises(NonConvergence, match="non-finite"):
+                solve_dc(uut, {}, stimuli)
+            assert calls
+        assert memo_of(uut) == {}
+
+    def test_the_memo_never_grows_past_its_bound(self):
+        uut = UutModel(pads=(("p", diode_pad()),))
+        sizes = []
+        for k in range(1000):
+            solve_dc(uut, {}, {"p": Stimulus("current", 1e-6 * (k + 1))})
+            sizes.append(len(memo_of(uut)))
+        assert max(sizes) == DC_MEMO_SIZE
+
+    def test_threads_on_one_model_read_as_serial_solves(self):
+        # More problems than the memo holds, solved over and over by four
+        # threads at once, each in its own order, on one model.
+        uut = esd_uut()
+        problems = [({"p1": ContactState(0.1 * k)}, {f"p{k % 3 + 1}": Stimulus("current", 1e-4 * (k + 1))})
+                    for k in range(DC_MEMO_SIZE + 7)]
+        serial = [repr(solve_dc(replace(uut), *problem)) for problem in problems]
+        order = list(range(len(problems)))
+        orders = (order, order[::-1], order[5:] + order[:5], order[::2] + order[1::2])
+        found = tuple([] for _ in orders)
+
+        def solve(order, out):
+            for _ in range(5):
+                out.extend((k, repr(solve_dc(uut, *problems[k]))) for k in order)
+
+        threads = [threading.Thread(target=solve, args=pair) for pair in zip(orders, found)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in found:
+            assert len(out) == 5 * len(problems)
+            assert all(text == serial[k] for k, text in out)
+        # A store that races another may go one past the bound, never more.
+        assert len(memo_of(uut)) < DC_MEMO_SIZE + len(threads)
 
 
 class TestPoweredConsumption:
@@ -1610,6 +1801,8 @@ def test_uut_cached_system_not_compared_hashed_or_shown():
     d = DiodeModel(1e-14)
     pads = (("p1", PadCircuit(EsdPair(d, d))), ("p2", PadCircuit(OpenPad(), 1e-9)))
     uut = UutModel(pads, 25.0, 0.0)
+    solve_dc(uut, {}, {"p1": Stimulus("current", 1e-3)})
+    assert memo_of(uut)
     assert repr(uut) == (f"UutModel(pads={pads!r}, vcc_path_ohms=25.0, gnd_path_ohms=0.0, "
                          "powered=False, consumption_map=None)")
     assert hash(uut) == hash((pads, 25.0, 0.0, False, None))
