@@ -15,7 +15,7 @@ They are fully deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from numbers import Real
@@ -280,6 +280,8 @@ class ContactState:
     def __post_init__(self):
         if not 0.0 <= self.resistance < math.inf:
             raise ValueError("resistance must be finite and >= 0")
+        if self.cycles < 0:
+            raise ValueError("cycles must be >= 0")
         if not 0.0 <= self.wear_rate < math.inf:
             raise ValueError("wear_rate must be finite and >= 0")
         if not 0.0 < self.open_threshold < math.inf:
@@ -422,16 +424,16 @@ def _system(uut: UutModel) -> tuple:
     the names of their TransientState attributes; the rail indices of VCC
     and GND; each pad's (law, (rail index, polarity, nVt, vcrit, series
     resistance)) per element; each group's (branch class, capacitance,
-    grounded, member ids in pad order); the largest capacitance; the
-    partition at rest, the start of a solve without a TransientState; the
-    memo of DC solves from rest, the one part that solves fill).
+    grounded); the largest capacitance; the partition at rest, the start of
+    a solve without a TransientState; the memo of DC solves from rest, the
+    one part that solves fill).
 
     The rails with a path resistance come first, and the datum's rail
     index is their number.  A group holds the pads of one branch class,
     equal for pads whose elements are equal by value, and one capacitance;
     grounded means that its every element goes to the datum.  A pad of a
     grounded group that starts at exactly +0.0 is idle: it is in no part.
-    A partition cuts the other pads of each group into parts of pads that
+    A partition splits the other pads of each group into parts of pads that
     start at the same volts, the sign of a zero included: a part is (first
     pad index, group, member ids, start volts, None), and a partition is
     the tuple of its parts in order of their first pad."""
@@ -448,14 +450,13 @@ def _system(uut: UutModel) -> tuple:
         s = numbers.setdefault((pad, pc.shunt_capacitance), len(numbers))
         if s == len(groups):
             groups.append((classes.setdefault(pad, len(classes)), pc.shunt_capacitance,
-                           all(e[0] == len(rails) for _, e in pad), []))
-        groups[s][3].append(pid)
+                           all(e[0] == len(rails) for _, e in pad)))
         where[pid] = (i, s)
-    groups = tuple((bc, c, grounded, tuple(ids)) for bc, c, grounded, ids in groups)
+    groups = tuple(groups)
     return (tuple(pid for pid, _ in uut.pads), where, tuple(1.0 / ohms for _, ohms in paths),
             tuple(f"{rail.lower()}_volts" for rail in rails),
             tuple(rails.index(rail) if rail in rails else len(rails) for rail in ("VCC", "GND")),
-            elements, groups, max((c for _, c, _, _ in groups), default=0.0), _partition(where, groups, {}),
+            elements, groups, max((c for _, c, _ in groups), default=0.0), _partition(where, groups, {}),
             {})
 
 
@@ -470,18 +471,30 @@ def _partition(where: dict, groups: tuple, volts: Mapping[str, float]) -> tuple:
     return tuple((i, s, frozenset(ids), v, None) for (s, v, _), (i, ids) in found.items())
 
 
-def _cut(part: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple, order: tuple) -> list:
-    """The pieces of part, in order of their first pad: each of its
-    stimulated pads as a part of its own that names its pad last, its
-    members a 1-tuple, and the rest of part, if any; order is its group's
-    member ids."""
-    first, s, members, v, _ = part
-    pieces = [(where[pid][0], s, (pid,), v, pid) for pid in members.intersection(stimuli)]
-    if len(pieces) < len(members):
-        left = members.difference(stimuli)
-        if ids[first] not in left:
-            first = where[next(filter(left.__contains__, order))][0]
-        pieces.append((first, s, left, v, None))
+def _pieces(parts: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple,
+            volts: Mapping[str, float]) -> Union[tuple, list]:
+    """The parts that a solve under stimuli runs on, in order of their first
+    pad: each stimulated pad, idle or not, as a part of its own at its start
+    in volts (0.0 when not given) that names its pad last, its members a
+    1-tuple, and every other part of parts without its stimulated pads.  A
+    part whose first pad is stimulated starts at the first pad it keeps.
+    Raises UnknownPad for a stimulated pad the model does not have."""
+    try:
+        pieces = [(*where[pid], (pid,), volts.get(pid, 0.0), pid) for pid in stimuli]
+    except KeyError as e:
+        raise UnknownPad(f"no such pad: {e.args[0]!r}") from None
+    if not pieces:
+        return parts
+    for part in parts:
+        first, s, members, v, _ = part
+        if not members.isdisjoint(stimuli):
+            left = members.difference(stimuli)
+            if not left:
+                continue
+            if ids[first] in stimuli:
+                first = min(where[pid][0] for pid in left)
+            part = (first, s, left, v, None)
+        pieces.append(part)
     pieces.sort()
     return pieces
 
@@ -560,12 +573,12 @@ def _solve_network(
     branches, GMIN leak and capacitor carry.
 
     The classes are found part by part, not pad by pad (see _system): the
-    pads of one part without a stimulus share their class.  So a stimulated
-    pad is cut out of its part, a stimulated idle pad is a part of its own
-    at its start, and each part and stimulated pad gives one class key, in
-    order of its first pad.  The parts are those of the state's partition
-    for the model (see TransientState), or of the partition at rest when
-    there is no state.
+    pads of one part without a stimulus share their class.  So each part
+    loses its stimulated pads, each stimulated pad, idle or not, is a part
+    of its own at its start (see _pieces), and each part gives one class
+    key, in order of its first pad.  The parts are those of the state's
+    partition for the model (see TransientState), or of the partition at
+    rest when there is no state.
 
     Inner level: given the rail voltages, each class's KCL F_i(x_i) is
     strictly increasing (every law is, and GMIN > 0), so each class is
@@ -610,24 +623,13 @@ def _solve_network(
         solve = memo.get(problem)
         if solve is not None:
             return _result(system, contacts, stimuli, solve)
-    try:
-        driven = {where[pid][1] for pid in stimuli}  # the groups of the stimulated pads
-    except KeyError:
-        for pid in stimuli:
-            uut.pad(pid)  # raises UnknownPad
-        raise
+    parts, volts = (rest, {}) if state is None else (state._partition_of(system), state._volts)
+    parts = _pieces(parts, stimuli, where, ids, volts)
     if dt is not None and not most_c / dt < math.inf:
         raise NonConvergence("DC solve met a non-finite residual", math.nan, 0)
-    parts, volts = (rest, {}) if state is None else (state._partition_of(system), state._volts)
     datum = len(rail_g)
     y = [0.0] * datum if state is None or at_rest else [getattr(state, attr) for attr in rail_attrs]
     y.append(0.0)  # the datum
-
-    if driven:
-        # A stimulated idle pad is a part of its own at its start.
-        idle = [(where[pid][0], where[pid][1], (pid,), volts.get(pid, 0.0), pid) for pid in stimuli
-                if _idle(groups[where[pid][1]], volts.get(pid, 0.0))]
-        parts = sorted([*parts, *idle]) if idle else list(parts)
 
     # One entry per pad node, a class of pads: its branches, each carrying
     # s*(law(v) + leak*v) at v = s*(x - y[a]) from the pad into rail a; its
@@ -646,13 +648,7 @@ def _solve_network(
     pinned_nodes = []
     for part in parts:
         first, s, members, v, pid = part
-        if pid is None and s in driven and not members.isdisjoint(stimuli):
-            # The pieces after the first go into the parts still to come.
-            part, *pieces = _cut(part, stimuli, where, ids, groups[s][3])
-            for piece in pieces:
-                insort(parts, piece)
-            first, s, members, v, pid = part
-        bc, c, _, _ = groups[s]
+        bc, c, _ = groups[s]
         if dt is not None and c > 0.0:
             g = c / dt
             history = g * v

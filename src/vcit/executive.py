@@ -126,6 +126,8 @@ class NeedleLog:
     def __post_init__(self):
         if self.window_cycles < 0:
             raise ValueError("window_cycles must be >= 0")
+        if self.last_replacement_cycle < 0:
+            raise ValueError("last_replacement_cycle must be >= 0")
         if self.current_cycle < self.last_replacement_cycle:
             raise ValueError("current_cycle must be >= last_replacement_cycle")
 
@@ -168,6 +170,7 @@ class PadCheck:
         # Checked before waveform() builds (level,) * samples.
         if not 1 <= self.samples <= MAX_WAVEFORM_SAMPLES:
             raise ValueError(f"samples must be 1 to {MAX_WAVEFORM_SAMPLES}, got {self.samples!r}")
+        self.waveform()  # a check must make a valid waveform
 
     @property
     def pads(self) -> tuple:

@@ -95,13 +95,12 @@ def _reader(spec):
 _number = _reader(float)
 
 
-def _kind(cls, what: str, table: dict, validate=None, **defaults):
+def _kind(cls, what: str, table: dict, **defaults):
     """The converter that builds cls from a JSON object.  table maps each key
     to a JSON type or a converter for its value, or to (field, that) where
     the field has another name; a field None takes the converted value's
-    entries as fields.  defaults stand in for fields that cls has none for,
-    and validate(built) checks what cls itself does not.  The converter
-    keeps the table as its .table."""
+    entries as fields.  defaults stand in for fields that cls has none for.
+    The converter keeps the table as its .table."""
     entries = {}  # key -> (field, the JSON type it names or None, converter)
     for key, spec in table.items():
         name, spec = spec if type(spec) is tuple else (key, spec)
@@ -134,10 +133,7 @@ def _kind(cls, what: str, table: dict, validate=None, **defaults):
                     fields.update(value)
                 else:
                     fields[name] = value
-            built = cls(**fields)
-            if validate:
-                validate(built)
-            return built
+            return cls(**fields)
         # The one place where a ValueError or a TypeError becomes a FixtureError.
         except (ValueError, TypeError, OverflowError) as exc:
             missing = ", ".join(repr(key) for key in required if key not in obj)
@@ -251,7 +247,7 @@ _CHECKS = {
     "single-level": _kind(PadCheck, "check", {
         "pad": ("pad_id", str), "mode": str, "level": float, "window": _pair,
         "samples": int, "dt": float, "source_ohms": float,
-    }, validate=PadCheck.waveform, mode="current"),  # a check must make a valid waveform
+    }, mode="current"),
 }
 _DUMMY = _kind(DummyUutSpec, "dummy", {
     "bands": _named(_pair), "drive_volts": float, "drive_ohms": float, "fresh_contact_ohms": float,

@@ -545,6 +545,17 @@ class TestSolveDc:
         with pytest.raises(UnknownPad):
             solve_dc(uut, {}, {"nope": Stimulus("current", 1e-3)})
 
+    @pytest.mark.parametrize("dt", [1e-3, 5e-324], ids=["dt", "overflowing-dt"])
+    @pytest.mark.parametrize("carried", [False, True], ids=["from-rest", "carried"])
+    def test_unknown_pad_in_a_step(self, carried, dt):
+        # Refused before the C/dt check: 1 nF over 5e-324 s is C/dt = inf.
+        d = DiodeModel(1e-14)
+        uut = UutModel(pads=(("c", PadCircuit(EsdPair(d, d), 1e-9)),))
+        drive = {"c": Stimulus("current", 1e-3)}
+        state = step_transient(uut, {}, drive, None, 1e-3)[0] if carried else None
+        with pytest.raises(UnknownPad, match="no such pad: 'nope'"):
+            step_transient(uut, {}, {**drive, "nope": Stimulus("current", 1e-3)}, state, dt)
+
     def test_series_resistance_included(self):
         uut = UutModel(pads=(("p1", diode_pad(rs=10.0)),))
         result = solve_dc(uut, {"p1": ContactState(0.0)}, {"p1": Stimulus("current", 1e-3)})

@@ -440,3 +440,21 @@ class TestStandardLibraryOnly:
             log = stderr.read()
         assert line.startswith("listening on 127.0.0.1:"), log
         assert numpy_modules(log) == []
+
+    def test_every_module_imports_the_standard_library_alone(self):
+        # The tests above watch numpy on three paths; this watches every
+        # module for anything outside the standard library.  Only what the
+        # imports add counts: a .pth file may load more at start-up.
+        code = """if True:
+            import sys
+            before = set(sys.modules)
+            import importlib, pkgutil, vcit
+            for module in pkgutil.iter_modules(vcit.__path__):
+                importlib.import_module(f"vcit.{module.name}")
+            print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+        """
+        proc = vcit_process(["-c", code], subprocess.DEVNULL)
+        loaded = proc.communicate(timeout=60)[0].split()
+        assert proc.returncode == 0
+        assert "vcit" in loaded
+        assert [name for name in loaded if name != "vcit" and name not in sys.stdlib_module_names] == []

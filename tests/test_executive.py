@@ -3,6 +3,7 @@ functional-failure diagnosis branches, and log replay."""
 
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -66,7 +67,7 @@ class TestNeedleLog:
         log = NeedleLog(last_replacement_cycle=0, current_cycle=501, window_cycles=500)
         assert not log.replaced_within_window
 
-    @pytest.mark.parametrize("last, current, window", [(0, 10, -1), (10, 9, 500)])
+    @pytest.mark.parametrize("last, current, window", [(0, 10, -1), (10, 9, 500), (-900, -800, 500)])
     def test_invalid_rejected(self, last, current, window):
         with pytest.raises(ValueError):
             NeedleLog(last_replacement_cycle=last, current_cycle=current, window_cycles=window)
@@ -138,6 +139,21 @@ class TestPadCheck:
         # Rejected before waveform() would build (level,) * samples.
         with pytest.raises(ValueError, match=f"samples must be 1 to {MAX_WAVEFORM_SAMPLES}"):
             PadCheck("p1", "current", 1e-3, (0.3, 1.0), samples=samples)
+
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [
+            ("mode", "bogus", "mode must be"),
+            ("dt", 0.0, "dt must be finite and > 0"),
+            ("source_ohms", -1.0, "source_ohms must be finite and >= 0"),
+            ("level", math.nan, "levels must be finite"),
+        ],
+    )
+    def test_a_check_without_a_valid_waveform_is_refused(self, field, value, why):
+        # Refused when built, by any caller, not only by load_fixture.
+        fields = dict(pad_id="p1", mode="current", level=1e-3, window=(0.3, 1.0))
+        with pytest.raises(ValueError, match=why):
+            PadCheck(**{**fields, field: value})
 
     @pytest.mark.parametrize("samples", [1, MAX_WAVEFORM_SAMPLES])
     def test_sample_count_at_the_bounds(self, samples):

@@ -349,34 +349,44 @@ class TestValidation:
             load_fixture(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, where",
         [
-            pytest.param(("pads", 0, "capacitance"), "abc", id="capacitance-text"),
-            pytest.param(("pads", 0), 3, id="pad-not-object"),
-            pytest.param(("rails",), [25.0], id="rails-not-object"),
-            pytest.param(("contacts",), ["p1"], id="contacts-not-object"),
-            pytest.param(("setup_plan",), 3, id="plan-not-array"),
-            pytest.param(("setup_plan", 1), "single-level", id="check-not-object"),
-            pytest.param(("pads", 0, "capacitance"), math.nan, id="capacitance-nan"),
-            pytest.param(("pads", 0, "capacitance"), math.inf, id="capacitance-inf"),
-            pytest.param(("rails", "vcc_path_ohms"), math.nan, id="vcc-path-nan"),
-            pytest.param(("setup_plan", 0, "band"), [0.1, math.inf], id="band-inf"),
-            pytest.param(("setup_plan", 0, "amperes"), math.nan, id="amperes-nan"),
-            pytest.param(("setup_plan", 0, "rail"), "vcc", id="rail-lowercase"),
+            pytest.param(("pads", 0, "capacitance"), "abc", "fixture.pads[0].capacitance",
+                         id="capacitance-text"),
+            pytest.param(("pads", 0), 3, "fixture.pads[0]", id="pad-not-object"),
+            pytest.param(("rails",), [25.0], "fixture.rails", id="rails-not-object"),
+            pytest.param(("contacts",), ["p1"], "contacts", id="contacts-not-object"),
+            pytest.param(("setup_plan",), 3, "setup_plan", id="plan-not-array"),
+            pytest.param(("setup_plan", 1), "single-level", "setup_plan[1]", id="check-not-object"),
+            pytest.param(("pads", 0, "capacitance"), math.nan, "fixture.pads[0].capacitance",
+                         id="capacitance-nan"),
+            pytest.param(("pads", 0, "capacitance"), math.inf, "fixture.pads[0].capacitance",
+                         id="capacitance-inf"),
+            pytest.param(("rails", "vcc_path_ohms"), math.nan, "fixture.rails.vcc_path_ohms",
+                         id="vcc-path-nan"),
+            pytest.param(("setup_plan", 0, "band"), [0.1, math.inf], "setup_plan[0].band", id="band-inf"),
+            pytest.param(("setup_plan", 0, "amperes"), math.nan, "setup_plan[0].amperes", id="amperes-nan"),
+            pytest.param(("setup_plan", 0, "rail"), "vcc", "setup_plan[0]", id="rail-lowercase"),
             pytest.param(
-                ("pads", 0), {"id": "p1", "kind": "resistive", "ohms": math.inf}, id="ohms-inf"
+                ("pads", 0), {"id": "p1", "kind": "resistive", "ohms": math.inf}, "fixture.pads[0].ohms",
+                id="ohms-inf"
             ),
             # float() takes a bool or a numeric string as a number.
-            pytest.param(("setup_plan", 1, "level"), True, id="level-bool"),
-            pytest.param(("setup_plan", 1, "level"), "0.001", id="level-text"),
-            pytest.param(("contacts", "p1", "resistance"), True, id="resistance-bool"),
-            pytest.param(("consumption_map",), [[0.0, True]], id="knot-bool"),
+            pytest.param(("setup_plan", 1, "level"), True, "setup_plan[1].level", id="level-bool"),
+            pytest.param(("setup_plan", 1, "level"), "0.001", "setup_plan[1].level", id="level-text"),
+            pytest.param(("contacts", "p1", "resistance"), True, "contacts.p1.resistance",
+                         id="resistance-bool"),
+            pytest.param(("consumption_map",), [[0.0, True]], "fixture.consumption_map[0]", id="knot-bool"),
+            # A cycle count is never negative.
+            pytest.param(("contacts", "p1", "cycles"), -7, "contacts.p1", id="cycles-negative"),
+            pytest.param(("needle_log", "last_replacement_cycle"), -900, "needle_log",
+                         id="last-replacement-negative"),
         ],
     )
-    def test_wrong_typed_or_non_finite_field(self, path, value):
+    def test_wrong_typed_or_non_finite_field(self, path, value, where):
         doc = default_doc()
         set_path(doc, path, value)  # NaN and Infinity are dumped as such
-        with pytest.raises(FixtureError):
+        with pytest.raises(FixtureError, match=rf"^{re.escape(where)}: "):
             load_fixture(json.dumps(doc))
 
     @pytest.mark.parametrize(
