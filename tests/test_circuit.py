@@ -1192,6 +1192,71 @@ def outcome(solve):
         return f"NonConvergence: {exc}"
 
 
+def narrowed(result, uut, added):
+    """result without the added pads, each of which must read 0 V, for the
+    pads of uut."""
+    for pid in added:
+        assert repr(result[pid]) == repr(PadReading(0.0, 0.0, 0.0))
+    return replace(result, pads={pid: result[pid] for pid, _ in uut.pads})
+
+
+def path_rails(uut, circuit):
+    """The rails with a path resistance that circuit has an element to."""
+    paths = {rail for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)) if ohms > 0.0}
+    return circuit.rails() & paths
+
+
+@st.composite
+def quiet_rail_boards(draw):
+    """A board with one or two rail paths, pads of every kind, good, worn or
+    open contacts, stimuli and a start built by hand that are meant to leave
+    some path rails quiet: a pad with an element to such a rail is undriven
+    and starts at +0.0, and so does the rail.  A rail is live when it starts
+    off +0.0, when a driven pad or a pad that starts off +0.0 has an element
+    to it, or when a pad has an element to it and to a live rail: so an ESD
+    pad at rest carries a drive on GND over to VCC.
+    (uut, contacts, stimuli, state, dt, the quiet rails)."""
+    d = DiodeModel(1e-14)
+    circuits = {"esd": EsdPair(d, d), "diode": SeriesDiode(d), "diode-": SeriesDiode(d, polarity=-1),
+                "led": Led(DiodeModel(1e-18, 2.0)), "res": Resistive(draw(st.sampled_from([100.0, 470.0]))),
+                "open": OpenPad()}
+    vcc_path, gnd_path = draw(st.sampled_from([(25.0, 0.0), (0.0, 200.0), (25.0, 200.0)]))
+    uut = UutModel((), vcc_path, gnd_path)
+    paths = path_rails(uut, PadCircuit(EsdPair(d, d)))
+    meant = draw(st.sampled_from([{rail} for rail in sorted(paths)] + [set(paths)]))
+    pads, contacts, stimuli, volts = [], {}, {}, {}
+    for i in range(draw(st.integers(1, 6))):
+        pid = f"p{i}"
+        kind = draw(st.sampled_from(sorted(CONDUCTS)))
+        pc = PadCircuit(circuits[kind], draw(st.sampled_from([0.0, 1e-9])))
+        pads.append((pid, pc))
+        if draw(st.booleans()):
+            contacts[pid] = ContactState(draw(st.sampled_from([0.1, 10.0, 2e6])))
+        if path_rails(uut, pc) & meant:
+            if draw(st.booleans()):
+                volts[pid] = 0.0
+            continue
+        mode = draw(st.sampled_from(("current", "voltage", None) if CONDUCTS[kind] else ("voltage", None)))
+        if mode == "current":
+            level = draw(st.sampled_from(CONDUCTS[kind])) * draw(st.sampled_from([5e-3, 1e-3, 0.0]))
+            stimuli[pid] = Stimulus("current", level)
+        elif mode == "voltage":
+            stimuli[pid] = Stimulus("voltage", draw(st.sampled_from([2.0, 0.5, -0.3, 0.0])),
+                                    draw(st.sampled_from([0.0, 1.0, 100.0])))
+        if draw(st.booleans()):
+            volts[pid] = draw(st.sampled_from([0.0, -0.0, 0.25, -0.5]))
+    rails = {rail: 0.0 if rail in meant else draw(st.sampled_from([0.0, -0.0, 0.1])) for rail in ("VCC", "GND")}
+    uut = UutModel(tuple(pads), vcc_path, gnd_path)
+    state = TransientState(volts, rails["VCC"], rails["GND"])
+    live = {rail for rail in paths if math.copysign(1.0, rails[rail]) < 0.0 or rails[rail] != 0.0}
+    stirred = {pid for pid, _ in pads if pid in stimuli or repr(volts.get(pid, 0.0)) != "0.0"}
+    for _ in range(2):
+        for pid, pc in pads:
+            if pid in stirred or path_rails(uut, pc) & live:
+                live |= path_rails(uut, pc)
+    return uut, contacts, stimuli, state, draw(st.sampled_from([1e-4, 1e-3])), paths - live
+
+
 class TestIdlePads:
     """A pad with every element to the datum, no stimulus and no charge sits
     at exactly 0 V, so the solver leaves it out: that may change no other
@@ -1225,17 +1290,45 @@ class TestIdlePads:
         wide_state = TransientState({**state, **{pid: 0.0 for pid in added
                                                  if data.draw(st.booleans())}},
                                     state.vcc_volts, state.gnd_volts)
+        assert outcome(lambda: solve_dc(uut, contacts, stimuli)) == outcome(
+            lambda: narrowed(solve_dc(wide, contacts, stimuli), uut, added))
+        assert outcome(lambda: step_transient(uut, contacts, stimuli, state, dt)[1]) == outcome(
+            lambda: narrowed(step_transient(wide, contacts, stimuli, wide_state, dt)[1], uut, added))
 
-        def narrowed(result):
-            """result without the added pads, each of which must read 0 V."""
-            for pid in added:
-                assert repr(result[pid]) == repr(PadReading(0.0, 0.0, 0.0))
-            return replace(result, pads={pid: result[pid] for pid, _ in uut.pads})
+    @given(quiet_rail_boards(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_quiet_rail_changes_nothing(self, board, data):
+        # Pads of every kind added at +0.0 on quiet rails: every other
+        # reading, both rails, the iterations and the residual are those of
+        # the board without them, and the solve with them holds KCL.
+        uut, contacts, stimuli, state, dt, quiet = board
+        d = DiodeModel(1e-14)
+        kinds = [kind for kind in (EsdPair(d, d), SeriesDiode(d), SeriesDiode(d, polarity=-1),
+                                   Led(DiodeModel(1e-18, 2.0)), Resistive(100.0), OpenPad())
+                 if path_rails(uut, PadCircuit(kind)) <= quiet]
+        added = {f"rest{k}": PadCircuit(data.draw(st.sampled_from(kinds)), data.draw(st.sampled_from([0.0, 1e-9])))
+                 for k in range(data.draw(st.integers(1, 4)))}
+        pads = list(uut.pads)
+        for pid, pc in added.items():
+            pads.insert(data.draw(st.integers(0, len(pads))), (pid, pc))
+        wide = UutModel(tuple(pads), uut.vcc_path_ohms, uut.gnd_path_ohms)
+        wide_contacts = {**contacts, **{pid: ContactState(data.draw(st.sampled_from([0.0, 10.0, 2e6])))
+                                        for pid in added if data.draw(st.booleans())}}
+        wide_state = TransientState({**state, **{pid: 0.0 for pid in added if data.draw(st.booleans())}},
+                                    state.vcc_volts, state.gnd_volts)
+        solves = []
+
+        def kept(result, companions=None):
+            solves.append((result, companions))
+            return narrowed(result, uut, added)
 
         assert outcome(lambda: solve_dc(uut, contacts, stimuli)) == outcome(
-            lambda: narrowed(solve_dc(wide, contacts, stimuli)))
+            lambda: kept(solve_dc(wide, wide_contacts, stimuli)))
         assert outcome(lambda: step_transient(uut, contacts, stimuli, state, dt)[1]) == outcome(
-            lambda: narrowed(step_transient(wide, contacts, stimuli, wide_state, dt)[1]))
+            lambda: kept(step_transient(wide, wide_contacts, stimuli, wide_state, dt)[1],
+                         companions_of(wide, wide_state, dt)))
+        for result, companions in solves:
+            assert kcl_residual(wide, wide_contacts, stimuli, result, companions) < 1e-9
 
     @pytest.mark.parametrize("kind", [SeriesDiode(DiodeModel(1e-14)), Resistive(1000.0), OpenPad()],
                              ids=["diode", "resistor", "open"])
