@@ -8,7 +8,8 @@ applied per pad, through that pad's needle contact resistance.
 
 All solves are two-level Newton-Raphson with analytic derivatives: each class
 of identical pads is settled once under the rail voltages, and Newton runs on
-the <= 2 rails.
+the <= 2 rails.  An undriven pad at rest whose rails nothing moves is left
+out of both levels.
 They are fully deterministic: identical inputs give bit-identical outputs.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from operator import add, mul, truediv
@@ -403,10 +404,12 @@ def _meter(vp: float, stim: Optional[Stimulus], contact: ContactState) -> PadRea
     )
 
 
-def _idle(group: tuple, v: float) -> bool:
-    """Whether a pad of group (see _system) that starts at v is idle: the
-    group is grounded and v is exactly +0.0, whatever its number type."""
-    return group[2] and v == 0.0 and math.copysign(1.0, v) > 0.0
+def _idle(group: tuple, v: float, quiet: Set = frozenset()) -> bool:
+    """Whether a pad of group (see _system) that starts at v is idle: every
+    path rail that the group touches is in quiet, the rail indices that stay
+    at +0.0 (none: every rail is live), and v is exactly +0.0, whatever its
+    number type."""
+    return group[2] <= quiet and v == 0.0 and math.copysign(1.0, v) > 0.0
 
 
 def _junction(law) -> tuple:
@@ -424,15 +427,16 @@ def _system(uut: UutModel) -> tuple:
     the names of their TransientState attributes; the rail indices of VCC
     and GND; each pad's (law, (rail index, polarity, nVt, vcrit, series
     resistance)) per element; each group's (branch class, capacitance,
-    grounded); the largest capacitance; the partition at rest, the start of
-    a solve without a TransientState; the memo of DC solves from rest, the
-    one part that solves fill).
+    path rails); the largest capacitance; the partition at rest, the start
+    of a solve without a TransientState; the memo of DC solves from rest,
+    the one part that solves fill).
 
-    The rails with a path resistance come first, and the datum's rail
-    index is their number.  A group holds the pads of one branch class,
-    equal for pads whose elements are equal by value, and one capacitance;
-    grounded means that its every element goes to the datum.  A pad of a
-    grounded group that starts at exactly +0.0 is idle: it is in no part.
+    The rails with a path resistance, the path rails, come first, and the
+    datum's rail index is their number.  A group holds the pads of one
+    branch class, equal for pads whose elements are equal by value, and one
+    capacitance; its path rails are the indices of those that its elements
+    go to, none when it is grounded.  A pad of a grounded group that starts
+    at exactly +0.0 is idle (see _idle) in every solve: it is in no part.
     A partition splits the other pads of each group into parts of pads that
     start at the same volts, the sign of a zero included: a part is (first
     pad index, group, member ids, start volts, None), and a partition is
@@ -450,7 +454,7 @@ def _system(uut: UutModel) -> tuple:
         s = numbers.setdefault((pad, pc.shunt_capacitance), len(numbers))
         if s == len(groups):
             groups.append((classes.setdefault(pad, len(classes)), pc.shunt_capacitance,
-                           all(e[0] == len(rails) for _, e in pad)))
+                           frozenset(e[0] for _, e in pad if e[0] < len(rails))))
         where[pid] = (i, s)
     groups = tuple(groups)
     return (tuple(pid for pid, _ in uut.pads), where, tuple(1.0 / ohms for _, ohms in paths),
@@ -560,17 +564,23 @@ def _solve_network(
     warm start must agree with.
 
     The nodes are the pad classes, then each rail with a path resistance.
-    A rail without one is tied to the datum, which stays at 0 V.  An idle
-    pad (see _system) without a stimulus sits at exactly 0 V and is left
-    out.  Every other pad belongs to a class: pads with the same branch
-    class, conductance to ground (GMIN, capacitor, drive), constant term,
-    pinned level and start, the sign of a zero start included, have the
-    same KCL as a function of the rails, so the class is one node, settled
-    once, and each member pad reads it through its own contact.  A class of
-    m pads carries m times its current into each rail and m times its
-    conductance in each rail sum.  A voltage drive of 0 Ohm in all pins its
-    pad at the level: the pad is not solved, and it draws what its
-    branches, GMIN leak and capacitor carry.
+    A rail without one is tied to the datum, which stays at 0 V.  A path
+    rail is quiet when it starts at exactly +0.0 and no stimulated pad, no
+    part off +0.0 and no part that also touches a rail that is not quiet
+    touches it: nothing moves it, and the rail step leaves it at +0.0.  A
+    pad without a stimulus that is idle under the quiet rails (see _idle)
+    carries exactly 0 A and is left out: a grounded one is in no part, and
+    a resting part, one on a quiet rail, reads a shared +0.0 node.  With
+    every rail live this costs a check per rail and per stimulus.  Every
+    other pad belongs to a class: pads with the same branch class,
+    conductance to ground (GMIN, capacitor, drive), constant term, pinned
+    level and start, the sign of a zero start included, have the same KCL
+    as a function of the rails, so the class is one node, settled once, and
+    each member pad reads it through its own contact.  A class of m pads
+    carries m times its current into each rail and m times its conductance
+    in each rail sum.  A voltage drive of 0 Ohm in all pins its pad at the
+    level: the pad is not solved, and it draws what its branches, GMIN leak
+    and capacitor carry.
 
     The classes are found part by part, not pad by pad (see _system): the
     pads of one part without a stimulus share their class.  So each part
@@ -629,6 +639,15 @@ def _solve_network(
         raise NonConvergence("DC solve met a non-finite residual", math.nan, 0)
     datum = len(rail_g)
     y = [0.0] * datum if state is None or at_rest else [getattr(state, attr) for attr in rail_attrs]
+    quiet = {a for a, ya in enumerate(y) if ya == 0.0 and math.copysign(1.0, ya) > 0.0}
+    for pid in stimuli:
+        quiet -= groups[where[pid][1]][2]
+    size = 0
+    while len(quiet) != size:  # until no part touches a live rail and a quiet one
+        size = len(quiet)
+        for _, s, _, v, _ in parts:
+            if not _idle(groups[s], v, quiet):
+                quiet -= groups[s][2]
     y.append(0.0)  # the datum
 
     # One entry per pad node, a class of pads: its branches, each carrying
@@ -648,6 +667,9 @@ def _solve_network(
     pinned_nodes = []
     for part in parts:
         first, s, members, v, pid = part
+        if quiet and pid is None and _idle(groups[s], v, quiet):
+            solved.append((part, -1))  # resting: it reads the +0.0 node appended to x below
+            continue
         bc, c, _ = groups[s]
         if dt is not None and c > 0.0:
             g = c / dt
@@ -684,6 +706,7 @@ def _solve_network(
         if pid is not None:
             metered.append((pid, k, pinned is not None))
     n = len(terms)
+    x.append(0.0)
     into = [None] * n  # per pad node: current into each rail, the datum last
     cond = [None] * n  # per pad node: conductance to each rail; the datum's is all to ground
     F = [0.0] * n
@@ -915,6 +938,12 @@ class TransientState(Mapping):
 
     def __repr__(self) -> str:
         return f"TransientState({self._volts!r}, {self.vcc_volts!r}, {self.gnd_volts!r})"
+
+    def __eq__(self, other):
+        """Equal to a TransientState of equal pad and rail volts, to nothing else."""
+        if not isinstance(other, TransientState):
+            return NotImplemented
+        return self._rails == other._rails and self._volts == other._volts
 
     def _partition_of(self, system: tuple) -> tuple:
         """The partition of the pads for the model whose _system this is."""

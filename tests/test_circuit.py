@@ -1300,7 +1300,9 @@ class TestIdlePads:
     def test_a_quiet_rail_changes_nothing(self, board, data):
         # Pads of every kind added at +0.0 on quiet rails: every other
         # reading, both rails, the iterations and the residual are those of
-        # the board without them, and the solve with them holds KCL.
+        # the board without them, and the solve with them holds KCL.  Nor
+        # does it differ from the solve in which a drive of 0 A on every
+        # undriven pad leaves no rail quiet: such a drive changes no node.
         uut, contacts, stimuli, state, dt, quiet = board
         d = DiodeModel(1e-14)
         kinds = [kind for kind in (EsdPair(d, d), SeriesDiode(d), SeriesDiode(d, polarity=-1),
@@ -1329,6 +1331,38 @@ class TestIdlePads:
                          companions_of(wide, wide_state, dt)))
         for result, companions in solves:
             assert kcl_residual(wide, wide_contacts, stimuli, result, companions) < 1e-9
+        stirred = {**stimuli, **{pid: Stimulus("current", 0.0) for pid, _ in wide.pads if pid not in stimuli}}
+
+        def nodes(result):
+            return ({pid: reading.pad_volts for pid, reading in result.pads.items()}, result.vcc_volts,
+                    result.gnd_volts, result.iterations, result.residual)
+
+        for drive in (stimuli, stirred):
+            solves.append(outcome(lambda: nodes(solve_dc(wide, wide_contacts, drive))))
+            solves.append(outcome(lambda: nodes(step_transient(wide, wide_contacts, drive, wide_state, dt)[1])))
+        assert solves[-4:-2] == solves[-2:]
+
+    @pytest.mark.parametrize("driven", [Resistive(470.0), SeriesDiode(DiodeModel(2e-14))],
+                             ids=["resistor", "diode"])
+    def test_pads_at_rest_on_a_quiet_rail_are_not_settled(self, monkeypatch, driven):
+        # A drive to the pinned GND leaves VCC and its capacitive ESD pads at
+        # rest: no step from rest, or from the state it returns, calls an ESD
+        # law.  That state still carries their part, so a step that then
+        # drives one reads what a step from a copy built by hand reads.
+        esd = DiodeModel(1e-14)
+        pads = tuple((f"e{i}", PadCircuit(EsdPair(esd, esd), 1e-9)) for i in range(8))
+        uut = UutModel(pads + (("d", PadCircuit(driven, 1e-9)),), vcc_path_ohms=25.0)
+        calls = law_calls(monkeypatch)
+        state = None
+        for _ in range(2):
+            del calls[:]
+            state, result = step_transient(uut, {}, {"d": Stimulus("current", 1e-3)}, state, 1e-4)
+            assert calls and not any(law is esd for law, _ in calls)
+            assert result["d"].pad_volts > 0.1 and repr(result.vcc_volts) == "0.0"
+            assert repr(result["e5"]) == repr(PadReading(0.0, 0.0, 0.0))
+        drive = {"e3": Stimulus("current", 1e-3)}
+        fresh = TransientState(dict(state), state.vcc_volts, state.gnd_volts)
+        assert step_outcome(uut, {}, drive, state, 1e-4)[2] == step_outcome(uut, {}, drive, fresh, 1e-4)[2]
 
     @pytest.mark.parametrize("kind", [SeriesDiode(DiodeModel(1e-14)), Resistive(1000.0), OpenPad()],
                              ids=["diode", "resistor", "open"])
@@ -1465,6 +1499,16 @@ class TestCarriedPartition:
             with pytest.raises(AttributeError):
                 setattr(state, rail, 5.0)
         assert dict(state) == before and (state.vcc_volts, state.gnd_volts) == rails
+
+    def test_states_are_equal_by_pad_and_rail_volts(self):
+        state = TransientState({"a": 0.0}, 1.0, 0.0)
+        assert state == TransientState({"a": 0}, 1, 0.0)
+        for other in (TransientState({"a": 0.0}, 0.0, 0.0), TransientState({"a": 0.0}, 1.0, 0.5),
+                      TransientState({"a": 0.5}, 1.0, 0.0), TransientState({}, 1.0, 0.0)):
+            assert state != other and not state == other
+        assert state != {"a": 0.0} and {"a": 0.0} != state
+        assert state.__eq__({"a": 0.0}) is NotImplemented
+        assert dict(state) == {"a": 0.0}
 
     def test_a_plain_mapping_start_is_refused(self):
         uut = UutModel((("p", PadCircuit(Resistive(100.0), 1e-9)),))
