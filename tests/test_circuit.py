@@ -1200,10 +1200,11 @@ def narrowed(result, uut, added):
     return replace(result, pads={pid: result[pid] for pid, _ in uut.pads})
 
 
-def path_rails(uut, circuit):
-    """The rails with a path resistance that circuit has an element to."""
-    paths = {rail for rail, ohms in (("VCC", uut.vcc_path_ohms), ("GND", uut.gnd_path_ohms)) if ohms > 0.0}
-    return circuit.rails() & paths
+def node_volts(result):
+    """What a solve reads of its nodes: every pad's volts, the rails, the
+    iterations and the residual."""
+    return ({pid: reading.pad_volts for pid, reading in result.pads.items()}, result.vcc_volts,
+            result.gnd_volts, result.iterations, result.residual)
 
 
 @st.composite
@@ -1215,14 +1216,14 @@ def quiet_rail_boards(draw):
     off +0.0, when a driven pad or a pad that starts off +0.0 has an element
     to it, or when a pad has an element to it and to a live rail: so an ESD
     pad at rest carries a drive on GND over to VCC.
-    (uut, contacts, stimuli, state, dt, the quiet rails)."""
+    (uut, contacts, stimuli, state, dt, the pad kinds whose every element
+    goes to the datum or to a quiet rail)."""
     d = DiodeModel(1e-14)
     circuits = {"esd": EsdPair(d, d), "diode": SeriesDiode(d), "diode-": SeriesDiode(d, polarity=-1),
                 "led": Led(DiodeModel(1e-18, 2.0)), "res": Resistive(draw(st.sampled_from([100.0, 470.0]))),
                 "open": OpenPad()}
     vcc_path, gnd_path = draw(st.sampled_from([(25.0, 0.0), (0.0, 200.0), (25.0, 200.0)]))
-    uut = UutModel((), vcc_path, gnd_path)
-    paths = path_rails(uut, PadCircuit(EsdPair(d, d)))
+    paths = {rail for rail, ohms in (("VCC", vcc_path), ("GND", gnd_path)) if ohms > 0.0}
     meant = draw(st.sampled_from([{rail} for rail in sorted(paths)] + [set(paths)]))
     pads, contacts, stimuli, volts = [], {}, {}, {}
     for i in range(draw(st.integers(1, 6))):
@@ -1232,7 +1233,7 @@ def quiet_rail_boards(draw):
         pads.append((pid, pc))
         if draw(st.booleans()):
             contacts[pid] = ContactState(draw(st.sampled_from([0.1, 10.0, 2e6])))
-        if path_rails(uut, pc) & meant:
+        if pc.rails() & meant:
             if draw(st.booleans()):
                 volts[pid] = 0.0
             continue
@@ -1252,9 +1253,10 @@ def quiet_rail_boards(draw):
     stirred = {pid for pid, _ in pads if pid in stimuli or repr(volts.get(pid, 0.0)) != "0.0"}
     for _ in range(2):
         for pid, pc in pads:
-            if pid in stirred or path_rails(uut, pc) & live:
-                live |= path_rails(uut, pc)
-    return uut, contacts, stimuli, state, draw(st.sampled_from([1e-4, 1e-3])), paths - live
+            if pid in stirred or pc.rails() & live:
+                live |= pc.rails() & paths
+    resting = [kind for kind in circuits.values() if PadCircuit(kind).rails() & paths <= paths - live]
+    return uut, contacts, stimuli, state, draw(st.sampled_from([1e-4, 1e-3])), resting
 
 
 class TestIdlePads:
@@ -1303,11 +1305,7 @@ class TestIdlePads:
         # the board without them, and the solve with them holds KCL.  Nor
         # does it differ from the solve in which a drive of 0 A on every
         # undriven pad leaves no rail quiet: such a drive changes no node.
-        uut, contacts, stimuli, state, dt, quiet = board
-        d = DiodeModel(1e-14)
-        kinds = [kind for kind in (EsdPair(d, d), SeriesDiode(d), SeriesDiode(d, polarity=-1),
-                                   Led(DiodeModel(1e-18, 2.0)), Resistive(100.0), OpenPad())
-                 if path_rails(uut, PadCircuit(kind)) <= quiet]
+        uut, contacts, stimuli, state, dt, kinds = board
         added = {f"rest{k}": PadCircuit(data.draw(st.sampled_from(kinds)), data.draw(st.sampled_from([0.0, 1e-9])))
                  for k in range(data.draw(st.integers(1, 4)))}
         pads = list(uut.pads)
@@ -1332,15 +1330,23 @@ class TestIdlePads:
         for result, companions in solves:
             assert kcl_residual(wide, wide_contacts, stimuli, result, companions) < 1e-9
         stirred = {**stimuli, **{pid: Stimulus("current", 0.0) for pid, _ in wide.pads if pid not in stimuli}}
+        reads = [(outcome(lambda: node_volts(solve_dc(wide, wide_contacts, drive))),
+                  outcome(lambda: node_volts(step_transient(wide, wide_contacts, drive, wide_state, dt)[1])))
+                 for drive in (stimuli, stirred)]
+        assert reads[0] == reads[1]
 
-        def nodes(result):
-            return ({pid: reading.pad_volts for pid, reading in result.pads.items()}, result.vcc_volts,
-                    result.gnd_volts, result.iterations, result.residual)
-
-        for drive in (stimuli, stirred):
-            solves.append(outcome(lambda: nodes(solve_dc(wide, wide_contacts, drive))))
-            solves.append(outcome(lambda: nodes(step_transient(wide, wide_contacts, drive, wide_state, dt)[1])))
-        assert solves[-4:-2] == solves[-2:]
+    def test_an_esd_pad_at_rest_carries_a_moving_rail_to_a_quiet_one(self):
+        # VCC starts at 0.1 V and GND at +0.0.  The ESD pad at rest carries
+        # VCC's fall over to GND, so the resistor at rest on GND is solved:
+        # its conductance is in GND's step, as when a drive of 0 A keeps it in.
+        d = DiodeModel(1e-14)
+        uut = UutModel((("e", PadCircuit(EsdPair(d, d))), ("g", PadCircuit(Resistive(100.0)))),
+                       vcc_path_ohms=25.0, gnd_path_ohms=200.0)
+        start = TransientState({}, 0.1, 0.0)
+        rest, kept = (step_transient(uut, {}, stimuli, start, 1e-3)[1]
+                      for stimuli in ({}, {"g": Stimulus("current", 0.0)}))
+        assert rest.gnd_volts != 0.0
+        assert repr(node_volts(rest)) == repr(node_volts(kept))
 
     @pytest.mark.parametrize("driven", [Resistive(470.0), SeriesDiode(DiodeModel(2e-14))],
                              ids=["resistor", "diode"])
