@@ -164,13 +164,22 @@ class PadCheck:
     samples: int = 4
     dt: float = 1e-3
     source_ohms: float = 0.0
+    # waveform(), built once from the fields; not compared, hashed or shown
+    _waveform: StimulusWaveform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         closed_window(self.window)
-        # Checked before waveform() builds (level,) * samples.
+        # Checked before the waveform builds (level,) * samples.
         if not 1 <= self.samples <= MAX_WAVEFORM_SAMPLES:
             raise ValueError(f"samples must be 1 to {MAX_WAVEFORM_SAMPLES}, got {self.samples!r}")
-        self.waveform()  # a check must make a valid waveform
+        # A check must make a valid waveform.
+        object.__setattr__(self, "_waveform", StimulusWaveform(
+            mode=self.mode,
+            samples=(self.level,) * self.samples,
+            dt=self.dt,
+            target_pads=(self.pad_id,),
+            source_ohms=self.source_ohms,
+        ))
 
     @property
     def pads(self) -> tuple:
@@ -179,13 +188,7 @@ class PadCheck:
 
     def waveform(self) -> StimulusWaveform:
         """The constant stimulus this check applies to its pad."""
-        return StimulusWaveform(
-            mode=self.mode,
-            samples=(self.level,) * self.samples,
-            dt=self.dt,
-            target_pads=(self.pad_id,),
-            source_ohms=self.source_ohms,
-        )
+        return self._waveform
 
 
 @dataclass(frozen=True, slots=True)

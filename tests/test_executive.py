@@ -39,7 +39,7 @@ from vcit.executive import (
     run_vcit_battery,
 )
 from vcit.fixture import load_default_fixture
-from vcit.prober import MAX_WAVEFORM_SAMPLES
+from vcit.prober import MAX_WAVEFORM_SAMPLES, StimulusWaveform
 
 
 @pytest.fixture
@@ -160,6 +160,33 @@ class TestPadCheck:
         check = PadCheck("p1", "current", 1e-3, (0.3, 1.0), samples=samples)
         assert check.waveform().samples == (1e-3,) * samples
         assert check.pads == ("p1",)
+
+    def test_the_waveform_is_built_once(self, fixture, monkeypatch):
+        # Once when the check is made, and never again however often it runs.
+        built = []
+        post_init = StimulusWaveform.__post_init__
+        monkeypatch.setattr(StimulusWaveform, "__post_init__", lambda w: built.append(w) or post_init(w))
+        check = PadCheck("p1", "current", 1e-3, (0.3, 1.0))
+        assert check.waveform() is check.waveform()
+        verdicts = [run_vcit_battery(fixture.bench, VcitPlan(checks=(check,))) for _ in range(3)]
+        assert len(built) == 1 and built[0] is check.waveform()
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+
+    def test_a_replaced_check_has_a_waveform_of_its_own(self):
+        check = PadCheck("p1", "current", 1e-3, (0.3, 1.0), samples=3)
+        other = replace(check, level=2e-3)
+        assert other.waveform() is not check.waveform()
+        assert other.waveform() == replace(check.waveform(), samples=(2e-3,) * 3)
+        assert check.waveform().samples == (1e-3,) * 3
+
+    def test_the_kept_waveform_is_not_compared_hashed_or_shown(self):
+        check = PadCheck("p1", "current", 1e-3, (0.3, 1.0))
+        again = PadCheck("p1", "current", 1e-3, (0.3, 1.0))
+        assert check.waveform() is not again.waveform()
+        assert check == again and hash(check) == hash(again)
+        assert repr(check) == ("PadCheck(pad_id='p1', mode='current', level=0.001, window=(0.3, 1.0), "
+                               "samples=4, dt=0.001, source_ohms=0.0)")
+        assert check != replace(check, dt=2e-3)
 
 
 class TestDummyUut:
