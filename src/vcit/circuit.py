@@ -475,23 +475,25 @@ def _partition(where: dict, groups: tuple, volts: Mapping[str, float]) -> tuple:
     return tuple((i, s, frozenset(ids), v, None) for (s, v, _), (i, ids) in found.items())
 
 
-def _pieces(parts: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple,
-            volts: Mapping[str, float]) -> Union[tuple, list]:
+def _pieces(parts: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tuple) -> Union[tuple, list]:
     """The parts that a solve under stimuli runs on, in order of their first
-    pad: each stimulated pad, idle or not, as a part of its own at its start
-    in volts (0.0 when not given) that names its pad last, its members a
-    1-tuple, and every other part of parts without its stimulated pads.  A
-    part whose first pad is stimulated starts at the first pad it keeps.
-    Raises UnknownPad for a stimulated pad the model does not have."""
+    pad: each stimulated pad, idle or not, as a part of its own at the start
+    of the part of parts that holds it (+0.0 when none does) that names its
+    pad last, its members a 1-tuple, and every other part of parts without
+    its stimulated pads.  A part whose first pad is stimulated starts at the
+    first pad it keeps.  Raises UnknownPad for a stimulated pad the model
+    does not have."""
     try:
-        pieces = [(*where[pid], (pid,), volts.get(pid, 0.0), pid) for pid in stimuli]
+        starts = {pid: where[pid] for pid in stimuli}
     except KeyError as e:
         raise UnknownPad(f"no such pad: {e.args[0]!r}") from None
-    if not pieces:
+    if not starts:
         return parts
+    pieces, held = [], {}  # held: stimulated pad -> the volts of its part
     for part in parts:
         first, s, members, v, _ = part
         if not members.isdisjoint(stimuli):
+            held.update(dict.fromkeys(members.intersection(stimuli), v))
             left = members.difference(stimuli)
             if not left:
                 continue
@@ -499,6 +501,7 @@ def _pieces(parts: tuple, stimuli: Mapping[str, Stimulus], where: dict, ids: tup
                 first = min(where[pid][0] for pid in left)
             part = (first, s, left, v, None)
         pieces.append(part)
+    pieces += [(*at, (pid,), held.get(pid, 0.0), pid) for pid, at in starts.items()]
     pieces.sort()
     return pieces
 
@@ -633,8 +636,7 @@ def _solve_network(
         solve = memo.get(problem)
         if solve is not None:
             return _result(system, contacts, stimuli, solve)
-    parts, volts = (rest, {}) if state is None else (state._partition_of(system), state._volts)
-    parts = _pieces(parts, stimuli, where, ids, volts)
+    parts = _pieces(rest if state is None else state._partition_of(system), stimuli, where, ids)
     if dt is not None and not most_c / dt < math.inf:
         raise NonConvergence("DC solve met a non-finite residual", math.nan, 0)
     datum = len(rail_g)
@@ -911,47 +913,72 @@ class TransientState(Mapping):
     never under a pad key (a pad id may be any string).  A rail pinned at
     ground reads 0.0.
 
-    The volts are copied in as floats and never change, so a state holds
-    the partition of its pads (see _system) for the last model it was used
-    with: one that step_transient returns holds the partition its step
-    ended on, and a state used with another model is partitioned anew.  A
-    volt that is not a real number raises TypeError naming its pad or rail."""
+    The volts never change, so a state holds the partition of its pads (see
+    _system) for the last model it was used with, made when first used as a
+    start with it: from the volts of one built by hand, copied in as floats
+    (TypeError names a pad or rail whose volt is not a real number), and for
+    its own model from the solve of one that step_transient returns, which
+    makes its pad volts from that partition when first read, +0.0 for a pad
+    in no part.  Each is made from inputs that never change and kept by one
+    assignment, so threads that read one state at once read equal values."""
 
-    __slots__ = ("_volts", "_rails", "_parts")
+    __slots__ = ("_volts", "_rails", "_parts", "_solve")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
         self._volts = {pid: _real(v, f"pad {pid!r}") for pid, v in pad_volts.items()}
         self._rails = (_real(vcc_volts, "vcc_volts"), _real(gnd_volts, "gnd_volts"))
         self._parts = None  # (a model's _system, the partition for it)
+        self._solve = None  # (_system, solved parts, node volts) of the step that made it
 
     vcc_volts = property(lambda self: self._rails[0])
     gnd_volts = property(lambda self: self._rails[1])
 
+    def _pads(self) -> dict:
+        """The pad volts, made from the solve's partition when first read."""
+        if self._volts is None:
+            volts = dict.fromkeys(self._solve[0][0], 0.0)
+            for _, _, members, v, _ in self._partition_of(self._solve[0]):
+                volts.update(dict.fromkeys(members, v))
+            self._volts = volts
+        return self._volts
+
     def __getitem__(self, pad_id: str) -> float:
-        return self._volts[pad_id]
+        return self._pads()[pad_id]
 
     def __iter__(self):
-        return iter(self._volts)
+        return iter(self._pads())
 
     def __len__(self) -> int:
-        return len(self._volts)
+        return len(self._pads())
 
     def __repr__(self) -> str:
-        return f"TransientState({self._volts!r}, {self.vcc_volts!r}, {self.gnd_volts!r})"
+        return f"TransientState({self._pads()!r}, {self.vcc_volts!r}, {self.gnd_volts!r})"
 
     def __eq__(self, other):
         """Equal to a TransientState of equal pad and rail volts, to nothing else."""
         if not isinstance(other, TransientState):
             return NotImplemented
-        return self._rails == other._rails and self._volts == other._volts
+        return self._rails == other._rails and self._pads() == other._pads()
 
     def _partition_of(self, system: tuple) -> tuple:
         """The partition of the pads for the model whose _system this is."""
         made = self._parts
         if made is None or made[0] is not system:
-            where, groups = system[1], system[6]  # see _system
-            made = self._parts = (system, _partition(where, groups, self._volts))
+            solve = self._solve
+            made = self._parts = (system, _ended(*solve) if solve is not None and solve[0] is system
+                                  else _partition(system[1], system[6], self._pads()))  # see _system
         return made[1]
+
+
+def _ended(system: tuple, solved: list, x: list) -> tuple:
+    """The partition (see _system) that a solve ends on: each solved part at
+    its node's volts, less the idle ones, at exactly +0.0 in grounded groups."""
+    parts = []
+    for (first, s, members, _, pid), k in solved:
+        v = x[k]
+        if not _idle(system[6][s], v):
+            parts.append((first, s, members if pid is None else frozenset(members), v, None))
+    return tuple(parts)
 
 
 def _real(v, name: str) -> float:
@@ -969,7 +996,8 @@ class _Readings(Mapping):
     the model's pad order.  The solve reads its stimulated pads; every other
     pad is read from its node and a copy of the solve's contacts the first
     time any of them is.  A pad in no part of the solve is idle and reads
-    rest, and the closed floating needles of a pad node share one reading."""
+    rest, and the closed floating needles of a pad node share one reading.
+    A step's TransientState makes its partition and volts from them too."""
 
     __slots__ = ("_system", "_contacts", "_solved", "_x", "_readings", "_whole")
 
@@ -1013,22 +1041,11 @@ class _Readings(Mapping):
         return repr(self._every())
 
     def _state(self, vcc_volts: float, gnd_volts: float) -> TransientState:
-        """The TransientState the solve ends at, carrying its partition: its
-        parts' pads at the volts of their nodes, every other pad at 0.0.  A
-        part that ends at exactly +0.0 in a grounded group is idle and left
-        out of the partition."""
-        groups = self._system[6]  # see _system
-        volts = dict.fromkeys(self._system[0], 0.0)
-        parts = []
-        for (first, s, members, _, pid), k in self._solved:
-            v = self._x[k]
-            volts.update(dict.fromkeys(members, v))
-            if not _idle(groups[s], v):
-                parts.append((first, s, members if pid is None else frozenset(members), v, None))
-        # The solve's volts are floats already: nothing to check or copy.
+        """The TransientState the solve ends at, holding the solve; its volts
+        are floats already, with nothing to check or copy."""
         state = TransientState.__new__(TransientState)
-        state._volts, state._rails = volts, (vcc_volts, gnd_volts)
-        state._parts = (self._system, tuple(parts))
+        state._volts, state._rails, state._parts = None, (vcc_volts, gnd_volts), None
+        state._solve = (self._system, self._solved, self._x)
         return state
 
 
@@ -1044,10 +1061,12 @@ def step_transient(
     start raises TypeError.
 
     Returns (next_state, SolveResult); next_state is a TransientState that
-    holds the partition of the pads its step ended on.  The solve starts
-    from state, rails included (see _solve_network), so a step under a level
-    that moves the nodes little takes few law evaluations.  Under constant
-    stimulus the state converges to the solve_dc operating point.
+    holds the step's solve and makes from it the partition its step ended
+    on when first used as a start, and its pad volts when first read: a
+    state nobody uses costs nothing.  The solve starts from state, rails
+    included (see _solve_network), so a step under a level that moves the
+    nodes little takes few law evaluations.  Under constant stimulus the
+    state converges to the solve_dc operating point.
     """
     if not (state is None or isinstance(state, TransientState)):
         raise TypeError(f"state must be a TransientState or None, got {type(state).__name__}")

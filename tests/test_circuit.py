@@ -42,7 +42,7 @@ from vcit.errors import (
     UnknownPad,
 )
 from vcit import prober
-from vcit.circuit import _newton_step, _solve_network
+from vcit.circuit import _ended, _newton_step, _solve_network
 from vcit.fixture import load_default_fixture
 from vcit.prober import ProtectionLimits, StimulusWaveform, execute
 
@@ -1585,6 +1585,85 @@ class TestCarriedPartition:
                 counts.append(len(reads))
             assert result["e3"].volts > 0.5 and result["e0"].pad_volts == state["e0"] > 0.0
         assert counts[:2] == counts[2:]
+
+
+def read_state(state):
+    """What reading a state as a mapping gives: its repr, its dict, and
+    whether it equals a copy built by hand from that dict."""
+    copy = TransientState(dict(state), state.vcc_volts, state.gnd_volts)
+    return repr(state), repr(dict(state)), state == copy, copy == state
+
+
+class TestStateWhenRead:
+    """A step's TransientState makes its partition and pad volts when they
+    are first needed, so when, and whether, a state is read must change no
+    step and no reading."""
+
+    @given(stepped_boards())
+    @settings(max_examples=100, deadline=None)
+    def test_when_a_state_is_read_does_not_matter(self, board):
+        uut, contacts, start, steps = board
+        runs = {}
+        for when in ("before", "after", "never"):
+            state, outcomes, states, reads = start, [], [], []
+            for stimuli, dt in steps:
+                try:
+                    state, result = step_transient(uut, contacts, stimuli, state, dt)
+                except NonConvergence as exc:
+                    outcomes.append(f"NonConvergence: {exc}")
+                    break
+                outcomes.append(repr((state.vcc_volts, state.gnd_volts, result)))
+                states.append(state)
+                if when == "before":  # before the state starts the next step
+                    reads.append(read_state(state))
+            if when == "after":
+                reads = [read_state(state) for state in states]
+            runs[when] = outcomes, reads
+        assert runs["before"][0] == runs["after"][0] == runs["never"][0]
+        assert runs["before"][1] == runs["after"][1]
+        assert all(equal and mirrored for _, _, equal, mirrored in runs["before"][1])
+
+    def test_two_threads_reading_one_fresh_state_read_equal_volts(self):
+        d = DiodeModel(1e-14)
+        kinds = (PadCircuit(EsdPair(d, d), 1e-9), PadCircuit(Resistive(100.0), 2e-9), PadCircuit(OpenPad()))
+        uut = UutModel(tuple((f"p{i}", kinds[i % 3]) for i in range(300)), vcc_path_ohms=25.0)
+        stimuli = {"p0": Stimulus("current", 1e-3), "p1": Stimulus("voltage", 0.5, 100.0)}
+        state = None
+        for _ in range(20):
+            state = step_transient(uut, {}, stimuli, state, 1e-4)[0]
+            barrier, seen, errors = threading.Barrier(2), [], []
+
+            def read():
+                try:
+                    barrier.wait()
+                    seen.append(dict(state))
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors and len(seen) == 2
+            assert repr(seen[0]) == repr(seen[1]) == repr(dict(state))
+            assert seen[0]["p0"] > 0.0 and seen[0]["p2"] == 0.0
+
+    @pytest.mark.parametrize("contact_ohms", [0.1, 2e6], ids=["unclamped", "clamped"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_a_state_nobody_reads_is_never_made(self, monkeypatch, contact_ohms, n):
+        # execute starts each sample from the last one's state, so the last
+        # state is never used: n samples make n - 1 partitions, one per state
+        # used as a start however often its sample is clamped and solved again.
+        made, steps = [], []
+        monkeypatch.setattr("vcit.circuit._ended", lambda *args: made.append(args) or _ended(*args))
+        monkeypatch.setattr(prober, "step_transient", lambda *args: steps.append(args) or step_transient(*args))
+        d = DiodeModel(1e-14)
+        uut = UutModel((("p", PadCircuit(EsdPair(d, d), 1e-9)), ("q", PadCircuit(EsdPair(d, d), 1e-9))))
+        (capture,) = execute(StimulusWaveform("current", (1e-3,) * n, 1e-4, ("p",)), ProtectionLimits(),
+                             Bench(uut, {"p": ContactState(contact_ohms)}))
+        assert len(capture) == n and len(steps) == n * (1 if contact_ohms < 1e6 else 2)
+        assert len(made) == n - 1
 
 
 class TestReadings:
