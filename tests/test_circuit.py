@@ -1623,7 +1623,9 @@ class TestStateWhenRead:
         assert runs["before"][1] == runs["after"][1]
         assert all(equal and mirrored for _, _, equal, mirrored in runs["before"][1])
 
-    def test_two_threads_reading_one_fresh_state_read_equal_volts(self):
+    def test_threads_reading_one_fresh_state_read_equal_volts(self):
+        # Four threads at once read each of 20 fresh states of a 300-pad
+        # board, each making its partition and pad volts from the solve.
         d = DiodeModel(1e-14)
         kinds = (PadCircuit(EsdPair(d, d), 1e-9), PadCircuit(Resistive(100.0), 2e-9), PadCircuit(OpenPad()))
         uut = UutModel(tuple((f"p{i}", kinds[i % 3]) for i in range(300)), vcc_path_ohms=25.0)
@@ -1631,23 +1633,28 @@ class TestStateWhenRead:
         state = None
         for _ in range(20):
             state = step_transient(uut, {}, stimuli, state, 1e-4)[0]
-            barrier, seen, errors = threading.Barrier(2), [], []
+            barrier, seen, errors = threading.Barrier(4), [], []
 
-            def read():
+            def read(state=state):
                 try:
-                    barrier.wait()
-                    seen.append(dict(state))
-                except Exception as exc:  # pragma: no cover - reported below
+                    barrier.wait(timeout=60.0)
+                    seen.append(repr(dict(state)))
+                except Exception as exc:  # reported below
                     errors.append(exc)
 
-            threads = [threading.Thread(target=read) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors and len(seen) == 2
-            assert repr(seen[0]) == repr(seen[1]) == repr(dict(state))
-            assert seen[0]["p0"] > 0.0 and seen[0]["p2"] == 0.0
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors and seen == [repr(dict(state))] * 4
+            assert state["p0"] > 0.0 and state["p2"] == 0.0
 
     @pytest.mark.parametrize("contact_ohms", [0.1, 2e6], ids=["unclamped", "clamped"])
     @pytest.mark.parametrize("n", [1, 2, 6])
