@@ -378,12 +378,31 @@ def client_call(command: BusCommand, connection: BusConnection) -> BusReply:
     payload = status[3:] if status.startswith("OK ") else ""
     block = []
     if command.verb in _BLOCK_VERBS:
+        most = _most_block_lines(command.verb, payload)
         while True:
             line = connection._read_line()
             if line == ".":
                 break
+            if len(block) == most:
+                raise ProtocolError(f"{command.verb} reply block longer than {most} lines")
             block.append(line)
     return BusReply(payload=payload, block=tuple(block))
+
+
+def _most_block_lines(verb: str, payload: str) -> int:
+    """The most lines of a valid READ or STATUS reply block.  A READ's
+    payload counts its captures, each a header and at most
+    MAX_WAVEFORM_SAMPLES rows; a STATUS block is five lines and the staged
+    waveform's samples.  ProtocolError when a READ's payload is not a
+    decimal count."""
+    if verb == "STATUS":
+        return 5 + MAX_WAVEFORM_SAMPLES
+    try:
+        if payload.isdecimal():
+            return int(payload) * (1 + MAX_WAVEFORM_SAMPLES)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ProtocolError(f"READ reply count is not a decimal count: {payload!r}")
 
 
 class RemoteProber:

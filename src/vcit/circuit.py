@@ -235,16 +235,13 @@ class UutModel:
     gnd_path_ohms: float = 0.0
     powered: bool = False
     consumption_map: Optional[tuple] = None  # of (volts, amperes)
-    # pad id -> PadCircuit and the Newton system (see _system), built once
-    # from the fields; not compared, hashed or shown
-    _pads_by_id: dict = field(init=False, repr=False, compare=False)
+    # the Newton system (see _system), built once from the fields; not
+    # compared, hashed or shown
     _system: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id = dict(self.pads)
-        if len(by_id) != len(self.pads):
+        if len(dict(self.pads)) != len(self.pads):
             raise ValueError("pad ids must be unique")
-        object.__setattr__(self, "_pads_by_id", by_id)
         if not (0.0 <= self.vcc_path_ohms < math.inf and 0.0 <= self.gnd_path_ohms < math.inf):
             raise ValueError("rail path resistances must be finite and >= 0")
         if self.powered and self.consumption_map is None:
@@ -264,7 +261,7 @@ class UutModel:
 
     def pad(self, pad_id: str) -> PadCircuit:
         try:
-            return self._pads_by_id[pad_id]
+            return self.pads[self._system[1][pad_id][0]][1]
         except KeyError:
             raise UnknownPad(f"no such pad: {pad_id!r}") from None
 
@@ -913,33 +910,31 @@ class TransientState(Mapping):
     never under a pad key (a pad id may be any string).  A rail pinned at
     ground reads 0.0.
 
-    The volts never change, so a state holds the partition of its pads (see
-    _system) for the last model it was used with, made when first used as a
-    start with it: from the volts of one built by hand, copied in as floats
-    (TypeError names a pad or rail whose volt is not a real number), and for
-    its own model from the solve of one that step_transient returns, which
-    makes its pad volts from that partition when first read, +0.0 for a pad
-    in no part.  Each is made from inputs that never change and kept by one
-    assignment, so threads that read one state at once read equal values."""
+    One built by hand copies its volts in as floats (TypeError names a pad
+    or rail whose volt is not a real number), and each use as a start
+    partitions them (see _system).  One that step_transient returns holds
+    its step's readings: it reads their pad_volts when first read, and when
+    first used as a start with its own model it keeps the partition its
+    step ended on, which every later start with that model reuses; with
+    another model it is partitioned from its volts as a hand-built one is.
+    Each is made from inputs that never change and kept by one assignment,
+    so threads that read one state at once read equal values."""
 
-    __slots__ = ("_volts", "_rails", "_parts", "_solve")
+    __slots__ = ("_volts", "_rails", "_parts", "_readings")
 
     def __init__(self, pad_volts: Mapping[str, float], vcc_volts: float, gnd_volts: float):
         self._volts = {pid: _real(v, f"pad {pid!r}") for pid, v in pad_volts.items()}
         self._rails = (_real(vcc_volts, "vcc_volts"), _real(gnd_volts, "gnd_volts"))
-        self._parts = None  # (a model's _system, the partition for it)
-        self._solve = None  # (_system, solved parts, node volts) of the step that made it
+        self._parts = None  # the partition its own step ended on
+        self._readings = None  # the _Readings of the step that made it
 
     vcc_volts = property(lambda self: self._rails[0])
     gnd_volts = property(lambda self: self._rails[1])
 
     def _pads(self) -> dict:
-        """The pad volts, made from the solve's partition when first read."""
+        """The pad volts, read from the step's readings when first read."""
         if self._volts is None:
-            volts = dict.fromkeys(self._solve[0][0], 0.0)
-            for _, _, members, v, _ in self._partition_of(self._solve[0]):
-                volts.update(dict.fromkeys(members, v))
-            self._volts = volts
+            self._volts = {pid: r.pad_volts for pid, r in self._readings._every().items()}
         return self._volts
 
     def __getitem__(self, pad_id: str) -> float:
@@ -962,12 +957,12 @@ class TransientState(Mapping):
 
     def _partition_of(self, system: tuple) -> tuple:
         """The partition of the pads for the model whose _system this is."""
-        made = self._parts
-        if made is None or made[0] is not system:
-            solve = self._solve
-            made = self._parts = (system, _ended(*solve) if solve is not None and solve[0] is system
-                                  else _partition(system[1], system[6], self._pads()))  # see _system
-        return made[1]
+        readings = self._readings
+        if readings is None or readings._system is not system:
+            return _partition(system[1], system[6], self._pads())  # see _system
+        if self._parts is None:
+            self._parts = _ended(system, readings._solved, readings._x)
+        return self._parts
 
 
 def _ended(system: tuple, solved: list, x: list) -> tuple:
@@ -997,7 +992,7 @@ class _Readings(Mapping):
     pad is read from its node and a copy of the solve's contacts the first
     time any of them is.  A pad in no part of the solve is idle and reads
     rest, and the closed floating needles of a pad node share one reading.
-    A step's TransientState makes its partition and volts from them too."""
+    A step's TransientState reads its partition and volts from them too."""
 
     __slots__ = ("_system", "_contacts", "_solved", "_x", "_readings", "_whole")
 
@@ -1041,11 +1036,10 @@ class _Readings(Mapping):
         return repr(self._every())
 
     def _state(self, vcc_volts: float, gnd_volts: float) -> TransientState:
-        """The TransientState the solve ends at, holding the solve; its volts
-        are floats already, with nothing to check or copy."""
+        """The TransientState the solve ends at, holding these readings; its
+        volts are floats already, with nothing to check or copy."""
         state = TransientState.__new__(TransientState)
-        state._volts, state._rails, state._parts = None, (vcc_volts, gnd_volts), None
-        state._solve = (self._system, self._solved, self._x)
+        state._volts, state._rails, state._parts, state._readings = None, (vcc_volts, gnd_volts), None, self
         return state
 
 
@@ -1061,9 +1055,9 @@ def step_transient(
     start raises TypeError.
 
     Returns (next_state, SolveResult); next_state is a TransientState that
-    holds the step's solve and makes from it the partition its step ended
-    on when first used as a start, and its pad volts when first read: a
-    state nobody uses costs nothing.  The solve starts from state, rails
+    holds the step's readings and makes from them the partition its step
+    ended on when first used as a start, and its pad volts when first read:
+    a state nobody uses costs nothing.  The solve starts from state, rails
     included (see _solve_network), so a step under a level that moves the
     nodes little takes few law evaluations.  Under constant stimulus the
     state converges to the solve_dc operating point.

@@ -385,12 +385,17 @@ def diagnose_functional_failure(
     probing and leaves the UUT interface as the fault.
 
     The plan's forced_vcit / forced_dummy override the measured outcomes for
-    scripted scenario enumeration; when absent they come from the bench.
+    scripted scenario enumeration; when absent they come from the bench.  A
+    measured battery that runs no check passes, after a vcit-plan-empty
+    warning.
     """
     if plan.forced_vcit is not None:
         vcit_pass = plan.forced_vcit == "pass"
     else:
-        vcit_pass = run_vcit_battery(bench, plan.vcit_plan, pads=plan.failed_pads, port=port).passed
+        battery = run_vcit_battery(bench, plan.vcit_plan, pads=plan.failed_pads, port=port)
+        if battery.detail["empty"]:
+            log.append(VCIT_DIAGNOSIS, "vcit-plan-empty", "warning")
+        vcit_pass = battery.passed
     log.append(VCIT_DIAGNOSIS, "vcit-check", "pass" if vcit_pass else "fail")
     if vcit_pass:
         return Verdict(UUT_FAIL_FUNCTIONAL, evidence=("vcit-pass-on-failed-pads",))

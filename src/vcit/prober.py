@@ -119,10 +119,9 @@ def execute(waveform: StimulusWaveform, limits: ProtectionLimits, bench: Bench) 
     previous sample's is not solved again: a DC solve is a pure function of
     its stimuli, and a trip is recorded at the first sample that clamped, so
     the sample reads exactly as the previous one did.  A capacitive bench
-    steps every sample.
+    steps every sample.  The first solve raises UnknownPad for the first
+    target pad that the bench's model does not have.
     """
-    for pid in waveform.target_pads:
-        bench.uut.pad(pid)  # raises UnknownPad
     transient = any(pc.shunt_capacitance > 0.0 for _, pc in bench.uut.pads)
 
     # A level beyond its own mode's limit is pre-clamped to it.

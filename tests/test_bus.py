@@ -5,12 +5,15 @@ import io
 import socket
 import threading
 import tracemalloc
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from vcit.bus import (
+    ERR_EXECUTION,
     ERR_MALFORMED,
     MAX_LINE_BYTES,
     MAX_WAVEFORM_SAMPLES,
@@ -34,6 +37,7 @@ from vcit.prober import (
     StimulusWaveform,
     execute,
     format_capture,
+    parse_captures,
 )
 
 
@@ -436,8 +440,291 @@ class TestClient:
         replies = [client_call(c, connection) for c in commands]
         assert replies[2].block[-2:] == (f"waveform=1 current {dt} p1", "0.002")
 
+    ROW = b"0.0 0.0 0.0\n"
+
+    def test_read_block_longer_than_its_count_allows(self):
+        # One capture is a header and at most MAX_WAVEFORM_SAMPLES rows: the
+        # client stops one line past that, not at the 200 000th row.
+        rfile = io.BytesIO(b"OK 1\n" + self.ROW * 200_000 + b".\n")
+        most = 1 + MAX_WAVEFORM_SAMPLES
+        with pytest.raises(ProtocolError, match=f"^READ reply block longer than {most} lines$"):
+            client_call(BusCommand("READ"), BusConnection(rfile, io.BytesIO()))
+        assert rfile.tell() == len(b"OK 1\n") + (most + 1) * len(self.ROW)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_longest_read_block_accepted(self, count):
+        samples = (1e-3,) * MAX_WAVEFORM_SAMPLES
+        captures = [CaptureRecord(f"p{i}", 1e-3, samples, samples, samples) for i in range(count)]
+        reply = f"OK {count}\n{''.join(map(format_capture, captures))}.\n".encode("ascii")
+        read = client_call(BusCommand("READ"), BusConnection(io.BytesIO(reply), io.BytesIO()))
+        assert len(read.block) == count * (1 + MAX_WAVEFORM_SAMPLES)
+        assert parse_captures(read.block) == captures
+
+    @pytest.mark.parametrize("payload", [b"", b" 1", b"x", b"-1", b"+1", b"1.0", b"1_0", b"9" * 5000],
+                             ids=["none", "space", "word", "negative", "plus", "float", "underscore",
+                                  "too-many-digits"])
+    def test_read_count_not_decimal(self, payload):
+        reply = b"OK" + (b" " + payload if payload else b"") + b"\n" + self.ROW + b".\n"
+        with pytest.raises(ProtocolError, match="^READ reply count is not a decimal count"):
+            client_call(BusCommand("READ"), BusConnection(io.BytesIO(reply), io.BytesIO()))
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["longest", "one-more"])
+    def test_status_block_bound(self, extra):
+        # Five lines and the staged waveform's samples.
+        lines = 5 + MAX_WAVEFORM_SAMPLES + extra
+        connection = BusConnection(io.BytesIO(b"OK\n" + b"0.002\n" * lines + b".\n"), io.BytesIO())
+        if extra:
+            with pytest.raises(ProtocolError, match=f"^STATUS reply block longer than {lines - 1} lines$"):
+                client_call(BusCommand("STATUS"), connection)
+        else:
+            assert len(client_call(BusCommand("STATUS"), connection).block) == lines
+
 
 def test_command_encoding():
     cmd = BusCommand("WAVEFORM", ("2", "current", "0.001", "p1"), payload=("0.001", "0.002"))
     assert cmd.encode() == b"WAVEFORM 2 current 0.001 p1\n0.001\n0.002\n.\n"
     assert BusCommand("HELLO").encode() == b"HELLO\n"
+
+
+# --- a stateful model of the protocol ------------------------------------------
+
+_MODEL_BENCH = load_default_fixture().bench
+_MODEL_PROBERS = 3
+WORD = st.text("abcxyz019.-_", min_size=1, max_size=6)
+# Mostly no arguments, sometimes stray ones.
+NO_ARGS = st.one_of(st.just([]), st.just([]), st.just([]), st.lists(WORD, min_size=1, max_size=2))
+SELECT_OK = [["0"]] * 4 + [["1"], ["2"], ["+1"]]
+SELECT_MALFORMED = [["x"], ["1.5"], [], ["0", "1"]]
+SELECT_OUT = [["3"], ["-1"], ["99"]]
+DT_OK, DT_BAD = ["0.001", "1e-4", "2.5e-3"], ["0", "-1e-3", "inf", "nan", "fast"]
+SAMPLE_OK = ["0.001", "-0.002", "0", "-0.0", "0.5", "1e-5"]
+SAMPLE_BAD = ["nan", "-inf", "1e-3x"]
+# Sample lines refused as they are read, before any verb is looked at.
+SAMPLE_UNREAD = ["0.0\xb91", "0.00" + "0" * MAX_LINE_BYTES + "2"]
+WAVEFORM_FLAWS = ["mode", "count", "dt", "sample", "unread-sample", "no-samples", "no-pads", "same-pad"]
+LIMIT_OK = [("2.0", "0.05"), ("1.5", "0.01"), ("0.5", "1e-3")]
+LIMIT_BAD = [("2.0",), ("2.0", "0.05", "1"), ("x", "0.05"), ("0", "0.05"), ("2.0", "-1"), ("inf", "0.05"),
+             ("2.0", "nan")]
+# Lines that no verb gets to read, with the code of their one ERR reply.
+GARBAGE = [(b"\n", ERR_MALFORMED), (b"  \t\r\n", ERR_MALFORMED), (b"HELLO \xff\n", ERR_MALFORMED),
+           (b"SELECT 0\xc3\xa9\n", ERR_MALFORMED), (LONG_LINE, ERR_MALFORMED),
+           (b"FROB 1\n", ERR_UNKNOWN_VERB), (b"hello\n", ERR_UNKNOWN_VERB)]
+
+
+class _ModelSlot:
+    """What a prober slot holds, as the reference model keeps it."""
+
+    def __init__(self):
+        self.header = None  # the WAVEFORM arguments, joined by spaces
+        self.samples = ()  # the sample lines as sent
+        self.waveform = None
+        self.limits = None
+        self.armed = False
+        self.captures = None
+
+
+def split_replies(transcript: bytes, verbs: list) -> list:
+    """The transcript cut into one reply per command, given each command's
+    verb: a status line, then for an OK to READ or STATUS its block through
+    ".".  Fails when a command has no reply or a reply is left over."""
+    lines = transcript.splitlines(keepends=True)
+    replies = []
+    for verb in verbs:
+        reply = [lines.pop(0)]
+        if verb in ("READ", "STATUS") and reply[0].startswith(b"OK"):
+            while reply[-1] != b".\n":
+                reply.append(lines.pop(0))
+        replies.append(b"".join(reply))
+    assert not lines
+    return replies
+
+
+def command(verb: str, args) -> bytes:
+    return " ".join([verb, *args]).encode("ascii") + b"\n"
+
+
+class BusProtocolModel(RuleBasedStateMachine):
+    """Builds a command script of the ten verbs, valid and not, and after
+    each command runs the script so far, then STATUS and QUIT, through
+    run_script on a fresh farm.  Every command has exactly one ASCII reply,
+    the earlier replies do not change, each reply and STATUS match a small
+    model of the selected prober's slot, an ERR leaves STATUS byte for byte
+    as it was, and READ reads what an in-process execute of the staged
+    waveform gives."""
+
+    def __init__(self):
+        super().__init__()
+        self.commands = []  # (raw bytes, verb)
+        self.replies = []
+        self.selected = None
+        self.slots = {}
+        self.status = self.expected_status()
+
+    def expected_status(self) -> bytes:
+        if self.selected is None:
+            return b"ERR %d STATUS requires a prior SELECT\n" % ERR_SEQUENCE
+        slot = self.slots[self.selected]
+        lines = [f"selected={self.selected}", f"armed={int(slot.armed)}",
+                 f"captures={0 if slot.captures is None else len(slot.captures)}",
+                 "limits=none" if slot.limits is None
+                 else f"limits={slot.limits.max_abs_voltage!r} {slot.limits.max_abs_current!r}",
+                 "waveform=none" if slot.header is None else f"waveform={slot.header}", *slot.samples]
+        return ("OK\n" + "".join(line + "\n" for line in lines) + ".\n").encode("ascii")
+
+    def gate(self, verb: str, args) -> Optional[int]:
+        """The ERR code a command on the selected slot gets before its own
+        checks, or None."""
+        if self.selected is None:
+            return ERR_SEQUENCE
+        if verb in ("ARM", "TRIG", "READ", "STATUS") and args:
+            return ERR_MALFORMED
+        return None
+
+    def send(self, raw: bytes, verb: str, expected) -> Optional[_ModelSlot]:
+        """Run the script with raw appended.  expected is the reply's bytes
+        when it is an OK, or the code of its ERR.  Returns the model's
+        selected slot after an OK, for the caller to update."""
+        self.commands.append((raw, verb))
+        script = b"".join(r for r, _ in self.commands) + b"STATUS\nQUIT\n"
+        transcript = run_script(ProberFarm(_MODEL_BENCH, _MODEL_PROBERS), script)
+        assert transcript.isascii()
+        *earlier, reply, status, quit_reply = split_replies(
+            transcript, [v for _, v in self.commands] + ["STATUS", "QUIT"])
+        assert earlier == self.replies and quit_reply == b"OK\n"
+        self.replies.append(reply)
+        if isinstance(expected, int):
+            assert reply.startswith(b"ERR %d " % expected) and reply.count(b"\n") == 1, reply[:200]
+            assert status == self.status  # an ERR changes nothing
+            return None
+        assert reply == expected
+        self.status = status
+        return self.slots.get(self.selected)
+
+    @invariant()
+    def status_matches_the_model(self):
+        assert self.status == self.expected_status()
+
+    @initialize(args=st.sampled_from(SELECT_OK + [None]), steps=st.integers(0, 8),
+                pads=st.sampled_from([["p1"], ["p2", "p3"], ["p3", "p1", "p2"]]))
+    def start(self, args, steps, pads):
+        """Most scripts start with a SELECT and the first steps of a run, so
+        that ARM, TRIG and READ have something to act on; the longest go on
+        to a TRIG on a pad the bench does not have."""
+        if args is not None:
+            self.select(args)
+            run = [lambda: self.limits(LIMIT_OK[0]),
+                   lambda: self.waveform("current", DT_OK[0], ["0.001", "0.5", "0.001"], pads, None, None),
+                   lambda: self.arm([]), lambda: self.trig([]), lambda: self.read([]),
+                   lambda: self.waveform("voltage", DT_OK[1], ["0.5"], ["p2", "ghost"], None, None),
+                   lambda: self.arm([]), lambda: self.trig([])]
+            for step in run[:steps]:
+                step()
+
+    @rule(verb=st.sampled_from(["HELLO", "LIST"]), args=st.lists(WORD, max_size=2))
+    def hello_or_list(self, verb, args):
+        # Neither reads its arguments.
+        reply = PROTOCOL_VERSION if verb == "HELLO" else _MODEL_PROBERS
+        self.send(command(verb, args), verb, f"OK {reply}\n".encode())
+
+    @rule(args=st.sampled_from(SELECT_OK + SELECT_MALFORMED + SELECT_OUT))
+    def select(self, args):
+        if args in SELECT_MALFORMED:
+            self.send(command("SELECT", args), "SELECT", ERR_MALFORMED)
+        elif args in SELECT_OUT:
+            self.send(command("SELECT", args), "SELECT", ERR_OUT_OF_RANGE)
+        else:
+            self.send(command("SELECT", args), "SELECT", b"OK\n")
+            self.selected = int(args[0])
+            self.slots.setdefault(self.selected, _ModelSlot())
+
+    @rule(mode=st.sampled_from(["current", "voltage"]), dt=st.sampled_from(DT_OK),
+          samples=st.lists(st.sampled_from(SAMPLE_OK), min_size=1, max_size=4),
+          pads=st.lists(st.sampled_from(["p1", "p2", "p3"] * 3 + ["ghost"]), min_size=1, max_size=3,
+                        unique=True),
+          flaw=st.sampled_from([None] * len(WAVEFORM_FLAWS) + WAVEFORM_FLAWS), data=st.data())
+    def waveform(self, mode, dt, samples, pads, flaw, data):
+        """A valid upload, or one with a single flaw."""
+        count = len(samples)
+        if flaw == "mode":
+            mode = "sideways"
+        elif flaw == "count":
+            count += data.draw(st.sampled_from([1, -1]))
+        elif flaw == "dt":
+            dt = data.draw(st.sampled_from(DT_BAD))
+        elif flaw in ("sample", "unread-sample"):
+            samples[data.draw(st.integers(0, count - 1))] = data.draw(
+                st.sampled_from(SAMPLE_BAD if flaw == "sample" else SAMPLE_UNREAD))
+        elif flaw == "no-samples":
+            samples, count = [], 0
+        elif flaw == "no-pads":
+            pads = []
+        elif flaw == "same-pad":
+            pads = [*pads, pads[0]]
+        args = [str(count), mode, dt, *pads]
+        raw = command("WAVEFORM", args) + "".join(s + "\n" for s in samples).encode("latin-1") + b".\n"
+        code = ERR_MALFORMED if flaw == "unread-sample" else self.gate("WAVEFORM", args)
+        if code is None and flaw is not None:
+            code = ERR_MALFORMED
+        slot = self.send(raw, "WAVEFORM", b"OK\n" if code is None else code)
+        if slot is not None:
+            slot.header, slot.samples, slot.armed = " ".join(args), tuple(samples), False
+            slot.waveform = StimulusWaveform(mode, tuple(map(float, samples)), float(dt), tuple(pads))
+
+    @rule(args=st.sampled_from(LIMIT_OK * 3 + LIMIT_BAD))
+    def limits(self, args):
+        code = self.gate("LIMITS", args)
+        if code is None and args not in LIMIT_OK:
+            code = ERR_MALFORMED
+        slot = self.send(command("LIMITS", args), "LIMITS", b"OK\n" if code is None else code)
+        if slot is not None:
+            slot.limits, slot.armed = ProtectionLimits(*map(float, args)), False
+
+    @rule(args=NO_ARGS)
+    def arm(self, args):
+        code = self.gate("ARM", args)
+        if code is None and None in (self.slots[self.selected].waveform, self.slots[self.selected].limits):
+            code = ERR_SEQUENCE
+        slot = self.send(command("ARM", args), "ARM", b"OK\n" if code is None else code)
+        if slot is not None:
+            slot.armed = True
+
+    @rule(args=NO_ARGS)
+    def trig(self, args):
+        code = self.gate("TRIG", args)
+        if code is None and not self.slots[self.selected].armed:
+            code = ERR_SEQUENCE
+        if code is None and "ghost" in self.slots[self.selected].waveform.target_pads:
+            code = ERR_EXECUTION
+        if code is not None:
+            self.send(command("TRIG", args), "TRIG", code)
+            return
+        slot = self.slots[self.selected]
+        captures = execute(slot.waveform, slot.limits, _MODEL_BENCH)
+        self.send(command("TRIG", args), "TRIG", f"OK {len(captures)}\n".encode())
+        slot.captures, slot.armed = captures, False
+
+    @rule(args=NO_ARGS)
+    def read(self, args):
+        code = self.gate("READ", args)
+        if code is None and self.slots[self.selected].captures is None:
+            code = ERR_SEQUENCE
+        if code is not None:
+            self.send(command("READ", args), "READ", code)
+            return
+        captures = self.slots[self.selected].captures
+        expected = f"OK {len(captures)}\n{''.join(map(format_capture, captures))}.\n".encode()
+        self.send(command("READ", args), "READ", expected)
+
+    @rule(args=NO_ARGS)
+    def status(self, args):
+        code = self.gate("STATUS", args)
+        self.send(command("STATUS", args), "STATUS", self.expected_status() if code is None else code)
+
+    @rule(line=st.sampled_from(GARBAGE))
+    def garbage(self, line):
+        raw, code = line
+        self.send(raw, "", code)
+
+
+BusProtocolModel.TestCase.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
+TestBusProtocolModel = BusProtocolModel.TestCase

@@ -545,6 +545,19 @@ class TestSolveDc:
         with pytest.raises(UnknownPad):
             solve_dc(uut, {}, {"nope": Stimulus("current", 1e-3)})
 
+    def test_pad_ids_must_be_unique(self):
+        with pytest.raises(ValueError, match="^pad ids must be unique$"):
+            UutModel(pads=(("p1", diode_pad()), ("p2", PadCircuit(OpenPad())), ("p1", PadCircuit(OpenPad()))))
+
+    def test_pad_reads_each_pads_circuit(self):
+        d = DiodeModel(1e-14)
+        pads = (("b", PadCircuit(EsdPair(d, d))), ("a", PadCircuit(EsdPair(d, d), 1e-9)),
+                ("c", PadCircuit(OpenPad())), ("d", PadCircuit(EsdPair(d, d))))
+        uut = UutModel(pads)
+        assert all(uut.pad(pid) is pc for pid, pc in pads)
+        with pytest.raises(UnknownPad, match="^no such pad: 'e'$"):
+            uut.pad("e")
+
     @pytest.mark.parametrize("dt", [1e-3, 5e-324], ids=["dt", "overflowing-dt"])
     @pytest.mark.parametrize("carried", [False, True], ids=["from-rest", "carried"])
     def test_unknown_pad_in_a_step(self, carried, dt):
@@ -1622,6 +1635,22 @@ class TestStateWhenRead:
         assert runs["before"][0] == runs["after"][0] == runs["never"][0]
         assert runs["before"][1] == runs["after"][1]
         assert all(equal and mirrored for _, _, equal, mirrored in runs["before"][1])
+
+    @given(stepped_boards())
+    @settings(max_examples=100, deadline=None)
+    def test_a_state_reads_its_results_pad_volts(self, board):
+        # Compared by repr, so that the sign of a zero counts.  The left
+        # side is read first: the state before the result's pads on odd
+        # steps, after them on even ones.
+        uut, contacts, state, steps = board
+        for k, (stimuli, dt) in enumerate(steps):
+            state, result, _ = step_outcome(uut, contacts, stimuli, state, dt)
+            if state is None:
+                return
+            if k % 2:
+                assert repr(dict(state)) == repr({pid: r.pad_volts for pid, r in result.pads.items()})
+            else:
+                assert repr({pid: r.pad_volts for pid, r in result.pads.items()}) == repr(dict(state))
 
     def test_threads_reading_one_fresh_state_read_equal_volts(self):
         # Four threads at once read each of 20 fresh states of a 300-pad

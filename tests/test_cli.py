@@ -59,6 +59,19 @@ class TestSession:
         script = write(tmp_path, "s", "functional: fail\nfailed-pads: p1\nforce-vcit: pass\n")
         assert main(["session", "--script", script]) == 2
 
+    def test_functional_failure_without_failed_pads_warns(self, tmp_path, capsys):
+        # No failed pad, so the diagnosis battery runs no check: it passes,
+        # after a warning that says so.
+        script = write(tmp_path, "s", "functional: fail\n")
+        log = tmp_path / "session.log"
+        assert main(["session", "--script", script, "--log", str(log)]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: uut-fail-functional" in out and "evidence: vcit-pass-on-failed-pads" in out
+        events = [SessionEvent.from_json(ln) for ln in log.read_text().splitlines()]
+        diagnosis = [(e.action, e.outcome) for e in events if e.phase == "VcitDiagnosis"]
+        assert diagnosis == [("vcit-plan-empty", "warning"), ("vcit-check", "pass")]
+        assert replay_verdict(events) == "uut-fail-functional"
+
     def test_interface_failure_exit_3(self, tmp_path):
         script = write(
             tmp_path, "s", "functional: fail\nfailed-pads: p1\nneedles: fresh\nforce-vcit: fail\n"

@@ -297,6 +297,25 @@ class TestDiagnosisBranches:
         assert "operator-aborted" in verdict.evidence
         assert replay_verdict(events) == FIXTURE_FAULT
 
+    @pytest.mark.parametrize("failed_pads, checked", [((), False), (("p1",), False), (("p2",), True)],
+                             ids=["no-failed-pads", "unchecked-pad", "checked-pad"])
+    def test_a_battery_that_runs_no_check_warns(self, fixture, failed_pads, checked):
+        # The one check left watches p2, so a failure on p1 alone runs none.
+        plan = SessionPlan(vcit_plan=replace(fixture.vcit_plan, checks=fixture.vcit_plan.checks[2:3]),
+                           needle_log=STALE, dummy=fixture.dummy, functional_outcome="fail",
+                           failed_pads=failed_pads)
+        verdict, events = run_session(plan, fixture.bench, ScriptedOperator())
+        assert verdict.kind == UUT_FAIL_FUNCTIONAL and replay_verdict(events) == UUT_FAIL_FUNCTIONAL
+        actions = [(e.phase, e.action, e.outcome) for e in events if e.phase == "VcitDiagnosis"]
+        warned = [("VcitDiagnosis", "vcit-plan-empty", "warning")]
+        assert actions == ([] if checked else warned) + [("VcitDiagnosis", "vcit-check", "pass")]
+
+    def test_a_forced_outcome_runs_no_battery_and_does_not_warn(self, fixture):
+        plan = replace(forced_plan(fixture, vcit="pass", needles="stale", dummy=None),
+                       vcit_plan=VcitPlan(checks=()))
+        _, events = run_session(plan, fixture.bench, ScriptedOperator())
+        assert [e.action for e in events].count("vcit-plan-empty") == 0
+
     def test_measured_branches_without_forcing(self, fixture):
         # worn bench: setup would fail, so diagnose directly
         log = EventLog()

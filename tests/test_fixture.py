@@ -138,6 +138,13 @@ class TestValidation:
         with pytest.raises(FixtureError):
             load_fixture(json.dumps({"pads": [{"kind": "open"}]}))
 
+    def test_pad_ids_must_be_unique(self):
+        doc = default_doc()
+        doc["pads"].append(dict(doc["pads"][0]))
+        assert [pad["id"] for pad in doc["pads"]] == ["p1", "p2", "p3", "p1"]
+        with pytest.raises(FixtureError, match="^fixture: bad UUT: pad ids must be unique$"):
+            load_fixture(json.dumps(doc))
+
     def test_contact_for_unknown_pad(self):
         doc = default_doc()
         doc["contacts"]["ghost"] = {"resistance": 0.1}

@@ -124,9 +124,14 @@ class TestExecute:
         captures = execute(waveform, LIMITS, bench)
         assert [c.pad_id for c in captures] == ["a", "b"]
 
-    def test_unknown_pad(self):
-        with pytest.raises(UnknownPad):
-            execute(StimulusWaveform("current", (1e-3,), 1e-3, ("nope",)), LIMITS, diode_bench())
+    @pytest.mark.parametrize("capacitance, targets", [(0.0, ("nope",)), (1e-9, ("nope",)),
+                                                      (0.0, ("p1", "nope", "gone"))],
+                             ids=["dc", "capacitive", "second-target"])
+    def test_unknown_pad(self, capacitance, targets):
+        # The first solve refuses the first target the model does not have.
+        uut = UutModel(pads=(("p1", PadCircuit(SeriesDiode(DiodeModel(1e-14)), capacitance)),))
+        with pytest.raises(UnknownPad, match="^no such pad: 'nope'$"):
+            execute(StimulusWaveform("current", (1e-3, 2e-3), 1e-3, targets), LIMITS, Bench(uut))
 
     @pytest.mark.parametrize("ohms", [-1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", [Stimulus, StimulusWaveform])
