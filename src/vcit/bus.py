@@ -27,6 +27,7 @@ from .prober import (
     MAX_WAVEFORM_SAMPLES,
     ProtectionLimits,
     StimulusWaveform,
+    _read_number,
     execute,
     format_capture,
     parse_captures,
@@ -138,7 +139,7 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
         if len(args) != 1:
             return _err(ERR_MALFORMED, "SELECT takes one index")
         try:
-            index = int(args[0])
+            index = _read_number(args[0], int)
         except ValueError:
             return _err(ERR_MALFORMED, f"bad index {args[0]!r}")
         if not 0 <= index < farm.count:
@@ -158,17 +159,17 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
         if len(args) < 4:
             return _err(ERR_MALFORMED, "WAVEFORM takes: count mode dt pads...")
         try:
-            count = int(args[0])
+            count = _read_number(args[0], int)
         except ValueError:
             return _err(ERR_MALFORMED, f"bad WAVEFORM count {args[0]!r}")
         if count != len(payload):
             return _err(ERR_MALFORMED, f"declared {count} samples, got {len(payload)}")
         try:
-            dt = float(args[2])
+            dt = _read_number(args[2])
         except ValueError:
             return _err(ERR_MALFORMED, f"bad waveform dt: {args[2]!r}")
         try:
-            samples = tuple(float(s) for s in payload)
+            samples = tuple(_read_number(s.strip()) for s in payload)
         except ValueError as exc:
             return _err(ERR_MALFORMED, f"bad waveform sample: {exc}")
         try:
@@ -185,7 +186,7 @@ def _handle(farm: ProberFarm, session: _Session, verb: str, args: list, payload)
         if len(args) != 2:
             return _err(ERR_MALFORMED, "LIMITS takes: max_abs_voltage max_abs_current")
         try:
-            limits = ProtectionLimits(float(args[0]), float(args[1]))
+            limits = ProtectionLimits(_read_number(args[0]), _read_number(args[1]))
         except ValueError as exc:
             return _err(ERR_MALFORMED, str(exc))
         slot.limits = limits
@@ -369,7 +370,7 @@ def client_call(command: BusCommand, connection: BusConnection) -> BusReply:
     if status.startswith("ERR "):
         parts = status.split(" ", 2)
         try:
-            code = int(parts[1])
+            code = _read_number(parts[1], int)
         except (IndexError, ValueError):
             raise ProtocolError(f"unparseable reply: {status!r}") from None
         raise BusError(code, parts[2] if len(parts) > 2 else "")
@@ -393,16 +394,14 @@ def _most_block_lines(verb: str, payload: str) -> int:
     """The most lines of a valid READ or STATUS reply block.  A READ's
     payload counts its captures, each a header and at most
     MAX_WAVEFORM_SAMPLES rows; a STATUS block is five lines and the staged
-    waveform's samples.  ProtocolError when a READ's payload is not a
-    decimal count."""
+    waveform's samples.  ProtocolError when a READ's payload is not an
+    unsigned count of the number grammar."""
     if verb == "STATUS":
         return 5 + MAX_WAVEFORM_SAMPLES
     try:
-        if payload.isdecimal():
-            return int(payload) * (1 + MAX_WAVEFORM_SAMPLES)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ProtocolError(f"READ reply count is not a decimal count: {payload!r}")
+        return _read_number(payload, int, signed=False) * (1 + MAX_WAVEFORM_SAMPLES)
+    except ValueError:
+        raise ProtocolError(f"READ reply count is not a decimal count: {payload!r}") from None
 
 
 class RemoteProber:

@@ -861,14 +861,24 @@ def solve_dc(
     uut: UutModel,
     contacts: Mapping[str, ContactState],
     stimuli: Mapping[str, Stimulus],
+    *,
+    start: Optional[TransientState] = None,
 ) -> SolveResult:
     """DC operating point of the probed UUT under the given stimuli.
+
+    The Newton solve starts from start, a TransientState, rails included,
+    or from rest when it is None; any other start raises TypeError.  A
+    solve from a start neither reads nor fills the model's memo (see
+    _solve_network), and its readings may differ from those of the solve
+    from rest by what the solver's tolerances allow.
 
     KCL holds at every node with residual < 1e-9 A.  Raises NonConvergence
     (with the final residual, or at once with the first non-finite one) or
     UnknownPad.
     """
-    return _solve_network(uut, contacts, stimuli)
+    if not (start is None or isinstance(start, TransientState)):
+        raise TypeError(f"start must be a TransientState or None, got {type(start).__name__}")
+    return _solve_network(uut, contacts, stimuli, state=start)
 
 
 def solve_rail_sense(

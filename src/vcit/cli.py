@@ -42,7 +42,7 @@ from .executive import (
     run_session,
 )
 from .fixture import default_fixture_path, load_fixture
-from .prober import StimulusWaveform, execute
+from .prober import StimulusWaveform, _read_number, execute
 
 BUS_ENV_VAR = "VCIT_BUS"
 
@@ -149,14 +149,23 @@ def cmd_selftest(args) -> int:
 
 def _number(text: str) -> float:
     try:
-        return float(text)
+        return _read_number(text)
     except ValueError:
         raise VcitError(f"bad number: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """An int option's value; ValueError, which argparse reports, outside
+    the number grammar."""
+    return _read_number(text, int)
+
+
+_integer.__name__ = "int"  # argparse names the type in its error: "invalid int value"
+
+
 def _csv_floats(text: str):
     try:
-        values = tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(_read_number(v.strip()) for v in text.split(",") if v.strip())
     except ValueError:
         raise VcitError(f"bad number list: {text!r}") from None
     if not all(map(math.isfinite, values)):
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("session", help="run a full test session")
     common(p)
     p.add_argument("--log", help="session log output path")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="session label written to the log; feeds no computation")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--script", help="scenario script with operator responses")
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="serve the prober farm on the bus")
     common(p)
-    p.add_argument("--probers", type=int, default=3, help="farm size")
+    p.add_argument("--probers", type=_integer, default=3, help="farm size")
     p.set_defaults(func=cmd_serve)
 
     return parser

@@ -20,16 +20,18 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Protocol, Sequence, Union
 
 from .circuit import (
+    GOOD_CONTACT,
     Bench,
     ContactState,
     Stimulus,
+    TransientState,
     UutModel,
     solve_dc,
     solve_rail_sense,
 )
 from .checks import VcitVerdict, closed_window, single_level_test
 from .errors import FixtureError, NonConvergence, OperatorAborted
-from .prober import MAX_WAVEFORM_SAMPLES, ProtectionLimits, StimulusWaveform, execute
+from .prober import MAX_WAVEFORM_SAMPLES, ProtectionLimits, StimulusWaveform, _read_number, execute
 
 # Phases
 IDLE = "Idle"
@@ -298,7 +300,8 @@ class DummyUutSpec:
     a supply-sense reading inside its band.  Consistency of the bands with
     the reference circuits is checked at construction, against fresh
     contacts, so a bad dummy description fails at load rather than in the
-    middle of a maintenance scenario.
+    middle of a maintenance scenario.  Each pad's fresh-contact solve also
+    leaves the state that its later band tests start from.
     """
 
     uut: UutModel
@@ -306,6 +309,9 @@ class DummyUutSpec:
     drive_volts: float = 3.3
     drive_ohms: float = 500.0
     fresh_contact_ohms: float = 0.1
+    # pad id -> the TransientState its fresh-contact band test ends at, built
+    # once from the fields; not compared, hashed or shown
+    _starts: Mapping[str, TransientState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.uut.pads:
@@ -317,10 +323,12 @@ class DummyUutSpec:
                 closed_window(self.bands[pid], f"dummy pad {pid!r} band")
             except ValueError as exc:
                 raise FixtureError(str(exc)) from None
+        object.__setattr__(self, "_starts", {})  # so the fresh-contact solves start from rest
         fresh = {pid: ContactState(self.fresh_contact_ohms) for pid, _ in self.uut.pads}
+        starts = {}
         for pid, _ in self.uut.pads:
             try:
-                pad = self.band_test(pid, fresh)
+                pad, result = self._band_test(pid, fresh)
             except NonConvergence as exc:
                 raise FixtureError(f"dummy pad {pid!r}: fresh-contact reading: {exc}") from None
             if not pad["passed"]:
@@ -329,20 +337,34 @@ class DummyUutSpec:
                     f"dummy pad {pid!r}: fresh-contact reading {pad['reading']:.6g} V "
                     f"outside its band [{lo:g}, {hi:g}]"
                 )
+            starts[pid] = TransientState({p: r.pad_volts for p, r in result.pads.items()},
+                                         result.vcc_volts, result.gnd_volts)
+        object.__setattr__(self, "_starts", starts)
 
     def band_test(self, pad_id: str, contacts: Mapping[str, ContactState]) -> dict:
         """pad_id's supply-sense reading on contacts against its band: the
-        pad_id, reading, window and passed of one pad of the self test."""
+        pad_id, reading, window and passed of one pad of the self test.
+
+        Behind a closed needle the solve starts from the state that pad_id's
+        fresh-contact band test ends at, a function of the dummy alone; on
+        fresh contacts it reads what the solve from rest reads, bit for bit.
+        Behind an open needle it solves from rest and reads 0.0."""
+        return self._band_test(pad_id, contacts)[0]
+
+    def _band_test(self, pad_id: str, contacts: Mapping[str, ContactState]) -> tuple:
+        """(band_test's dict, the SolveResult it reads)."""
+        start = None if contacts.get(pad_id, GOOD_CONTACT).is_open else self._starts.get(pad_id)
         result = solve_dc(
             self.uut,
             contacts,
             {pad_id: Stimulus("voltage", self.drive_volts, self.drive_ohms)},
+            start=start,
         )
         rail = result.vcc_volts if "VCC" in self.uut.pad(pad_id).rails() else result.gnd_volts
         reading = rail + 0.0  # a rail at -0.0 reads 0.0
         lo, hi = self.bands[pad_id]
         return {"pad_id": pad_id, "reading": reading, "window": (lo, hi),
-                "passed": lo <= reading <= hi}
+                "passed": lo <= reading <= hi}, result
 
 
 def dummy_self_test(dummy: DummyUutSpec, bench_contacts: Mapping[str, ContactState]) -> VcitVerdict:
@@ -531,7 +553,7 @@ def _one_of(*choices):
 
 def _seed(key, value):
     try:
-        return int(value)
+        return _read_number(value, int)
     except ValueError:
         raise FixtureError(f"bad seed: {value!r}") from None
 

@@ -10,6 +10,7 @@ the limit) and keeps capturing in clamped mode.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +20,27 @@ from .errors import NonConvergence, ProtocolError, SimulationFailure
 # The most samples a waveform from outside the program may hold: a bus
 # WAVEFORM block or a fixture's single-level check.
 MAX_WAVEFORM_SAMPLES = 4096
+
+# The one grammar of a number in text, at every boundary that reads one: an
+# optional sign and ASCII digits; a float may add a fraction ("1.5", "1.",
+# or ".5" alone) and an exponent with an optional sign.  It has no "_", no
+# other digits and no whitespace, and it reads every finite float's repr and
+# every str of an int.  "inf" and "nan" are not in it; an exponent past the
+# float range reads as inf, which each caller refuses as it did before.
+_GRAMMAR = {
+    (int, True): re.compile(r"[+-]?[0-9]+"),
+    (int, False): re.compile(r"[0-9]+"),
+    (float, True): re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+}
+
+
+def _read_number(text: str, kind: type = float, signed: bool = True):
+    """text as a kind, int or float, when it is in the number grammar, with
+    no sign when not signed; ValueError when it is not, or when int()
+    refuses its length.  Each caller raises its own VcitError."""
+    if _GRAMMAR[kind, signed].fullmatch(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,9 +243,9 @@ def parse_captures(lines) -> list:
             raise ProtocolError(f"bad capture header: {line!r}")
         _, pad_id, dt_s, n_s, trip_flag, trip_s = head
         try:
-            dt = float(dt_s)
-            n = int(n_s)
-            trip_index = None if trip_s == "-" else int(trip_s)
+            dt = _read_number(dt_s)
+            n = _read_number(n_s, int)
+            trip_index = None if trip_s == "-" else _read_number(trip_s, int)
         except ValueError:
             raise ProtocolError(f"bad capture header: {line!r}") from None
         if (
@@ -240,7 +262,7 @@ def parse_captures(lines) -> list:
         values = []
         for ln in rows:
             try:
-                row = tuple(float(p) for p in ln.split())
+                row = tuple(_read_number(p) for p in ln.split())
             except ValueError:
                 raise ProtocolError(f"bad capture row: {ln!r}") from None
             if len(row) != 3 or not all(math.isfinite(x) for x in row):

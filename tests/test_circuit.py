@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from vcit.circuit import (
     DC_MEMO_SIZE,
     GOOD_CONTACT,
+    KCL_TOLERANCE_AMPS,
+    RELATIVE_TOLERANCE,
+    VOLTS_TOLERANCE,
     Bench,
     ContactState,
     DiodeModel,
@@ -25,6 +28,7 @@ from vcit.circuit import (
     PadReading,
     Resistive,
     SeriesDiode,
+    SolveResult,
     Stimulus,
     TransientState,
     UutModel,
@@ -1919,6 +1923,67 @@ class TestDcMemo:
             assert all(text == serial[k] for k, text in out)
         # A store that races another may go one past the bound, never more.
         assert len(memo_of(uut)) < DC_MEMO_SIZE + len(threads)
+
+
+def end_state(result):
+    """The TransientState a DC solve ends at, built by hand."""
+    return TransientState({pid: r.pad_volts for pid, r in result.pads.items()},
+                          result.vcc_volts, result.gnd_volts)
+
+
+class TestDcStart:
+    """solve_dc(start=state) starts the Newton solve from state, rails
+    included, and neither reads nor fills the memo."""
+
+    @pytest.mark.parametrize("start", [{}, {"p1": 0.0}, 0.0, "rest", SolveResult({}, 0.0, 0.0, 0, 0.0)],
+                             ids=["dict", "mapping", "float", "str", "result"])
+    def test_a_start_that_is_not_a_state_is_refused(self, start):
+        uut = esd_uut()
+        with pytest.raises(TypeError, match="^start must be a TransientState or None, got "):
+            solve_dc(uut, {}, {"p1": Stimulus("current", 1e-3)}, start=start)
+        assert memo_of(uut) == {}
+
+    def test_start_is_keyword_only(self):
+        state = end_state(solve_dc(esd_uut(), {}, {"p1": Stimulus("current", 1e-3)}))
+        with pytest.raises(TypeError):
+            solve_dc(esd_uut(), {}, {"p1": Stimulus("current", 1e-3)}, state)
+
+    @given(memo_benches())
+    @settings(max_examples=150, deadline=None)
+    def test_start_none_is_the_solve_from_rest(self, bench):
+        uut, stimuli, contacts, _ = bench
+        assert outcome(lambda: solve_dc(uut, contacts, stimuli, start=None)) == outcome(
+            lambda: solve_dc(replace(uut), contacts, stimuli))
+
+    @given(memo_benches())
+    @settings(max_examples=150, deadline=None)
+    def test_a_solve_started_at_its_own_end_reads_it_bit_for_bit(self, bench):
+        # Every node starts settled, so no step moves it; the started solve
+        # leaves the memo as it found it.
+        uut, stimuli, contacts, other = bench
+        try:
+            rest = solve_dc(uut, contacts, stimuli)
+        except NonConvergence:
+            return
+        kept = list(memo_of(uut).items())
+        started = solve_dc(uut, contacts, stimuli, start=end_state(rest))
+        assert repr((dict(started.pads), started.vcc_volts, started.gnd_volts)) == repr(
+            (dict(rest.pads), rest.vcc_volts, rest.gnd_volts))
+        outcome(lambda: solve_dc(uut, other, stimuli, start=end_state(rest)))
+        assert list(memo_of(uut).items()) == kept
+
+    def test_a_started_solve_calls_the_law_again_and_keeps_nothing(self, monkeypatch):
+        uut = esd_uut()
+        stimuli = {"p1": Stimulus("voltage", 3.3, 500.0)}
+        state = end_state(solve_dc(uut, {}, stimuli))
+        kept = list(memo_of(uut).items())
+        calls = law_calls(monkeypatch)
+        worn = {"p1": ContactState(100.0)}
+        started = solve_dc(uut, worn, stimuli, start=state)
+        assert calls and list(memo_of(uut).items()) == kept
+        rest = solve_dc(replace(uut), worn, stimuli)
+        assert abs(started.vcc_volts - rest.vcc_volts) <= 2.0 * (
+            VOLTS_TOLERANCE + RELATIVE_TOLERANCE * abs(rest.vcc_volts) + KCL_TOLERANCE_AMPS * 25.0)
 
 
 class TestPoweredConsumption:

@@ -4,13 +4,29 @@ functional-failure diagnosis branches, and log replay."""
 import itertools
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcit.circuit import Bench, ContactState, DiodeModel, EsdPair, PadCircuit, Stimulus, UutModel, solve_dc
+from vcit.circuit import (
+    KCL_TOLERANCE_AMPS,
+    RELATIVE_TOLERANCE,
+    VOLTS_TOLERANCE,
+    Bench,
+    ContactState,
+    DiodeModel,
+    EsdPair,
+    PadCircuit,
+    Resistive,
+    SeriesDiode,
+    Stimulus,
+    UutModel,
+    solve_dc,
+)
 from vcit.errors import FixtureError, OperatorAborted, UnknownPad
 from vcit.executive import (
     AWAIT_DUMMY_MOUNT,
@@ -224,8 +240,147 @@ class TestDummyUut:
             assert (lo, hi) == fixture.dummy.bands[p["pad_id"]]
             assert p["passed"] == (lo <= p["reading"] <= hi)
             drive = Stimulus("voltage", fixture.dummy.drive_volts, fixture.dummy.drive_ohms)
-            result = solve_dc(fixture.dummy.uut, contacts, {p["pad_id"]: drive})
-            assert p["reading"] == result.vcc_volts  # each shipped dummy pad senses VCC
+            start = fixture.dummy._starts[p["pad_id"]]
+            started = solve_dc(fixture.dummy.uut, contacts, {p["pad_id"]: drive}, start=start)
+            assert p["reading"] == started.vcc_volts  # each shipped dummy pad senses VCC
+            rest = from_rest(fixture.dummy, p["pad_id"], contacts)
+            assert abs(p["reading"] - rest) <= band_bound(fixture.dummy, p["pad_id"], rest)
+
+
+def from_rest(dummy, pad_id, contacts):
+    """pad_id's band reading as a DC solve from rest on a fresh copy of the
+    dummy's model reads it."""
+    drive = Stimulus("voltage", dummy.drive_volts, dummy.drive_ohms)
+    result = solve_dc(replace(dummy.uut), contacts, {pad_id: drive})
+    rail = result.vcc_volts if "VCC" in dummy.uut.pad(pad_id).rails() else result.gnd_volts
+    return rail + 0.0
+
+
+def band_bound(dummy, pad_id, v):
+    """How far a band test may read from the solve from rest that reads v:
+    twice what the solver's tolerances let one solve's sensed rail stray,
+    its volts bound and its KCL bound through the rail's path."""
+    uut = dummy.uut
+    ohms = uut.vcc_path_ohms if "VCC" in uut.pad(pad_id).rails() else uut.gnd_path_ohms
+    return 2.0 * (VOLTS_TOLERANCE + RELATIVE_TOLERANCE * abs(v) + KCL_TOLERANCE_AMPS * ohms)
+
+
+# A needle from 0 Ohm to 10 kOhm, or open.
+NEEDLES = st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.sampled_from([0.1, 2e6]))
+
+
+@st.composite
+def dummies(draw):
+    """A random dummy of one to three pads (ESD pairs, series diodes either
+    way and resistors) on random rail paths and drives, each band drawn
+    around its pad's fresh-contact reading."""
+    pads = []
+    for i in range(draw(st.integers(1, 3))):
+        d = DiodeModel(draw(st.floats(1e-15, 1e-12)), draw(st.floats(1.0, 2.0)))
+        kind = draw(st.sampled_from([EsdPair(d, d), EsdPair(d, d), SeriesDiode(d), SeriesDiode(d, -1),
+                                     Resistive(draw(st.floats(10.0, 1e4)))]))
+        pads.append((f"p{i}", PadCircuit(kind)))
+    uut = UutModel(tuple(pads), vcc_path_ohms=draw(st.floats(1.0, 100.0)),
+                   gnd_path_ohms=draw(st.sampled_from([0.0, 5.0, 50.0])))
+    spec = DummyUutSpec(uut, {pid: (-10.0, 10.0) for pid, _ in pads},
+                        drive_volts=draw(st.floats(0.5, 5.0)), drive_ohms=draw(st.floats(50.0, 2000.0)),
+                        fresh_contact_ohms=draw(st.sampled_from([0.0, 0.1, 1.0])))
+    fresh = {pid: ContactState(spec.fresh_contact_ohms) for pid, _ in pads}
+    bands = {}
+    for pid, _ in pads:
+        v = spec.band_test(pid, fresh)["reading"]
+        width = draw(st.floats(0.01, 0.9)) * abs(v) + 1e-6
+        bands[pid] = (v - width, v + draw(st.floats(0.01, 0.9)) * abs(v) + 1e-6)
+    return replace(spec, bands=bands)
+
+
+class TestBandTestStart:
+    """Behind a closed needle a band test starts from the state its pad's
+    fresh-contact band test ends at; behind an open one, from rest.  Its
+    reading is a function of its inputs and the dummy alone."""
+
+    @given(dummies(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_band_test_reads_within_the_solver_bound_of_the_solve_from_rest(self, dummy, data):
+        for pid, _ in dummy.uut.pads:
+            contacts = {p: ContactState(data.draw(NEEDLES)) for p, _ in dummy.uut.pads}
+            pad = dummy.band_test(pid, contacts)
+            rest = from_rest(dummy, pid, contacts)
+            bound = band_bound(dummy, pid, rest)
+            assert abs(pad["reading"] - rest) <= bound
+            lo, hi = dummy.bands[pid]
+            if min(abs(rest - lo), abs(rest - hi)) > bound:
+                assert pad["passed"] == (lo <= rest <= hi)
+
+    def test_open_and_fresh_needles_read_as_from_rest(self, fixture):
+        dummy = fixture.dummy
+        fresh = {pid: ContactState(dummy.fresh_contact_ohms) for pid, _ in dummy.uut.pads}
+        for pid, _ in dummy.uut.pads:
+            assert repr(dummy.band_test(pid, fresh)["reading"]) == repr(from_rest(dummy, pid, fresh))
+            memo = dummy.uut._system[-1]
+            memo.clear()
+            opened = dict(fresh, **{pid: ContactState(2e6)})
+            assert repr(dummy.band_test(pid, opened)["reading"]) == "0.0"
+            assert len(memo) == 1  # solved from rest, and kept
+            assert repr(dummy.band_test(pid, opened)) == repr(dummy.band_test(pid, opened))
+
+    def test_a_reading_does_not_depend_on_the_solve_history(self, fixture):
+        dummy = fixture.dummy
+        worn = {"p1": ContactState(40.0), "p2": ContactState(300.0), "p3": ContactState(2e6)}
+        first = repr(dummy_self_test(dummy, worn))
+        memo = dummy.uut._system[-1]
+        for k in range(20):  # fill the memo past its bound, then clear it
+            solve_dc(dummy.uut, {}, {"p1": Stimulus("current", 1e-4 * (k + 1))})
+        assert repr(dummy_self_test(dummy, worn)) == first
+        memo.clear()
+        assert repr(dummy_self_test(dummy, worn)) == first
+        for ohms in (0.0, 7.0, 900.0, 2e6):
+            dummy_self_test(dummy, {pid: ContactState(ohms) for pid in worn})
+        assert repr(dummy_self_test(dummy, worn)) == first
+        again = replace(dummy)
+        assert again == dummy and repr(again) == repr(dummy) and again._starts is not dummy._starts
+        assert again._starts == dummy._starts
+        assert repr(dummy_self_test(again, worn)) == first
+        assert repr(dummy_self_test(replace(dummy, uut=replace(dummy.uut)), worn)) == first
+
+    def test_threads_read_as_one_thread(self, fixture):
+        dummy = fixture.dummy
+        needles = [{pid: ContactState(ohms * (k + 1)) for k, pid in enumerate(("p1", "p2", "p3"))}
+                   for ohms in (0.0, 0.1, 3.0, 60.0, 250.0, 2e6)]
+        serial = [repr(dummy_self_test(replace(dummy), contacts)) for contacts in needles]
+        barrier, seen, errors = threading.Barrier(4), [], []
+
+        def run(order):
+            try:
+                barrier.wait(timeout=60.0)
+                for _ in range(5):
+                    seen.extend((k, repr(dummy_self_test(dummy, needles[k]))) for k in order)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        order = list(range(len(needles)))
+        threads = [threading.Thread(target=run, args=(o,))
+                   for o in (order, order[::-1], order[2:] + order[:2], order[::2] + order[1::2])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(seen) == 4 * 5 * len(needles)
+        assert all(text == serial[k] for k, text in seen)
+
+    def test_the_kept_states_are_not_compared_or_shown(self, fixture):
+        dummy = fixture.dummy
+        assert "_starts" not in repr(dummy)
+        assert [name for name, _ in dummy.uut.pads] == list(dummy._starts)
+        other = replace(dummy)
+        object.__setattr__(other, "_starts", {})
+        assert other == dummy
 
 
 def forced_plan(fixture, *, vcit, needles, dummy, functional="fail"):

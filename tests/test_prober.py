@@ -31,6 +31,7 @@ from vcit.prober import (
     CaptureRecord,
     ProtectionLimits,
     StimulusWaveform,
+    _read_number,
     execute,
     format_capture,
     parse_captures,
@@ -480,3 +481,127 @@ class TestCaptureFormat:
         assert CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), trip_index=0).protection_tripped
         with pytest.raises(TypeError):
             CaptureRecord("p1", 1e-3, (0.0,), (0.0,), (0.0,), protection_tripped=True)
+
+
+class TestNumberGrammar:
+    """One ASCII number grammar at every text boundary: an optional sign and
+    digits, and for a float an optional fraction and signed exponent."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e16)
+    @example(1.7976931348623157e308)
+    def test_every_finite_float_repr_reads_back(self, x):
+        got = _read_number(repr(x))
+        assert repr(got) == repr(x)
+
+    @given(st.integers(-10**30, 10**30))
+    def test_every_int_the_formatters_write_reads_back(self, n):
+        assert _read_number(str(n), int) == n
+        assert _read_number(str(n)) == float(n)
+        if n >= 0:
+            assert _read_number(str(n), int, signed=False) == n
+
+    @pytest.mark.parametrize("text", ["+1", "-0", "1.", ".5", "-.5", "1e-3", "1E+16", "007"])
+    def test_other_forms_in_the_grammar(self, text):
+        assert _read_number(text) == float(text)
+
+    @pytest.mark.parametrize("text", ["", " 1", "1 ", "1_0", "0_2", "2_0", "1_0e-3", "١", "٠.٥",
+                                      "１", "inf", "-inf", "nan", "Infinity", "0x10", "1e", "e3", ".",
+                                      "+-1", "1.5.2", "--1", "1e1.5", "¹"])
+    def test_text_outside_the_grammar_is_refused(self, text):
+        with pytest.raises(ValueError, match="^not a number: "):
+            _read_number(text)
+        with pytest.raises(ValueError):
+            _read_number(text, int)
+
+    @pytest.mark.parametrize("text", ["1.0", "1e3", "+1", "-1"])
+    def test_an_int_has_no_fraction_or_exponent_and_a_count_no_sign(self, text):
+        with pytest.raises(ValueError):
+            _read_number(text, int, signed=not text.startswith(("+", "-")))
+
+    def test_an_int_longer_than_int_converts_is_refused(self):
+        with pytest.raises(ValueError):
+            _read_number("9" * 5000, int)
+
+    @pytest.mark.parametrize("line, sample", [
+        ("capture p1 0.001 ١ 0 -", "0 0 0"),
+        ("capture p1 1_0e-4 1 0 -", "0 0 0"),
+        ("capture p1 0.001 1_0 0 -", "0 0 0"),
+        ("capture p1 0.001 1 1 ٠", "0 0 0"),
+        ("capture p1 0.001 1 0 -", "٠.٥ 0 0"),
+        ("capture p1 0.001 1 0 -", "0 1_0 0"),
+        ("capture p1 0.001 1 0 -", "0 0 infinity"),
+    ], ids=["arabic-count", "underscore-dt", "underscore-count", "arabic-trip", "arabic-sample",
+            "underscore-sample", "word-sample"])
+    def test_capture_text_outside_the_grammar_is_refused(self, line, sample):
+        with pytest.raises(ProtocolError, match="^bad capture"):
+            parse_captures([line, sample])
+
+    @pytest.mark.parametrize("prefix, bad", [
+        (b"", b"SELECT 0_2\n"), (b"", b"SELECT 2.0\n"),
+        (b"SELECT 0\n", b"LIMITS 2_0 0.05\n"), (b"SELECT 0\n", b"LIMITS 2.0 0_05\n"),
+        (b"SELECT 0\n", b"WAVEFORM 1_0 current 0.001 p1\n" + b"0.001\n" * 10 + b".\n"),
+        (b"SELECT 0\n", b"WAVEFORM 1 current 1_0e-4 p1\n0.001\n.\n"),
+        (b"SELECT 0\n", b"WAVEFORM 1 current 0.001 p1\n1_0e-3\n.\n"),
+    ], ids=["select-underscore", "select-float", "limits-volts", "limits-amps", "waveform-count",
+            "waveform-dt", "waveform-sample"])
+    def test_bus_text_outside_the_grammar_gets_err_400(self, prefix, bad):
+        from vcit.bus import ProberFarm, run_script
+
+        def transcript(script):
+            return run_script(ProberFarm(load_default_fixture().bench, 3), script + b"STATUS\n")
+
+        before = transcript(prefix)
+        after = transcript(prefix + bad)
+        lines = after.splitlines(keepends=True)
+        err = lines.pop(prefix.count(b"\n"))
+        assert err.startswith(b"ERR 400 ")
+        assert b"".join(lines) == before  # an ERR changes nothing
+
+    def test_a_leading_plus_stays_valid_on_the_bus(self):
+        from vcit.bus import ProberFarm, run_script
+
+        farm = ProberFarm(load_default_fixture().bench, 3)
+        assert run_script(farm, b"SELECT +1\nLIMITS +2.0 +0.05\nSTATUS\n").splitlines()[:4] == [
+            b"OK", b"OK", b"OK", b"selected=1"]
+
+    @pytest.mark.parametrize("status", [b"ERR 4_00 x\n", b"ERR 4e2 x\n"], ids=["underscore", "exponent"])
+    def test_a_client_refuses_an_err_code_outside_the_grammar(self, status):
+        import io
+
+        from vcit.bus import BusCommand, BusConnection, client_call
+
+        with pytest.raises(ProtocolError, match="^unparseable reply"):
+            client_call(BusCommand("HELLO"), BusConnection(io.BytesIO(status), io.BytesIO()))
+
+    @pytest.mark.parametrize("value", ["1_0", "١", "1.0", "1e3", "seven"])
+    def test_a_scenario_seed_outside_the_grammar_is_refused(self, value):
+        from vcit.errors import FixtureError
+        from vcit.executive import parse_scenario
+
+        with pytest.raises(FixtureError, match="^bad seed"):
+            parse_scenario(f"seed: {value}\n")
+
+    def test_a_scenario_seed_may_take_a_sign(self):
+        from vcit.executive import parse_scenario
+
+        assert parse_scenario("seed: +7\n").seed == 7
+        assert parse_scenario("seed: -3\n").seed == -3
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "single", "--pad", "p1", "--level", "1_0e-3", "--window", "0.3,1.0"],
+        ["check", "single", "--pad", "p1", "--level", "١e-3", "--window", "0.3,1.0"],
+        ["check", "single", "--pad", "p1", "--level", "0.001", "--window", "0.3,1_0"],
+        ["check", "shape", "--region", "unit-box", "--vector", "0.5,٠.٥"],
+        ["session", "--seed", "1_0"],
+        ["serve", "--probers", "٢"],
+    ], ids=["level-underscore", "level-arabic", "window", "vector", "seed", "probers"])
+    def test_a_cli_number_outside_the_grammar_exits_1(self, argv, capsys):
+        from vcit.cli import main
+
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and ("error: bad number" in captured.err or "invalid" in captured.err)
